@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .pipeline import PipelineConfig, PipelineError, run_detection, run_sequence
 from .scene.generate import SceneConfig, SceneGenerationError, generate_sequence
 from .scene.io import SceneIOError, read_scene, write_scene
 from .serialize import (
-    atomic_write_text,
+    atomic_write,
     read_boxes_jsonl,
     read_metrics_json,
     write_boxes_jsonl,
@@ -60,14 +61,13 @@ def _cmd_generate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     frames = generate_sequence(config, seed, args.frames, args.frame_dt)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     frame_dirs = []
     for i, frame in enumerate(frames):
         frame_dir = out / f"frame_{i:03d}"
         write_scene(frame, frame_dir)
         frame_dirs.append(frame_dir.name)
     write_boxes_jsonl(out / "gt.jsonl", [frame.boxes for frame in frames])
-    atomic_write_text(
+    atomic_write(
         out / "sequence.json",
         json.dumps(
             {"frames": frame_dirs, "frame_dt": args.frame_dt, "seed": seed},
@@ -83,11 +83,10 @@ def _cmd_detect(args) -> int:
     scene = read_scene(args.scene)
     result = run_detection(scene, config, threads=args.threads)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_boxes_jsonl(out / "detections.jsonl", [result.detections])
     run_info = config.to_dict()
     run_info["sweeps"] = len({c.time_offset for c in scene.cameras}) or 1
-    atomic_write_text(out / "config.json", json.dumps(run_info, indent=1))
+    atomic_write(out / "config.json", json.dumps(run_info, indent=1))
     print(f"wrote {len(result.detections)} detection(s) to {out / 'detections.jsonl'}")
     return EXIT_OK
 
@@ -99,7 +98,6 @@ def _cmd_track(args) -> int:
     states = run_sequence(scenes, config, frame_dt=float(seq.get("frame_dt", 0.5)),
                           threads=args.threads)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_tracks_jsonl(out / "tracks.jsonl", states)
     n_tracks = states[-1].next_id if states else 0
     print(f"tracked {len(scenes)} frame(s), {n_tracks} id(s) issued")
@@ -136,7 +134,7 @@ def _cmd_gradcheck(args) -> int:
         lines.append(line)
         print(line)
     if args.out:
-        atomic_write_text(args.out, "\n".join(lines) + "\n")
+        atomic_write(args.out, "\n".join(lines) + "\n")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -151,7 +149,6 @@ def _cmd_microfit(args) -> int:
         print(f"micro-fit diverged at step {exc.step}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_history_csv(out / "history.csv", result.history)
     write_boxes_jsonl(out / "detections.jsonl", [result.detections])
     reduction = result.loss_reduction
@@ -163,7 +160,7 @@ def _cmd_microfit(args) -> int:
         "loss_reduction": reduction,
         "matched_center_error_cells": center_err,
     }
-    atomic_write_text(out / "summary.json", json.dumps(summary, indent=1))
+    atomic_write(out / "summary.json", json.dumps(summary, indent=1))
     print(
         f"loss {result.history[0].total:.4f} -> {result.history[-1].total:.4f} "
         f"({reduction:.1%}); matched center error {center_err:.3f} cells"
@@ -224,18 +221,12 @@ def _cmd_report(args) -> int:
                 **{f"m{k}": v for k, v in metrics["tp_errors"].items()},
             }
         )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fields = list(rows[0].keys()) if rows else ["run"]
-    tmp = out.with_name(out.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    import os
-
-    os.replace(tmp, out)
-    print(f"merged {len(rows)} run(s) into {out}")
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()) if rows else ["run"])
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write(args.out, buf.getvalue())
+    print(f"merged {len(rows)} run(s) into {Path(args.out)}")
     return EXIT_OK
 
 

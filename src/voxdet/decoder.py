@@ -19,6 +19,7 @@ import numpy as np
 from . import numerics as nm
 from .modality import VoxelGrid
 from .numerics import Parameter, Tensor
+from .numerics.ops import _sigmoid
 from .scene.types import Box3D
 
 __all__ = [
@@ -37,15 +38,6 @@ __all__ = [
 ]
 
 BOX_PARAM_DIM = 10  # center delta (3), log size (3), yaw sin/cos (2), velocity (2)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 @dataclass(frozen=True)
@@ -193,14 +185,7 @@ class DecoderParams:
                              ref_w=ref_w, ref_b=ref_b, blocks=blocks, head=head)
 
     def parameters(self) -> list[Parameter]:
-        out = [self.query_embed, self.ref_w, self.ref_b]
-        for block in self.blocks:
-            for group in (block.self_attn, block.cross, block.ffn):
-                out.extend(getattr(group, f.name) for f in group.__dataclass_fields__.values())
-        head = self.head
-        out.extend([head.cls_w1, head.cls_b1, head.cls_w2, head.cls_b2,
-                    head.box_w1, head.box_b1, head.box_w2, head.box_b2])
-        return out
+        return nm.parameters_of(self)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +336,7 @@ def decode_boxes(prediction: BlockPrediction, spec) -> list[Box3D]:
     refs = prediction.reference_out.data
     box = prediction.box_params.data
     logits = prediction.class_logits.data
-    probs = _stable_sigmoid(logits)
+    probs = _sigmoid(logits)
     lows = np.array([lo for lo, _ in spec.ranges])
     highs = np.array([hi for _, hi in spec.ranges])
     centers = lows + refs * (highs - lows)

@@ -10,6 +10,7 @@ computations with no recording overhead.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from typing import Callable, Sequence
 
@@ -19,6 +20,7 @@ __all__ = [
     "NumericsError",
     "Tensor",
     "Parameter",
+    "parameters_of",
     "Tape",
     "backward",
     "active_tape",
@@ -96,6 +98,18 @@ class Parameter(Tensor):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter({self.name!r}, shape={self.shape})"
+
+
+def parameters_of(obj) -> list[Parameter]:
+    """Every Parameter under ``obj``, walking dataclass fields and lists in order."""
+    if isinstance(obj, Parameter):
+        return [obj]
+    if isinstance(obj, list):
+        return [p for item in obj for p in parameters_of(item)]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = dataclasses.fields(obj)
+        return [p for f in fields for p in parameters_of(getattr(obj, f.name))]
+    return []
 
 
 _STATE = threading.local()

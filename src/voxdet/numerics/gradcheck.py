@@ -8,10 +8,12 @@ import numpy as np
 
 from .autograd import Tape, Tensor, backward
 
-__all__ = ["grad_check", "set_gradient_corruption"]
+__all__ = [
+    "grad_check", "set_gradient_corruption", "central_difference", "max_relative_error",
+]
 
-# Test hook: when non-zero, grad_check perturbs the analytic gradient by this
-# amount before comparing, to prove the failure path fires end to end.
+# Test hook: when non-zero, max_relative_error perturbs the analytic gradient by
+# this amount before comparing, to prove the failure path fires end to end.
 _CORRUPTION = 0.0
 
 
@@ -38,21 +40,38 @@ def grad_check(function: Callable[[Tensor], Tensor], point, eps: float = 1e-5) -
         raise ValueError("grad_check needs a scalar-valued function")
     backward(tape, out)
     analytic = np.zeros_like(base) if x.grad is None else x.grad.copy()
+    numeric = central_difference(
+        base.reshape(-1), lambda: function(Tensor(base.copy())).item(), eps
+    )
+    return max_relative_error(analytic.reshape(-1), numeric)
+
+
+def central_difference(
+    values: np.ndarray, evaluate: Callable[[], float], eps: float
+) -> np.ndarray:
+    """Numeric gradient of ``evaluate()`` w.r.t. the flat view ``values``.
+
+    Each entry is perturbed in place by +-eps and restored afterwards.
+    """
+    numeric = np.zeros_like(values)
+    for i in range(values.size):
+        orig = values[i]
+        values[i] = orig + eps
+        f_plus = evaluate()
+        values[i] = orig - eps
+        f_minus = evaluate()
+        values[i] = orig
+        numeric[i] = (f_plus - f_minus) / (2.0 * eps)
+    return numeric
+
+
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max per-coordinate relative error, with a 1e-8 denominator floor.
+
+    The corruption test hook is applied to ``analytic`` here.
+    """
     if _CORRUPTION:
         analytic = analytic + _CORRUPTION
-
-    numeric = np.zeros_like(base)
-    flat = base.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = function(Tensor(base.copy())).item()
-        flat[i] = orig - eps
-        f_minus = function(Tensor(base.copy())).item()
-        flat[i] = orig
-        num_flat[i] = (f_plus - f_minus) / (2.0 * eps)
-
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     rel = np.abs(analytic - numeric) / denom
     return float(rel.max()) if rel.size else 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ from .modality import (
 from .numerics import Parameter, Tensor
 from .postprocess import PostprocessConfig, TrackerConfig, TrackerState, greedy_track_step, run_postprocess
 from .scene.types import Box3D, Scene
+from .serialize import from_dict, to_dict
 
 __all__ = [
     "PipelineConfig",
@@ -103,96 +105,11 @@ class PipelineConfig:
         return ModalitySelection(use_camera=self.use_camera, use_lidar=self.use_lidar)
 
     def to_dict(self) -> dict:
-        return {
-            "grid": {
-                "x_range": list(self.grid.x_range),
-                "y_range": list(self.grid.y_range),
-                "z_range": list(self.grid.z_range),
-                "counts": list(self.grid.counts),
-                "channels": self.grid.channels,
-            },
-            "depth": {"bins": self.depth.bins, "depth_limit": self.depth.depth_limit},
-            "use_camera": self.use_camera,
-            "use_lidar": self.use_lidar,
-            "encoder_op": self.encoder_op,
-            "head_strides": list(self.head_strides),
-            "kt_enabled": self.kt_enabled,
-            "kt_teacher": self.kt_teacher,
-            "depth_interpolation": self.depth_interpolation,
-            "decoder": {
-                "num_queries": self.decoder.num_queries,
-                "num_blocks": self.decoder.num_blocks,
-                "num_heads": self.decoder.num_heads,
-                "num_points": self.decoder.num_points,
-                "channels": self.decoder.channels,
-                "num_classes": self.decoder.num_classes,
-                "ffn_dim": self.decoder.ffn_dim,
-                "detach_references": self.decoder.detach_references,
-            },
-            "postprocess": {
-                "max_detections": self.postprocess.max_detections,
-                "xy_range": self.postprocess.xy_range,
-                "z_range": self.postprocess.z_range,
-                "nms_radius": self.postprocess.nms_radius,
-                "nms_radius_per_class": {
-                    str(k): v for k, v in self.postprocess.nms_radius_per_class.items()
-                },
-            },
-            "tracker": {
-                "score_threshold": self.tracker.score_threshold,
-                "match_distance": self.tracker.match_distance,
-                "max_age": self.tracker.max_age,
-            },
-            "seed": self.seed,
-        }
+        return to_dict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "PipelineConfig":
-        try:
-            grid = data["grid"]
-            spec = VoxelGridSpec(
-                tuple(grid["x_range"]),
-                tuple(grid["y_range"]),
-                tuple(grid["z_range"]),
-                tuple(grid["counts"]),
-                int(grid["channels"]),
-            )
-            depth = DepthSpec(int(data["depth"]["bins"]), float(data["depth"]["depth_limit"]))
-            decoder = DecoderConfig(**data["decoder"])
-            post = data.get("postprocess", {})
-            postprocess = PostprocessConfig(
-                max_detections=int(post.get("max_detections", 300)),
-                xy_range=float(post.get("xy_range", 61.2)),
-                z_range=float(post.get("z_range", 10.0)),
-                nms_radius=float(post.get("nms_radius", 1.0)),
-                nms_radius_per_class={
-                    int(k): float(v)
-                    for k, v in post.get("nms_radius_per_class", {}).items()
-                },
-            )
-            trk = data.get("tracker", {})
-            tracker = TrackerConfig(
-                score_threshold=float(trk.get("score_threshold", 0.2)),
-                match_distance=float(trk.get("match_distance", 2.0)),
-                max_age=int(trk.get("max_age", 3)),
-            )
-            return PipelineConfig(
-                grid=spec,
-                depth=depth,
-                use_camera=bool(data.get("use_camera", True)),
-                use_lidar=bool(data.get("use_lidar", True)),
-                encoder_op=str(data.get("encoder_op", "conv3d")),
-                head_strides=tuple(data.get("head_strides", (1, 2))),
-                kt_enabled=bool(data.get("kt_enabled", False)),
-                kt_teacher=str(data.get("kt_teacher", "lidar")),
-                depth_interpolation=str(data.get("depth_interpolation", "linear")),
-                decoder=decoder,
-                postprocess=postprocess,
-                tracker=tracker,
-                seed=int(data.get("seed", 0)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"config missing field {exc.args[0]!r}") from exc
+        return from_dict(PipelineConfig, data)
 
 
 def _component_rng(seed: int, name: str) -> np.random.Generator:
@@ -210,40 +127,11 @@ class ModelParams:
     decoder: DecoderParams
 
     def trainable(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        if self.depth_head is not None:
-            out += [self.depth_head.weight, self.depth_head.bias]
-        if self.sweep_fusion is not None:
-            out += [
-                self.sweep_fusion.merge_weight,
-                self.sweep_fusion.merge_bias,
-                self.sweep_fusion.fuse_weight,
-                self.sweep_fusion.fuse_bias,
-            ]
-        if self.heads is not None:
-            out += list(self.heads.weights) + list(self.heads.biases)
-        for enc in (self.encoder_img, self.encoder_pts):
-            if enc is not None:
-                out += list(enc.weights) + list(enc.biases)
-        out += [self.fusion.weight, self.fusion.bias]
-        out += self.decoder.parameters()
-        return out
+        return nm.parameters_of(self)
 
     def student_parameters(self) -> list[Parameter]:
         """Camera-branch parameters: the knowledge-transfer student side."""
-        out: list[Parameter] = []
-        if self.depth_head is not None:
-            out += [self.depth_head.weight, self.depth_head.bias]
-        if self.sweep_fusion is not None:
-            out += [
-                self.sweep_fusion.merge_weight,
-                self.sweep_fusion.merge_bias,
-                self.sweep_fusion.fuse_weight,
-                self.sweep_fusion.fuse_bias,
-            ]
-        if self.encoder_img is not None:
-            out += list(self.encoder_img.weights) + list(self.encoder_img.biases)
-        return out
+        return nm.parameters_of([self.depth_head, self.sweep_fusion, self.encoder_img])
 
 
 def _needs_camera(config: PipelineConfig) -> bool:
@@ -307,17 +195,14 @@ class DetectionResult:
     raw: ForwardResult
 
 
+@contextmanager
 def _stage(name):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
 
 def _lift_camera(cam, scene, config, params):

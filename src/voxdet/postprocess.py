@@ -34,7 +34,7 @@ class PostprocessConfig:
     xy_range: float = 61.2  # keep centers with |x|, |y| <= this
     z_range: float = 10.0
     nms_radius: float = 1.0  # meters, per class unless overridden
-    nms_radius_per_class: dict = field(default_factory=dict)
+    nms_radius_per_class: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

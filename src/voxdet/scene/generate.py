@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..geometry import CameraCalibration, EgoPose, align_to_initial, project_points
+from ..serialize import from_dict, to_dict
 from .types import Box3D, CameraView, PointCloud, Scene, bev_boxes_overlap
 
 __all__ = [
@@ -62,11 +63,11 @@ class SceneConfig:
     max_place_tries: int = 200
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return to_dict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "SceneConfig":
-        return SceneConfig(**data)
+        return from_dict(SceneConfig, data)
 
 
 def _child_seed(seed: int, *tags) -> list[int]:

@@ -13,12 +13,12 @@ float64 in memory.  read_scene(write_scene(s)) reproduces s bit-exactly.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
 from ..geometry import CameraCalibration, EgoPose
+from ..serialize import atomic_write, from_dict, to_dict
 from .types import Box3D, CameraView, PointCloud, Scene, SceneManifest
 
 __all__ = ["SceneIOError", "FORMAT_VERSION", "write_scene", "read_scene"]
@@ -31,10 +31,7 @@ class SceneIOError(IOError):
 
 
 def _write_blob(path: Path, array: np.ndarray) -> None:
-    data = np.ascontiguousarray(array, dtype="<f4").tobytes()
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    atomic_write(path, np.ascontiguousarray(array, dtype="<f4").tobytes())
 
 
 def _read_blob(path: Path, shape: tuple[int, ...], field: str) -> np.ndarray:
@@ -50,33 +47,9 @@ def _read_blob(path: Path, shape: tuple[int, ...], field: str) -> np.ndarray:
     return raw.reshape(shape).astype(np.float64)
 
 
-def _box_to_dict(box: Box3D) -> dict:
-    return {
-        "center": list(box.center),
-        "size": list(box.size),
-        "yaw": box.yaw,
-        "velocity": list(box.velocity),
-        "class_id": box.class_id,
-        "score": box.score,
-    }
-
-
-def _box_from_dict(d: dict) -> Box3D:
-    return Box3D(
-        center=tuple(d["center"]),
-        size=tuple(d["size"]),
-        yaw=float(d["yaw"]),
-        velocity=tuple(d["velocity"]),
-        class_id=int(d["class_id"]),
-        score=float(d["score"]),
-    )
-
-
 def write_scene(scene: Scene, path) -> SceneManifest:
     """Persist a scene directory; returns the manifest that was written."""
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-
     cameras = []
     for cam in scene.cameras:
         h, w, c = cam.features.shape
@@ -110,13 +83,10 @@ def write_scene(scene: Scene, path) -> SceneManifest:
             {"time_offset": p.timestamp, "matrix": p.matrix.tolist()}
             for p in scene.ego_poses
         ],
-        boxes=[_box_to_dict(b) for b in scene.boxes],
+        boxes=[to_dict(b) for b in scene.boxes],
         format_version=FORMAT_VERSION,
     )
-    payload = json.dumps(manifest.__dict__, indent=1)
-    tmp = root / "manifest.json.tmp"
-    tmp.write_text(payload)
-    os.replace(tmp, root / "manifest.json")
+    atomic_write(root / "manifest.json", json.dumps(to_dict(manifest), indent=1))
     return manifest
 
 
@@ -165,7 +135,10 @@ def read_scene(path) -> Scene:
         EgoPose(matrix=np.array(p["matrix"]), timestamp=float(p["time_offset"]))
         for p in raw["ego_poses"]
     ]
-    boxes = [_box_from_dict(b) for b in raw["boxes"]]
+    try:
+        boxes = [from_dict(Box3D, b, f"boxes[{i}]") for i, b in enumerate(raw["boxes"])]
+    except ValueError as exc:
+        raise SceneIOError(str(exc)) from exc
     return Scene(
         scene_id=raw["scene_id"],
         seed=int(raw["seed"]),

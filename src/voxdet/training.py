@@ -10,6 +10,8 @@ desk-scale scene for end-to-end verification.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +23,7 @@ from .decoder import BlockPrediction
 from .geometry import VoxelGridSpec
 from .numerics import Parameter, Tensor
 from .scene.types import Box3D
+from .serialize import atomic_write
 
 __all__ = [
     "Assignment",
@@ -374,13 +377,9 @@ def micro_fit(
 
 
 def write_history_csv(path, history: list[LossBreakdown]) -> None:
-    import csv
-    import os
-
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "l_det", "l_kt", "total"])
-        for step, item in enumerate(history):
-            writer.writerow([step, repr(item.l_det), repr(item.l_kt), repr(item.total)])
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["step", "l_det", "l_kt", "total"])
+    for step, item in enumerate(history):
+        writer.writerow([step, repr(item.l_det), repr(item.l_kt), repr(item.total)])
+    atomic_write(path, buf.getvalue())

@@ -26,6 +26,7 @@ from .decoder import (
 from .geometry import CameraCalibration, VoxelGridSpec
 from .modality import DepthSpec, VoxelGrid, lift_image_to_voxels
 from .numerics import Parameter, Tape, Tensor, backward, grad_check
+from .numerics.gradcheck import central_difference, max_relative_error
 from .scene.types import Box3D
 from .training import Assignment, detection_loss
 
@@ -60,25 +61,8 @@ def _param_grad_check(scalar_fn: Callable[[], Tensor], param: Parameter, eps: fl
     with Tape() as tape:
         out = scalar_fn()
     backward(tape, out)
-    analytic = param.grad.copy()
-    from .numerics.gradcheck import _CORRUPTION as corruption
-
-    if corruption:
-        analytic = analytic + corruption
-    flat = param.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = scalar_fn().item()
-        flat[i] = orig - eps
-        f_minus = scalar_fn().item()
-        flat[i] = orig
-        numeric[i] = (f_plus - f_minus) / (2.0 * eps)
-    analytic = analytic.reshape(-1)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    rel = np.abs(analytic - numeric) / denom
-    return float(rel.max()) if rel.size else 0.0
+    numeric = central_difference(param.data.reshape(-1), lambda: scalar_fn().item(), eps)
+    return max_relative_error(param.grad.reshape(-1), numeric)
 
 
 # Readout probes for deep composites are small so central differences stay

@@ -187,3 +187,38 @@ class TestConfigRoundTrip:
         data["encoder_op"] = "transformer"
         with pytest.raises(ValueError, match="encoder_op"):
             PipelineConfig.from_dict(data)
+
+
+class TestStage:
+    def test_wraps_other_errors_with_stage_name(self):
+        from voxdet.pipeline import _stage
+
+        with pytest.raises(PipelineError, match="'decode'") as info:
+            with _stage("decode"):
+                raise ValueError("boom")
+        assert isinstance(info.value.cause, ValueError)
+
+    def test_pipeline_error_passes_through(self):
+        from voxdet.pipeline import _stage
+
+        inner = PipelineError("camera", ValueError("boom"))
+        with pytest.raises(PipelineError) as info:
+            with _stage("decode"):
+                raise inner
+        assert info.value is inner
+
+
+class TestParameterWalk:
+    def test_fused_kt_model_parameter_lists(self):
+        params = build_model(PipelineConfig(kt_enabled=True))
+        trainable = params.trainable()
+        names = [p.name for p in trainable]
+        assert len(trainable) == 87
+        assert len(set(names)) == 87
+        student = [p for p in trainable
+                   if p.name.split(".")[0] in ("depth", "sweeps", "encoder_img")]
+        assert len(student) == 12
+        assert list(map(id, params.student_parameters())) == list(map(id, student))
+        decoder = params.decoder.parameters()
+        assert len(decoder) == 63
+        assert list(map(id, trainable[-63:])) == list(map(id, decoder))

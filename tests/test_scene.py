@@ -223,3 +223,15 @@ class TestSceneIO:
         manifest.write_text(json.dumps(data))
         with pytest.raises(SceneIOError, match="channel"):
             read_scene(tmp_path / "scene")
+
+    def test_malformed_manifest_box_named(self, tmp_path):
+        import json
+
+        scene = generate_scene(SceneConfig(n_objects=2, channels=8), 2)
+        write_scene(scene, tmp_path / "scene")
+        manifest = tmp_path / "scene" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        del data["boxes"][1]["size"]
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(SceneIOError, match=r"boxes\[1\]\.size"):
+            read_scene(tmp_path / "scene")

@@ -66,3 +66,21 @@ class TestMetricsJson:
         path.write_text(json.dumps({"schema_version": 2, "map": 0.0}))
         with pytest.raises(ValueError, match="schema_version"):
             read_metrics_json(path)
+
+
+class TestBoxesJsonlErrors:
+    @pytest.mark.parametrize("edit, field", [
+        (lambda rec: rec.pop("center"), "center"),
+        (lambda rec: rec.update(centre=[0.0, 0.0, 0.0]), "centre"),
+        (lambda rec: rec.update(score=1.5), "score"),
+    ])
+    def test_malformed_record_names_line_and_field(self, tmp_path, edit, field):
+        path = tmp_path / "boxes.jsonl"
+        write_boxes_jsonl(path, [frame(3, 2)])
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        edit(rec)
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IOError, match=rf"boxes\.jsonl:2: .*{field}"):
+            read_boxes_jsonl(path)
