@@ -69,15 +69,7 @@ class GlobalTransform:
         return self.scale * self.rotation_flip_matrix()
 
     def inverse_matrix(self) -> np.ndarray:
-        c, s = math.cos(-self.rotation), math.sin(-self.rotation)
-        for exact in (-1.0, 0.0, 1.0):
-            if abs(c - exact) < _SNAP_TOL:
-                c = exact
-            if abs(s - exact) < _SNAP_TOL:
-                s = exact
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        flip = np.diag([-1.0 if self.flip_x else 1.0, -1.0 if self.flip_y else 1.0, 1.0])
-        return (flip @ rot) / self.scale
+        return self.rotation_flip_matrix().T / self.scale
 
     def inverse(self) -> "GlobalTransform":
         """The transform undoing this one under the same flip-rotate-scale order."""
@@ -151,7 +143,6 @@ def transform_scene(scene: Scene, transform: GlobalTransform) -> Scene:
     new_cloud, new_boxes = apply_to_points(transform, scene.cloud, scene.boxes)
     rf = transform.rotation_flip_matrix()
     pose_0 = scene.ego_poses[0] if scene.ego_poses else EgoPose(np.eye(4))
-    offsets = sorted({cam.time_offset for cam in scene.cameras}, reverse=True)
     new_cameras = []
     for cam in scene.cameras:
         pose_t = scene.pose_at(cam.time_offset) if scene.ego_poses else pose_0
@@ -169,7 +160,7 @@ def transform_scene(scene: Scene, transform: GlobalTransform) -> Scene:
                 features=cam.features.copy(),
             )
         )
-    new_poses = [EgoPose(np.eye(4), timestamp=t) for t in offsets] or [
+    new_poses = [EgoPose(np.eye(4), timestamp=t) for t in scene.sweep_offsets] or [
         EgoPose(np.eye(4), timestamp=0.0)
     ]
     return Scene(

@@ -85,7 +85,7 @@ def _cmd_detect(args) -> int:
     out = Path(args.out)
     write_boxes_jsonl(out / "detections.jsonl", [result.detections])
     run_info = config.to_dict()
-    run_info["sweeps"] = len({c.time_offset for c in scene.cameras}) or 1
+    run_info["sweeps"] = len(scene.sweep_offsets) or 1
     atomic_write(out / "config.json", json.dumps(run_info, indent=1))
     print(f"wrote {len(result.detections)} detection(s) to {out / 'detections.jsonl'}")
     return EXIT_OK
@@ -299,6 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("points", "threads"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            print(f"error: --{flag} must be >= 1, got {value}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError, SceneIOError, SceneGenerationError,

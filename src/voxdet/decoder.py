@@ -24,11 +24,9 @@ from .scene.types import Box3D
 
 __all__ = [
     "DecoderConfig",
-    "ObjectQuery",
     "BlockPrediction",
     "DecodeResult",
     "DecoderParams",
-    "init_queries",
     "initial_references",
     "self_attention",
     "deformable_cross_attention",
@@ -64,18 +62,6 @@ class DecoderConfig:
     @property
     def head_dim(self) -> int:
         return self.channels // self.num_heads
-
-
-@dataclass(frozen=True)
-class ObjectQuery:
-    """A query embedding with its normalized [0, 1]^3 reference point."""
-
-    embedding: np.ndarray
-    reference: tuple[float, float, float]
-
-    def __post_init__(self):
-        if any(not 0.0 <= r <= 1.0 for r in self.reference):
-            raise ValueError(f"reference must lie in [0, 1]^3, got {self.reference}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +181,6 @@ class DecoderParams:
 def initial_references(params: DecoderParams) -> Tensor:
     """References generated from the query embeddings, in [0, 1]^3."""
     return nm.sigmoid(nm.affine(params.query_embed, params.ref_w, params.ref_b))
-
-
-def init_queries(config: DecoderConfig, seed: int) -> list[ObjectQuery]:
-    """Seeded query set: normal embeddings, references from the embedding."""
-    params = DecoderParams.create(config, seed)
-    refs = initial_references(params).data
-    return [
-        ObjectQuery(embedding=params.query_embed.data[i].copy(),
-                    reference=tuple(refs[i]))
-        for i in range(config.num_queries)
-    ]
 
 
 def self_attention(queries: Tensor, params: AttentionParams, num_heads: int) -> Tensor:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autograd import Tensor, accumulate_grad, as_tensor, record_op
 
@@ -343,6 +342,10 @@ def conv(volume, kernel, bias, stride=1, padding=0) -> Tensor:
     ``kernel`` is (kx, ky, kz, Cin, Cout), ``bias`` is (Cout,).  Zero padding;
     output extent per axis is floor((in + 2*pad - k)/stride) + 1.  The 2-D
     case is the same call with a unit depth extent.
+
+    One tap loop serves the forward pass and both gradients: one
+    (voxels, Cin) x (Cin, Cout) matmul per kernel offset.  A 1x1x1, stride-1,
+    unpadded conv is therefore one matmul on a view of the volume.
     """
     volume, kernel, bias = as_tensor(volume), as_tensor(kernel), as_tensor(bias)
     if volume.ndim != 4:
@@ -367,27 +370,35 @@ def conv(volume, kernel, bias, stride=1, padding=0) -> Tensor:
     if min(ox, oy, oz) < 1:
         raise ValueError("conv output would be empty")
 
-    padded = np.pad(volume.data, ((px, px), (py, py), (pz, pz), (0, 0)))
-    windows = sliding_window_view(padded, (kx, ky, kz), axis=(0, 1, 2))
-    windows = windows[::sx, ::sy, ::sz]  # (ox, oy, oz, Cin, kx, ky, kz), a view
-    out_data = np.tensordot(windows, kernel.data, axes=([3, 4, 5, 6], [3, 0, 1, 2]))
-    out_data = out_data + bias.data
+    padded = volume.data
+    if px or py or pz:
+        padded = np.pad(padded, ((px, px), (py, py), (pz, pz), (0, 0)))
+    n = ox * oy * oz
+    # one tap per kernel offset: the strided slice of ``padded`` it reads
+    taps = [(t, tuple(slice(o, o + s * m, s) for o, s, m in zip(t, (sx, sy, sz), (ox, oy, oz))))
+            for t in np.ndindex(kx, ky, kz)]
+    # accumulate in place into the first tap's product: a fresh (n, Cout)
+    # array per addition costs more than the matmul on large volumes
+    products = (padded[win].reshape(n, cin) @ kernel.data[t] for t, win in taps)
+    out_data = next(products)
+    for product in products:
+        out_data += product
+    out_data += bias.data
+    out_data = out_data.reshape(ox, oy, oz, cout)
 
     def backward(g):
+        g2 = g.reshape(n, cout)
         if kernel.requires_grad:
-            dw = np.tensordot(windows, g, axes=([0, 1, 2], [0, 1, 2]))
-            accumulate_grad(kernel, dw.transpose(1, 2, 3, 0, 4))
+            dw = np.empty_like(kernel.data)
+            for t, win in taps:
+                dw[t] = padded[win].reshape(n, cin).T @ g2
+            accumulate_grad(kernel, dw)
         if bias.requires_grad:
             accumulate_grad(bias, g.sum(axis=(0, 1, 2)))
         if volume.requires_grad:
             dpad = np.zeros_like(padded)
-            for i in range(kx):
-                for j in range(ky):
-                    for k in range(kz):
-                        contrib = g @ kernel.data[i, j, k].T
-                        dpad[i : i + sx * ox : sx,
-                             j : j + sy * oy : sy,
-                             k : k + sz * oz : sz] += contrib
+            for t, win in taps:
+                dpad[win] += (g2 @ kernel.data[t].T).reshape(ox, oy, oz, cin)
             accumulate_grad(volume, dpad[px : px + x, py : py + y, pz : pz + z])
 
     return record_op(out_data, (volume, kernel, bias), backward)

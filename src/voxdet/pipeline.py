@@ -293,8 +293,7 @@ def run_detection(
 ) -> DetectionResult:
     """Full inference: forward pass plus range filter and circle NMS."""
     if params is None:
-        sweeps = len({c.time_offset for c in scene.cameras}) if scene.cameras else None
-        params = build_model(config, n_camera_sweeps=sweeps)
+        params = build_model(config, n_camera_sweeps=len(scene.sweep_offsets) or None)
     fw = forward_scene(scene, config, params, threads=threads)
     with _stage("postprocess"):
         detections = run_postprocess(fw.decode.detections, config)
@@ -310,8 +309,7 @@ def run_sequence(
 ) -> list[TrackerState]:
     """Detect every frame and chain the greedy tracker; frames must be time-ordered."""
     if params is None and scenes:
-        sweeps = len({c.time_offset for c in scenes[0].cameras}) if scenes[0].cameras else None
-        params = build_model(config, n_camera_sweeps=sweeps)
+        params = build_model(config, n_camera_sweeps=len(scenes[0].sweep_offsets) or None)
     state = TrackerState()
     states = []
     for scene in scenes:

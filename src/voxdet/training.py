@@ -339,8 +339,7 @@ def micro_fit(
     from .pipeline import build_model
     from .postprocess import run_postprocess
 
-    sweeps = len({c.time_offset for c in scene.cameras}) if scene.cameras else None
-    params = build_model(config, seed, n_camera_sweeps=sweeps)
+    params = build_model(config, seed, n_camera_sweeps=len(scene.sweep_offsets) or None)
     optimizer = SGDOptimizer(params.trainable(), learning_rate, momentum)
     history: list[LossBreakdown] = []
 

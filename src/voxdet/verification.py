@@ -103,6 +103,8 @@ def _loss_fixture():
 
 def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS):
     """Run every gradient check; returns a list of :class:`GradCheckResult`."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     rng = np.random.default_rng([seed, 1234])
     results = []
 

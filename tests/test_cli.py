@@ -8,6 +8,7 @@ import pytest
 from voxdet.cli import main
 from voxdet.pipeline import PipelineConfig
 from voxdet.scene import SceneConfig
+from voxdet.verification import gradient_suite
 
 
 @pytest.fixture()
@@ -112,6 +113,22 @@ class TestGradcheckCommand:
 
     def test_corrupted_gradients_fail(self):
         assert main(["gradcheck", "--seed", "0", "--points", "1", "--corrupt"]) == 2
+
+    def test_suite_rejects_zero_points(self):
+        with pytest.raises(ValueError, match="points"):
+            gradient_suite(seed=0, points=0)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gradcheck", "--points", "0"], "--points"),
+    (["gradcheck", "--points", "-3"], "--points"),
+    (["detect", "--scene", "s", "--config", "c", "--out", "o", "--threads", "0"], "--threads"),
+    (["track", "--sequence", "s", "--config", "c", "--out", "o", "--threads", "-2"], "--threads"),
+    (["microfit", "--scene", "s", "--config", "c", "--out", "o", "--threads", "0"], "--threads"),
+])
+def test_count_flags_below_one_rejected(capsys, argv, flag):
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
 
 
 class TestMicrofitCommand:

@@ -8,7 +8,6 @@ from voxdet.decoder import (
     decode_boxes,
     decoder_block,
     deformable_cross_attention,
-    init_queries,
     initial_references,
     self_attention,
     BlockPrediction,
@@ -29,11 +28,10 @@ def small_volume(seed=0):
 
 class TestInitQueries:
     def test_deterministic(self):
-        a = init_queries(CONFIG, seed=5)
-        b = init_queries(CONFIG, seed=5)
-        for qa, qb in zip(a, b):
-            np.testing.assert_array_equal(qa.embedding, qb.embedding)
-            assert qa.reference == qb.reference
+        a = DecoderParams.create(CONFIG, seed=5)
+        b = DecoderParams.create(CONFIG, seed=5)
+        np.testing.assert_array_equal(a.query_embed.data, b.query_embed.data)
+        np.testing.assert_array_equal(initial_references(a).data, initial_references(b).data)
 
     def test_zero_reference_head_centers(self):
         params = DecoderParams.create(CONFIG, seed=1)
@@ -43,8 +41,9 @@ class TestInitQueries:
         np.testing.assert_array_equal(refs, 0.5)
 
     def test_references_in_unit_cube(self):
-        for q in init_queries(CONFIG, seed=9):
-            assert all(0.0 <= r <= 1.0 for r in q.reference)
+        refs = initial_references(DecoderParams.create(CONFIG, seed=9)).data
+        assert refs.shape == (CONFIG.num_queries, 3)
+        assert np.all((refs >= 0.0) & (refs <= 1.0))
 
 
 class TestSelfAttention:

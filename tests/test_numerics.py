@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from voxdet import numerics as nm
 from voxdet.numerics import NumericsError, Parameter, Tape, Tensor, backward, grad_check
@@ -73,6 +74,58 @@ class TestConv:
         lhs = nm.conv(Tensor(a * x + c * y), k, b).data
         rhs = a * nm.conv(Tensor(x), k, b).data + c * nm.conv(Tensor(y), k, b).data
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
+
+    def test_pointwise_is_one_matmul(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((5, 4, 3, 6))
+        w = rng.standard_normal((6, 4))
+        b = rng.standard_normal(4)
+        out = nm.conv(Tensor(x), Tensor(w.reshape(1, 1, 1, 6, 4)), Tensor(b))
+        assert np.array_equal(out.data.reshape(-1, 4), x.reshape(-1, 6) @ w + b)
+
+
+def _im2col_conv(x, w, b, stride, padding, g):
+    """Reference conv as one im2col contraction: (out, dX, dW, db) for output gradient g.
+
+    Windows come from ``sliding_window_view`` and contract with ``tensordot``;
+    dX scatters the window gradients back through the same window indices.
+    """
+    kx, ky, kz, cin, _ = w.shape
+    sx, sy, sz = np.broadcast_to(stride, 3)
+    pads = [(int(p), int(p)) for p in np.broadcast_to(padding, 3)]
+    padded = np.pad(x, pads + [(0, 0)])
+    windows = sliding_window_view(padded, (kx, ky, kz), axis=(0, 1, 2))[::sx, ::sy, ::sz]
+    out = np.tensordot(windows, w, axes=([3, 4, 5, 6], [3, 0, 1, 2])) + b
+    dw = np.tensordot(windows, g, axes=([0, 1, 2], [0, 1, 2])).transpose(1, 2, 3, 0, 4)
+    index = np.arange(np.prod(padded.shape[:3])).reshape(padded.shape[:3])
+    window_index = sliding_window_view(index, (kx, ky, kz))[::sx, ::sy, ::sz]
+    window_grad = np.tensordot(g, w, axes=([3], [4]))  # (ox, oy, oz, kx, ky, kz, Cin)
+    dpad = np.zeros((index.size, cin))
+    np.add.at(dpad, window_index.reshape(-1), window_grad.reshape(-1, cin))
+    crop = tuple(slice(lo, lo + n) for (lo, _), n in zip(pads, x.shape[:3]))
+    dx = dpad.reshape(padded.shape)[crop]
+    return out, dx, dw, g.sum(axis=(0, 1, 2))
+
+
+@pytest.mark.parametrize("padding", [0, 1, (1, 1, 0), (0, 1, 2)])
+@pytest.mark.parametrize("stride", [1, 2, (2, 2, 1)])
+@pytest.mark.parametrize("kernel", [(1, 1, 1), (3, 3, 1), (3, 3, 3), (2, 3, 1)])
+def test_conv_matches_im2col_oracle(kernel, stride, padding):
+    rng = np.random.default_rng(list(kernel) + list(np.broadcast_to(stride, 3))
+                                + list(np.broadcast_to(padding, 3)))
+    x = rng.standard_normal((6, 5, 4, 3))
+    w = rng.standard_normal(kernel + (3, 2))
+    b = rng.standard_normal(2)
+    vol, ker, bias = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+    with Tape() as tape:
+        out = nm.conv(vol, ker, bias, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        loss = nm.tsum(nm.mul(out, Tensor(g)))
+    backward(tape, loss)
+    expected = _im2col_conv(x, w, b, stride, padding, g)
+    for got, want in zip((out.data, vol.grad, ker.grad, bias.grad), expected):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestTrilinear:
