@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .decoder import decode_boxes
 from .metrics import evaluate
 from .numerics import set_gradient_corruption
 from .pipeline import PipelineConfig, PipelineError, run_detection, run_sequence
@@ -181,14 +182,13 @@ def _matched_center_error_cells(result, scene, config) -> float:
     if not scene.boxes:
         return 0.0
     block = result.final_blocks[-1]
-    assign = hungarian_match(cost_matrix(block, scene.boxes, config.grid))
     spec = config.grid
-    lows = np.array([lo for lo, _ in spec.ranges])
-    highs = np.array([hi for _, hi in spec.ranges])
+    assign = hungarian_match(cost_matrix(block, scene.boxes, spec))
+    decoded = decode_boxes(block, spec)
     errors = []
     for i, g in assign.pairs:
-        center = lows + block.reference_out.data[i] * (highs - lows)
-        gt = np.array(scene.boxes[g].center)
+        center = decoded[i].center
+        gt = scene.boxes[g].center
         errors.append(
             float(np.hypot(center[0] - gt[0], center[1] - gt[1]) / spec.cell_sizes[0])
         )
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("points", "threads"):
+    for flag in ("points", "threads", "frames"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             print(f"error: --{flag} must be >= 1, got {value}", file=sys.stderr)

@@ -32,6 +32,9 @@ __all__ = [
     "deformable_cross_attention",
     "decoder_block",
     "decode",
+    "reference_grid_scale",
+    "box_vectors",
+    "encode_boxes",
     "decode_boxes",
 ]
 
@@ -201,6 +204,11 @@ def self_attention(queries: Tensor, params: AttentionParams, num_heads: int) -> 
     return nm.layer_norm(nm.add(queries, out), params.gamma, params.beta)
 
 
+def reference_grid_scale(counts) -> np.ndarray:
+    """Per-axis factor from a normalized reference in [0, 1] to a grid index: ``n - 1``."""
+    return np.array([n - 1.0 for n in counts])
+
+
 def deformable_cross_attention(
     queries: Tensor,
     references: Tensor,
@@ -228,8 +236,7 @@ def deformable_cross_attention(
     weights = nm.softmax(logits, axis=-1)
 
     locations = nm.add(nm.reshape(references, (n, 1, 1, 3)), offsets)
-    grid_scale = Tensor(np.array([nx - 1.0, ny - 1.0, nz - 1.0]))
-    grid_locations = nm.mul(locations, grid_scale)
+    grid_locations = nm.mul(locations, Tensor(reference_grid_scale((nx, ny, nz))))
 
     flat = nm.reshape(volume, (nx * ny * nz, c))
     value = nm.reshape(nm.affine(flat, params.value_w, params.value_b), (nx, ny, nz, c))
@@ -301,6 +308,42 @@ def decoder_block(
     return q3, pred, refined
 
 
+# ---------------------------------------------------------------------------
+# box codec: normalized center (3), log size (3), yaw sin/cos (2), velocity (2)
+
+
+def _grid_extent(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis metric low corner and span of the grid."""
+    lows = np.array([lo for lo, _ in spec.ranges])
+    highs = np.array([hi for _, hi in spec.ranges])
+    return lows, highs - lows
+
+
+def box_vectors(center, box_params, rows=slice(None)) -> Tensor:
+    """Predicted 10-vectors of ``rows``: refined normalized center plus ``box_params[:, 3:]``.
+
+    Plain arrays in give a constant tensor that records nothing on the tape.
+    """
+    return nm.concat([nm.getitem(center, (rows,)),
+                      nm.getitem(box_params, (rows, slice(3, BOX_PARAM_DIM)))], axis=1)
+
+
+def encode_boxes(boxes: list[Box3D], spec) -> np.ndarray:
+    """Metric boxes as (G, 10) training targets in the layout of :func:`box_vectors`."""
+    if not boxes:
+        return np.zeros((0, BOX_PARAM_DIM))
+    lows, span = _grid_extent(spec)
+    return np.concatenate(
+        [
+            (np.array([b.center for b in boxes]) - lows) / span,
+            np.log(np.array([b.size for b in boxes])),
+            np.array([(math.sin(b.yaw), math.cos(b.yaw)) for b in boxes]),
+            np.array([b.velocity for b in boxes]),
+        ],
+        axis=1,
+    )
+
+
 def decode_boxes(prediction: BlockPrediction, spec) -> list[Box3D]:
     """Turn one block's predictions into metric boxes.
 
@@ -312,9 +355,8 @@ def decode_boxes(prediction: BlockPrediction, spec) -> list[Box3D]:
     box = prediction.box_params.data
     logits = prediction.class_logits.data
     probs = _sigmoid(logits)
-    lows = np.array([lo for lo, _ in spec.ranges])
-    highs = np.array([hi for _, hi in spec.ranges])
-    centers = lows + refs * (highs - lows)
+    lows, span = _grid_extent(spec)
+    centers = lows + refs * span
     with np.errstate(over="ignore", under="ignore"):
         sizes = np.exp(box[:, 3:6])
     if not np.all(np.isfinite(sizes)) or np.any(sizes <= 0.0):

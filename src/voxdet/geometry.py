@@ -16,12 +16,9 @@ __all__ = [
     "CameraCalibration",
     "EgoPose",
     "VoxelGridSpec",
-    "project",
     "project_points",
     "align_to_initial",
-    "voxel_center",
     "voxel_centers",
-    "point_to_voxel",
     "metric_to_grid_coords",
     "rigid_inverse",
 ]
@@ -140,18 +137,6 @@ class VoxelGridSpec:
         return all(lo <= v < hi for v, (lo, hi) in zip(p, self.ranges))
 
 
-def project(point_ego, calib: CameraCalibration):
-    """Pinhole-project an ego-frame point; None when behind the near plane.
-
-    Returns (u, v, d) with u = fx*X/Z + cx, v = fy*Y/Z + cy and d the
-    camera-frame depth Z.
-    """
-    u, v, d, valid = project_points(np.asarray(point_ego, dtype=np.float64)[None, :], calib)
-    if not valid[0]:
-        return None
-    return float(u[0]), float(v[0]), float(d[0])
-
-
 def project_points(points: np.ndarray, calib: CameraCalibration):
     """Vectorized pinhole projection of (N, 3) ego-frame points.
 
@@ -188,18 +173,6 @@ def _axis_center(lo: float, hi: float, count: int, index) -> np.ndarray:
     return mid + (2.0 * np.asarray(index, dtype=np.float64) + 1.0 - count) * (cell / 2.0)
 
 
-def voxel_center(spec: VoxelGridSpec, index) -> tuple[float, float, float]:
-    """Metric center of cell (i, j, k)."""
-    idx = tuple(int(i) for i in index)
-    for i, n in zip(idx, spec.counts):
-        if not 0 <= i < n:
-            raise ValueError(f"voxel index {idx} outside grid counts {spec.counts}")
-    return tuple(
-        float(_axis_center(lo, hi, n, i))
-        for (lo, hi), n, i in zip(spec.ranges, spec.counts, idx)
-    )
-
-
 def voxel_centers(spec: VoxelGridSpec) -> np.ndarray:
     """All cell centers as an (X, Y, Z, 3) array."""
     axes = [
@@ -224,15 +197,3 @@ def metric_to_grid_coords(spec: VoxelGridSpec, points: np.ndarray) -> np.ndarray
         out[..., axis] = (p[..., axis] - mid) / cell + (n - 1) / 2.0
     return out
 
-
-def point_to_voxel(spec: VoxelGridSpec, point):
-    """Cell index containing a metric point, or None outside [min, max)."""
-    p = np.asarray(point, dtype=np.float64)
-    idx = []
-    for v, (lo, hi), n in zip(p, spec.ranges, spec.counts):
-        if not lo <= v < hi:
-            return None
-        cell = (hi - lo) / n
-        i = int(np.floor((v - lo) / cell))
-        idx.append(min(i, n - 1))  # guard the last cell against rounding at hi-eps
-    return tuple(idx)

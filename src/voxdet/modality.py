@@ -282,7 +282,6 @@ def fuse_sweeps_image(
     spaces: list[Tensor],
     time_offsets: list[float],
     params: SweepFusionParams,
-    specs: list[VoxelGridSpec] | None = None,
 ) -> Tensor:
     """Space-level temporal fusion of per-sweep image voxel grids.
 
@@ -300,8 +299,6 @@ def fuse_sweeps_image(
     for s in spaces[1:]:
         if tuple(s.shape) != shape:
             raise ValueError(f"sweep grids disagree in shape: {s.shape} vs {shape}")
-    if specs is not None and any(sp != specs[0] for sp in specs[1:]):
-        raise ValueError("sweep grids disagree in grid spec")
 
     n_expected = params.fuse_weight.shape[3] // shape[-1]
     if len(spaces) != n_expected:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import numerics as nm
-from .decoder import BlockPrediction
+from .decoder import BlockPrediction, box_vectors, encode_boxes, reference_grid_scale
 from .geometry import VoxelGridSpec
 from .numerics import Parameter, Tensor
 from .scene.types import Box3D
@@ -30,9 +29,6 @@ __all__ = [
     "LossBreakdown",
     "TrainingDivergenceError",
     "hungarian_match",
-    "encode_box",
-    "prediction_vectors",
-    "match_cost",
     "cost_matrix",
     "detection_loss",
     "total_loss",
@@ -45,7 +41,7 @@ __all__ = [
 KT_WEIGHT = 0.01
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2  # applied as squaring
-DEFAULT_COST_WEIGHTS = (1.0, 0.25)  # (classification, box)
+COST_WEIGHTS = (1.0, 0.25)  # (classification, box)
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -115,61 +111,27 @@ def hungarian_match(cost) -> Assignment:
 
 
 # ---------------------------------------------------------------------------
-# box encoding and matching cost
+# matching cost
 
 
-def encode_box(box: Box3D, spec: VoxelGridSpec) -> np.ndarray:
-    """Ground-truth box as the head's 10-vector target.
-
-    Layout: normalized center (3), log size (3), yaw sin/cos (2), velocity (2).
-    """
-    lows = np.array([lo for lo, _ in spec.ranges])
-    highs = np.array([hi for _, hi in spec.ranges])
-    center = (np.array(box.center) - lows) / (highs - lows)
-    return np.concatenate(
-        [
-            center,
-            np.log(np.array(box.size)),
-            [math.sin(box.yaw), math.cos(box.yaw)],
-            np.array(box.velocity),
-        ]
-    )
+def _class_ids(gts: list[Box3D], num_classes: int) -> np.ndarray:
+    """Ground-truth class ids as an index array; out-of-range ids raise, naming the id."""
+    ids = np.array([gt.class_id for gt in gts], dtype=np.intp)
+    bad = ids[(ids < 0) | (ids >= num_classes)]
+    if bad.size:
+        raise ValueError(f"class id {bad[0]} outside {num_classes} classes")
+    return ids
 
 
-def prediction_vectors(block: BlockPrediction) -> np.ndarray:
-    """Predicted 10-vectors: refined normalized center plus raw box tail."""
-    return np.concatenate([block.reference_out.data, block.box_params.data[:, 3:]], axis=1)
-
-
-def match_cost(
-    class_logits: np.ndarray,
-    box_vector: np.ndarray,
-    gt: Box3D,
-    spec: VoxelGridSpec,
-    weights: tuple[float, float] = DEFAULT_COST_WEIGHTS,
-) -> float:
-    """Matching cost of one prediction against one ground-truth box."""
-    if not 0 <= gt.class_id < class_logits.shape[0]:
-        raise ValueError(f"class id {gt.class_id} outside {class_logits.shape[0]} classes")
-    w_cls, w_box = weights
-    cls_term = float(np.logaddexp(0.0, -class_logits[gt.class_id]))  # -log sigmoid
-    box_term = float(np.abs(box_vector - encode_box(gt, spec)).sum())
-    return w_cls * cls_term + w_box * box_term
-
-
-def cost_matrix(
-    block: BlockPrediction,
-    gts: list[Box3D],
-    spec: VoxelGridSpec,
-    weights: tuple[float, float] = DEFAULT_COST_WEIGHTS,
-) -> np.ndarray:
+def cost_matrix(block: BlockPrediction, gts: list[Box3D], spec: VoxelGridSpec) -> np.ndarray:
+    """(n_pred, n_gt) matching cost: -log sigmoid of the gt class logit plus box L1."""
+    w_cls, w_box = COST_WEIGHTS
     logits = block.class_logits.data
-    vectors = prediction_vectors(block)
-    out = np.zeros((logits.shape[0], len(gts)))
-    for g, gt in enumerate(gts):
-        for i in range(logits.shape[0]):
-            out[i, g] = match_cost(logits[i], vectors[i], gt, spec, weights)
-    return out
+    ids = _class_ids(gts, logits.shape[1])
+    vectors = box_vectors(block.reference_out.data, block.box_params.data).data
+    targets = encode_boxes(gts, spec)
+    return (w_cls * np.logaddexp(0.0, -logits[:, ids])
+            + w_box * np.abs(vectors[:, None] - targets[None]).sum(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -201,26 +163,23 @@ def detection_loss(
     """
     if len(blocks) != len(assignments):
         raise ValueError("one assignment per block required")
+    targets = encode_boxes(gts, spec)
     per_block = []
     cls_total = box_total = 0.0
     for block, assign in zip(blocks, assignments):
         n, k = block.class_logits.shape
-        for _, g in assign.pairs:
-            if not 0 <= gts[g].class_id < k:
-                raise ValueError(f"class id {gts[g].class_id} outside {k} classes")
+        ids = _class_ids(gts, k)
+        rows = np.array([i for i, _ in assign.pairs], dtype=np.intp)
+        cols = np.array([g for _, g in assign.pairs], dtype=np.intp)
         positives = np.zeros((n, k))
-        for i, g in assign.pairs:
-            positives[i, gts[g].class_id] = 1.0
+        positives[rows, ids[cols]] = 1.0
         norm = float(max(1, len(assign.pairs)))
         cls_term = _focal_term(block.class_logits, positives, norm)
 
         if assign.pairs:
-            rows = np.array([i for i, _ in assign.pairs])
-            targets = Tensor(np.stack([encode_box(gts[g], spec) for _, g in assign.pairs]))
-            pred_center = nm.getitem(block.reference_out, (rows,))
-            pred_tail = nm.getitem(block.box_params, (rows, slice(3, 10)))
-            pred = nm.concat([pred_center, pred_tail], axis=1)
-            box_term = nm.scale(nm.tsum(nm.absolute(nm.sub(pred, targets))), 1.0 / norm)
+            pred = box_vectors(block.reference_out, block.box_params, rows)
+            box_term = nm.scale(nm.tsum(nm.absolute(nm.sub(pred, Tensor(targets[cols])))),
+                                1.0 / norm)
         else:
             box_term = Tensor(0.0)
         per_block.append(nm.add(cls_term, box_term))
@@ -284,8 +243,7 @@ class MicroFitResult:
         return 0.0 if first == 0 else 1.0 - self.history[-1].total / first
 
 
-def compute_scene_loss(scene, config, params, with_kt: bool | None = None,
-                       threads: int = 1):
+def compute_scene_loss(scene, config, params, threads: int = 1):
     """Forward the pipeline on a scene and assemble the full objective.
 
     Returns (total tensor, LossBreakdown, forward result).  Must run under an
@@ -303,10 +261,8 @@ def compute_scene_loss(scene, config, params, with_kt: bool | None = None,
     l_det, cls_part, box_part = detection_loss(
         fw.decode.blocks, scene.boxes, assignments, spec
     )
-    use_kt = config.kt_enabled if with_kt is None else with_kt
-    if use_kt and fw.teacher_tap is not None and fw.student_tap is not None:
-        scale_to_grid = np.array([n - 1.0 for n in spec.counts])
-        positions = fw.decode.final_references * scale_to_grid
+    if config.kt_enabled and fw.teacher_tap is not None and fw.student_tap is not None:
+        positions = fw.decode.final_references * reference_grid_scale(spec.counts)
         l_kt = knowledge_transfer_loss(fw.teacher_tap, fw.student_tap, positions)
     else:
         l_kt = Tensor(0.0)
@@ -327,20 +283,21 @@ def micro_fit(
     steps: int,
     learning_rate: float,
     seed: int,
-    momentum: float = 0.9,
     threads: int = 1,
 ) -> MicroFitResult:
-    """Fit the model to one small scene with deterministic gradient descent.
+    """Fit the model to one small scene with deterministic momentum gradient descent.
 
     The history holds the loss before each update plus the final loss, so
-    ``steps=0`` leaves exactly the initial entry.  A non-finite loss raises
-    :class:`TrainingDivergenceError` with the failing step index.
+    ``steps=0`` leaves exactly the initial entry (``steps < 0`` raises).  A
+    non-finite loss raises :class:`TrainingDivergenceError` with the failing step.
     """
     from .pipeline import build_model
     from .postprocess import run_postprocess
 
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     params = build_model(config, seed, n_camera_sweeps=len(scene.sweep_offsets) or None)
-    optimizer = SGDOptimizer(params.trainable(), learning_rate, momentum)
+    optimizer = SGDOptimizer(params.trainable(), learning_rate)
     history: list[LossBreakdown] = []
 
     def diverged(exc: Exception) -> bool:

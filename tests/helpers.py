@@ -10,10 +10,49 @@ import math
 import numpy as np
 
 from voxdet import numerics as nm
-from voxdet.geometry import CameraCalibration, project, voxel_center
+from voxdet.geometry import CameraCalibration, VoxelGridSpec, project_points
 from voxdet.modality import lift_image_to_voxels, predict_depth_distribution
 from voxdet.numerics import Tensor
-from voxdet.scene.types import CameraView, PointCloud, Scene
+from voxdet.scene.types import Box3D, CameraView, PointCloud, Scene
+
+
+def project(point_ego, calib: CameraCalibration):
+    """Pinhole-project one ego-frame point; None when behind the near plane.
+
+    Returns (u, v, d) with u = fx*X/Z + cx, v = fy*Y/Z + cy and d the
+    camera-frame depth Z.
+    """
+    u, v, d, valid = project_points(np.asarray(point_ego, dtype=np.float64)[None, :], calib)
+    if not valid[0]:
+        return None
+    return float(u[0]), float(v[0]), float(d[0])
+
+
+def voxel_center(spec: VoxelGridSpec, index) -> tuple[float, float, float]:
+    """Metric center of cell (i, j, k), in the midpoint-symmetric form of the grid."""
+    idx = tuple(int(i) for i in index)
+    for i, n in zip(idx, spec.counts):
+        if not 0 <= i < n:
+            raise ValueError(f"voxel index {idx} outside grid counts {spec.counts}")
+    centers = []
+    for (lo, hi), n, i in zip(spec.ranges, spec.counts, idx):
+        cell = (hi - lo) / n
+        mid = (lo + hi) / 2.0
+        centers.append(float(mid + (2.0 * i + 1.0 - n) * (cell / 2.0)))
+    return tuple(centers)
+
+
+def point_to_voxel(spec: VoxelGridSpec, point):
+    """Cell index containing a metric point, or None outside [min, max)."""
+    p = np.asarray(point, dtype=np.float64)
+    idx = []
+    for v, (lo, hi), n in zip(p, spec.ranges, spec.counts):
+        if not lo <= v < hi:
+            return None
+        cell = (hi - lo) / n
+        i = int(np.floor((v - lo) / cell))
+        idx.append(min(i, n - 1))  # guard the last cell against rounding at hi-eps
+    return tuple(idx)
 
 
 def lift_oracle(features, depth_dist, calib, spec, depth):
@@ -115,3 +154,32 @@ def brute_force_assignment_total(cost: np.ndarray) -> float:
         for rows in itertools.permutations(range(n), m):
             best = min(best, float(cost[list(rows), cols].sum()))
     return best
+
+
+def encode_box_oracle(box: Box3D, spec: VoxelGridSpec) -> np.ndarray:
+    """One ground-truth box as the 10-vector target, written out per field."""
+    lows = np.array([lo for lo, _ in spec.ranges])
+    highs = np.array([hi for _, hi in spec.ranges])
+    center = (np.array(box.center) - lows) / (highs - lows)
+    return np.concatenate(
+        [
+            center,
+            np.log(np.array(box.size)),
+            [math.sin(box.yaw), math.cos(box.yaw)],
+            np.array(box.velocity),
+        ]
+    )
+
+
+def cost_matrix_oracle(logits, vectors, gts, spec) -> np.ndarray:
+    """Per-pair matching cost: -log sigmoid of the gt class logit plus 0.25 * box L1."""
+    w_cls, w_box = 1.0, 0.25
+    out = np.zeros((logits.shape[0], len(gts)))
+    for g, gt in enumerate(gts):
+        for i in range(logits.shape[0]):
+            if not 0 <= gt.class_id < logits.shape[1]:
+                raise ValueError(f"class id {gt.class_id} outside {logits.shape[1]} classes")
+            cls_term = float(np.logaddexp(0.0, -logits[i, gt.class_id]))
+            box_term = float(np.abs(vectors[i] - encode_box_oracle(gt, spec)).sum())
+            out[i, g] = w_cls * cls_term + w_box * box_term
+    return out

@@ -125,6 +125,8 @@ class TestGradcheckCommand:
     (["detect", "--scene", "s", "--config", "c", "--out", "o", "--threads", "0"], "--threads"),
     (["track", "--sequence", "s", "--config", "c", "--out", "o", "--threads", "-2"], "--threads"),
     (["microfit", "--scene", "s", "--config", "c", "--out", "o", "--threads", "0"], "--threads"),
+    (["generate", "--config", "c", "--out", "o", "--frames", "0"], "--frames"),
+    (["generate", "--config", "c", "--out", "o", "--frames", "-1"], "--frames"),
 ])
 def test_count_flags_below_one_rejected(capsys, argv, flag):
     assert main(argv) == 1
@@ -145,3 +147,16 @@ class TestMicrofitCommand:
         assert code == 2
         assert (out / "history.csv").is_file()
         assert (out / "summary.json").is_file()
+
+    def test_negative_steps_rejected(self, tmp_path, capsys, scene_config_path,
+                                     pipeline_config_path):
+        seq = tmp_path / "seq"
+        main(["generate", "--config", str(scene_config_path), "--out", str(seq),
+              "--seed", "7"])
+        out = tmp_path / "fit"
+        code = main(["microfit", "--scene", str(seq / "frame_000"),
+                     "--config", str(pipeline_config_path), "--out", str(out),
+                     "--steps", "-3"])
+        assert code == 1
+        assert "steps" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import point_to_voxel, project, voxel_center
 from voxdet.geometry import (
     CameraCalibration,
     EgoPose,
     VoxelGridSpec,
     align_to_initial,
     metric_to_grid_coords,
-    point_to_voxel,
-    project,
-    voxel_center,
     voxel_centers,
 )
 

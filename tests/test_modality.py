@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import voxel_center
 from voxdet import numerics as nm
-from voxdet.geometry import CameraCalibration, VoxelGridSpec, voxel_center
+from voxdet.geometry import CameraCalibration, VoxelGridSpec
 from voxdet.modality import (
     DepthHeadParams,
     DepthSpec,

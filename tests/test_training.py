@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from voxdet.decoder import BlockPrediction
+from helpers import cost_matrix_oracle, encode_box_oracle
+from voxdet.decoder import BlockPrediction, encode_boxes
 from voxdet.geometry import VoxelGridSpec
 from voxdet.numerics import Tensor
 from voxdet.pipeline import PipelineConfig
@@ -13,16 +14,15 @@ from voxdet.training import (
     Assignment,
     cost_matrix,
     detection_loss,
-    encode_box,
     hungarian_match,
-    match_cost,
     micro_fit,
-    prediction_vectors,
     total_loss,
     write_history_csv,
 )
 
 SPEC = VoxelGridSpec((-8.0, 8.0), (-8.0, 8.0), (-2.0, 2.0), (16, 16, 4), 32)
+# spans that are not powers of two, so a reordered normalization shows in the last bit
+ODD_SPEC = VoxelGridSpec((-51.2, 51.2), (-30.0, 45.0), (-5.0, 3.3), (128, 96, 10), 8)
 
 
 def brute_force_total(cost: np.ndarray) -> float:
@@ -86,31 +86,38 @@ class TestMatchCost:
     GT = Box3D(center=(1.0, -2.0, 0.0), size=(2.0, 1.0, 1.5), yaw=0.5,
                velocity=(0.5, -0.5), class_id=1)
 
+    def _block(self, logits, vectors):
+        """Predictions whose 10-vectors are ``vectors`` (one row per prediction)."""
+        box = np.zeros_like(vectors)
+        box[:, 3:] = vectors[:, 3:]
+        return make_block(np.asarray(logits, dtype=np.float64), box, vectors[:, :3].copy())
+
     def test_perfect_prediction_near_zero(self):
-        target = encode_box(self.GT, SPEC)
-        logits = np.array([-50.0, 50.0, -50.0])
-        cost = match_cost(logits, target, self.GT, SPEC)
-        assert cost < 1e-12 + 1e-20
+        target = encode_boxes([self.GT], SPEC)
+        cost = cost_matrix(self._block([[-50.0, 50.0, -50.0]], target), [self.GT], SPEC)
+        assert cost[0, 0] < 1e-12 + 1e-20
 
     def test_box_weight(self):
-        target = encode_box(self.GT, SPEC)
-        logits = np.array([0.0, 50.0, 0.0])
-        base = match_cost(logits, target, self.GT, SPEC)
+        target = encode_boxes([self.GT], SPEC)[0]
         off = target.copy()
         off[3] += 1.0  # one unit of L1
-        assert match_cost(logits, off, self.GT, SPEC) - base == pytest.approx(0.25, abs=1e-12)
+        block = self._block([[0.0, 50.0, 0.0]] * 2, np.stack([target, off]))
+        cost = cost_matrix(block, [self.GT], SPEC)
+        assert cost[1, 0] - cost[0, 0] == pytest.approx(0.25, abs=1e-12)
 
     def test_identical_predictions_equal_cost(self):
-        vec = encode_box(self.GT, SPEC) + 0.3
-        logits = np.array([0.2, -0.4, 1.0])
-        a = match_cost(logits, vec, self.GT, SPEC)
-        b = match_cost(logits.copy(), vec.copy(), self.GT, SPEC)
-        assert a == b
+        vec = encode_boxes([self.GT], SPEC)[0] + 0.3
+        block = self._block([[0.2, -0.4, 1.0]] * 2, np.stack([vec, vec]))
+        a = cost_matrix(block, [self.GT], SPEC)
+        b = cost_matrix(block, [self.GT], SPEC)
+        assert a[0, 0] == a[1, 0] == b[0, 0]
 
     def test_unknown_class(self):
-        bad = Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0, class_id=7)
-        with pytest.raises(ValueError):
-            match_cost(np.zeros(3), np.zeros(10), bad, SPEC)
+        block = make_block(np.zeros((1, 3)), np.zeros((1, 10)))
+        for class_id in (7, 3, -1):  # -1 must not wrap to the last class
+            bad = Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0, class_id=class_id)
+            with pytest.raises(ValueError, match=f"class id {class_id} "):
+                cost_matrix(block, [bad], SPEC)
 
 
 def make_block(logits, box, refs=None):
@@ -132,7 +139,7 @@ class TestDetectionLoss:
 
     def test_exact_box_zero_box_term(self):
         gt = Box3D(center=(0.0, 0.0, 0.0), size=(1.0, 1.0, 1.0), yaw=0.0, class_id=0)
-        target = encode_box(gt, SPEC)
+        target = encode_boxes([gt], SPEC)[0]
         box = np.zeros((2, 10))
         box[0, 3:] = target[3:]
         refs = np.full((2, 3), 0.5)
@@ -154,7 +161,7 @@ class TestDetectionLoss:
     def test_saturated_perfect_prediction_vanishes(self):
         gt = Box3D(center=(2.0, -1.0, 0.5), size=(2.0, 1.0, 1.5), yaw=0.7,
                    velocity=(1.0, 0.0), class_id=1)
-        target = encode_box(gt, SPEC)
+        target = encode_boxes([gt], SPEC)[0]
         logits = np.full((2, 3), -50.0)
         logits[0, 1] = 50.0
         box = np.zeros((2, 10))
@@ -192,6 +199,10 @@ class TestMicroFit:
     CONFIG = PipelineConfig(use_camera=False)
     SCENE = generate_scene(SceneConfig(n_objects=2, channels=32), seed=7)
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps"):
+            micro_fit(self.SCENE, self.CONFIG, steps=-3, learning_rate=0.02, seed=3)
+
     def test_zero_steps_single_entry(self):
         result = micro_fit(self.SCENE, self.CONFIG, steps=0, learning_rate=0.02, seed=3)
         assert len(result.history) == 1
@@ -222,18 +233,45 @@ class TestMicroFit:
         assert err.value.step >= 0
 
 
+def random_boxes(rng, count, num_classes):
+    return [
+        Box3D(center=tuple(rng.uniform(-10.0, 10.0, 3)), size=tuple(rng.uniform(0.2, 5.0, 3)),
+              yaw=float(rng.uniform(-np.pi, np.pi)), velocity=tuple(rng.normal(size=2)),
+              class_id=int(rng.integers(num_classes)))
+        for _ in range(count)
+    ]
+
+
 class TestCostMatrix:
     def test_shape_and_consistency(self):
+        """Bit-equal to the per-pair oracle over random shapes, G = 0 included."""
         rng = np.random.default_rng(3)
-        block = make_block(rng.standard_normal((5, 3)), rng.standard_normal((5, 10)))
-        gts = [
-            Box3D(center=(1.0, 0.0, 0.0), size=(1, 1, 1), yaw=0.0, class_id=0),
-            Box3D(center=(-1.0, 2.0, 0.0), size=(2, 1, 1), yaw=0.5, class_id=2),
-        ]
-        cm = cost_matrix(block, gts, SPEC)
-        assert cm.shape == (5, 2)
-        vectors = prediction_vectors(block)
-        for i in range(5):
-            for g, gt in enumerate(gts):
-                assert cm[i, g] == match_cost(block.class_logits.data[i], vectors[i],
-                                              gt, SPEC)
+        shapes = [(5, 2, 3), (1, 0, 1), (7, 0, 3), (1, 1, 1), (12, 9, 4), (40, 25, 3)]
+        shapes += [(int(rng.integers(1, 30)), int(rng.integers(0, 12)), int(rng.integers(1, 5)))
+                   for _ in range(20)]
+        for (n, g, k), spec in itertools.product(shapes, (SPEC, ODD_SPEC)):
+            block = make_block(rng.standard_normal((n, k)), rng.standard_normal((n, 10)),
+                               rng.uniform(0.0, 1.0, (n, 3)))
+            gts = random_boxes(rng, g, k)
+            vectors = np.concatenate([block.reference_out.data, block.box_params.data[:, 3:]],
+                                     axis=1)
+            expected = cost_matrix_oracle(block.class_logits.data, vectors, gts, spec)
+            got = cost_matrix(block, gts, spec)
+            assert got.shape == (n, g)
+            assert np.array_equal(got, expected), (n, g, k, spec)
+
+    @pytest.mark.parametrize("spec", [SPEC, ODD_SPEC])
+    def test_encode_boxes_matches_per_box_oracle(self, spec):
+        gts = random_boxes(np.random.default_rng(4), 30, 3)
+        expected = np.stack([encode_box_oracle(gt, spec) for gt in gts])
+        assert np.array_equal(encode_boxes(gts, spec), expected)
+        assert encode_boxes([], spec).shape == (0, 10)
+
+
+@pytest.mark.parametrize("class_id", [3, -1])
+def test_detection_loss_rejects_out_of_range_class(class_id):
+    gt = Box3D(center=(0.0, 0.0, 0.0), size=(1, 1, 1), yaw=0.0, class_id=class_id)
+    block = make_block(np.zeros((2, 3)), np.zeros((2, 10)))
+    assign = Assignment(pairs=((0, 0),), unmatched_predictions=(1,))
+    with pytest.raises(ValueError, match=f"class id {class_id} "):
+        detection_loss([block], [gt], [assign], SPEC)
