@@ -218,10 +218,16 @@ def deformable_cross_attention(
 ) -> Tensor:
     """Sample the volume at learned offsets around each reference point.
 
-    Offsets are predicted in normalized coordinates; per head the K sampled
-    features are mixed with softmax weights, heads are concatenated, and a
-    final projection maps back to C channels.  Residual and normalization
-    are the caller's responsibility.
+    Offsets are predicted in normalized coordinates.  The raw volume is
+    sampled once at all n*H*K points, and per head the K samples are mixed
+    with softmax weights before that head's slice of the value projection is
+    applied: sampling is linear, so this equals projecting every voxel first
+    and sampling the projection.  The value bias enters scaled by the
+    weight-mixed trilinear mass of the same points (the samples of a ones
+    volume), so samples at or beyond one cell outside the grid contribute
+    neither value nor bias.  Heads are concatenated and a final projection
+    maps back to C channels.  Residual and normalization are the caller's
+    responsibility.
     """
     n, c = queries.shape
     heads, k = config.num_heads, config.num_points
@@ -233,23 +239,22 @@ def deformable_cross_attention(
     offsets = nm.reshape(nm.affine(queries, params.offset_w, params.offset_b),
                          (n, heads, k, 3))
     logits = nm.reshape(nm.affine(queries, params.attn_w, params.attn_b), (n, heads, k))
-    weights = nm.softmax(logits, axis=-1)
+    weights = nm.reshape(nm.softmax(logits, axis=-1), (n, heads, k, 1))
 
     locations = nm.add(nm.reshape(references, (n, 1, 1, 3)), offsets)
     grid_locations = nm.mul(locations, Tensor(reference_grid_scale((nx, ny, nz))))
+    points = nm.reshape(grid_locations, (n * heads * k, 3))
 
-    flat = nm.reshape(volume, (nx * ny * nz, c))
-    value = nm.reshape(nm.affine(flat, params.value_w, params.value_b), (nx, ny, nz, c))
+    def mix(vol, channels):  # (n, H, channels): the K samples weighted per head
+        sampled = nm.reshape(nm.trilinear_sample(vol, points), (n, heads, k, channels))
+        return nm.tsum(nm.mul(sampled, weights), axis=2)
 
-    head_outputs = []
-    for h in range(heads):
-        vol_h = nm.getitem(value, (slice(None), slice(None), slice(None),
-                                   slice(h * dh, (h + 1) * dh)))
-        pts_h = nm.reshape(nm.getitem(grid_locations, (slice(None), h)), (n * k, 3))
-        sampled = nm.reshape(nm.trilinear_sample(vol_h, pts_h), (n, k, dh))
-        w_h = nm.reshape(nm.getitem(weights, (slice(None), h)), (n, k, 1))
-        head_outputs.append(nm.tsum(nm.mul(sampled, w_h), axis=1))
-    merged = nm.concat(head_outputs, axis=-1)
+    mixed = nm.transpose(mix(volume, c), (1, 0, 2))  # (H, n, C)
+    mass = mix(Tensor(np.ones((nx, ny, nz, 1))), 1)  # (n, H, 1)
+    w_heads = nm.transpose(nm.reshape(params.value_w, (c, heads, dh)), (1, 0, 2))
+    projected = nm.transpose(nm.matmul(mixed, w_heads), (1, 0, 2))  # (n, H, dh)
+    bias = nm.mul(mass, nm.reshape(params.value_b, (heads, dh)))
+    merged = nm.reshape(nm.add(projected, bias), (n, c))
     return nm.affine(merged, params.out_w, params.out_b)
 
 

@@ -46,7 +46,11 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        if not np.all(np.isfinite(arr)):
+        # any NaN or inf makes the sum non-finite; finite values can overflow
+        # it too, so only then is every element checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
             raise NumericsError("tensor holds non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .autograd import Tensor, accumulate_grad, as_tensor, record_op
 
@@ -288,17 +289,30 @@ def matmul(a, b) -> Tensor:
 
 
 def affine(x, w, b) -> Tensor:
-    """x @ w + b with the bias broadcast over leading axes; accepts 1-D x."""
+    """x @ w + b with the bias broadcast over leading axes; accepts 1-D x.
+
+    One tape node: the bias is added in place into the product.
+    """
     x = as_tensor(x)
     w, b = as_tensor(w), as_tensor(b)
     if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
         raise ValueError(f"affine weight/bias shapes inconsistent: {w.shape}, {b.shape}")
     if x.shape[-1] != w.shape[0]:
         raise ValueError(f"affine inner dims differ: {x.shape} vs {w.shape}")
-    if x.ndim == 1:
-        flat = reshape(x, (1, x.shape[0]))
-        return reshape(add(matmul(flat, w), b), (w.shape[1],))
-    return add(matmul(x, w), b)
+    x2 = x.data.reshape(-1, w.shape[0])
+    out_data = x2 @ w.data
+    out_data += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, w.shape[1])
+        if x.requires_grad:
+            accumulate_grad(x, (g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            accumulate_grad(w, x2.T @ g2)
+        if b.requires_grad:
+            accumulate_grad(b, g2.sum(axis=0))
+
+    return record_op(out_data.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +422,6 @@ def conv(volume, kernel, bias, stride=1, padding=0) -> Tensor:
 # trilinear sampling
 
 
-def _corner_gather(data_flat, ix, iy, iz, extents):
-    nx, ny, nz = extents
-    inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny) & (iz >= 0) & (iz < nz)
-    lin = (np.clip(ix, 0, nx - 1) * ny + np.clip(iy, 0, ny - 1)) * nz + np.clip(iz, 0, nz - 1)
-    vals = data_flat[lin] * inside[:, None]
-    return vals, lin, inside
-
-
 def trilinear_sample(volume, points) -> Tensor:
     """Interpolate an (X, Y, Z, C) volume at continuous grid coordinates.
 
@@ -423,6 +429,13 @@ def trilinear_sample(volume, points) -> Tensor:
     centers sit at integer coordinates.  Corners falling outside the volume
     contribute zero, so a point beyond one cell outside returns exactly zero.
     Differentiable with respect to both the volume and the points.
+
+    Each of the eight corners keeps only its flat cell index, inside mask and
+    axis weights; the forward pass gathers one (P, C) block per corner, scales
+    it in place and adds it into the output.  The backward pass gathers the
+    corner values again for the point gradient instead of keeping them, and
+    forms the volume gradient as one sparse product with the transposed
+    interpolation weights.
     """
     volume = as_tensor(volume)
     points = as_tensor(points)
@@ -436,44 +449,45 @@ def trilinear_sample(volume, points) -> Tensor:
     nx, ny, nz, c = volume.shape
     data_flat = volume.data.reshape(-1, c)
 
-    x0 = np.floor(p[:, 0]).astype(np.int64)
-    y0 = np.floor(p[:, 1]).astype(np.int64)
-    z0 = np.floor(p[:, 2]).astype(np.int64)
-    fx = p[:, 0] - x0
-    fy = p[:, 1] - y0
-    fz = p[:, 2] - z0
-
+    base = np.floor(p).astype(np.int64)
+    frac = np.ascontiguousarray((p - base).T)  # one row per axis
     corners = []
-    for dx in (0, 1):
-        wx = fx if dx else 1.0 - fx
-        sx = 1.0 if dx else -1.0
-        for dy in (0, 1):
-            wy = fy if dy else 1.0 - fy
-            sy = 1.0 if dy else -1.0
-            for dz in (0, 1):
-                wz = fz if dz else 1.0 - fz
-                sz = 1.0 if dz else -1.0
-                vals, lin, inside = _corner_gather(
-                    data_flat, x0 + dx, y0 + dy, z0 + dz, (nx, ny, nz)
-                )
-                corners.append((vals, lin, inside, wx, wy, wz, sx, sy, sz))
+    for dx, dy, dz in np.ndindex(2, 2, 2):
+        ix, iy, iz = base[:, 0] + dx, base[:, 1] + dy, base[:, 2] + dz
+        inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny) & (iz >= 0) & (iz < nz)
+        lin = (np.clip(ix, 0, nx - 1) * ny + np.clip(iy, 0, ny - 1)) * nz + np.clip(iz, 0, nz - 1)
+        wx, wy, wz = (f if d else 1.0 - f for f, d in zip(frac, (dx, dy, dz)))
+        signs = tuple(1.0 if d else -1.0 for d in (dx, dy, dz))
+        corners.append((lin, inside, wx, wy, wz, signs))
 
     out = np.zeros((p.shape[0], c))
-    for vals, _, _, wx, wy, wz, _, _, _ in corners:
-        out += (wx * wy * wz)[:, None] * vals
+    for lin, inside, wx, wy, wz, _ in corners:
+        vals = np.take(data_flat, lin, axis=0)
+        vals *= ((wx * wy * wz) * inside)[:, None]
+        out += vals
 
     def backward(g):
         g2 = g.reshape(-1, c)
         if volume.requires_grad:
-            dflat = np.zeros_like(data_flat)
-            for vals, lin, inside, wx, wy, wz, _, _, _ in corners:
-                w = (wx * wy * wz) * inside
-                np.add.at(dflat, lin[inside], (w[:, None] * g2)[inside])
-            accumulate_grad(volume, dflat.reshape(volume.shape))
+            # S^T g for the (P, voxels) interpolation matrix S; each voxel's
+            # entries stay in (corner, point) order, the order in which a
+            # corner-by-corner scatter-add accumulates them
+            rows = np.concatenate([lin[inside] for lin, inside, *_ in corners])
+            cols = np.concatenate([np.flatnonzero(inside) for _, inside, *_ in corners])
+            weights = np.concatenate([(wx * wy * wz)[inside]
+                                      for _, inside, wx, wy, wz, _ in corners])
+            cells = data_flat.shape[0]
+            order = np.argsort(rows, kind="stable")
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=cells))])
+            s_t = sparse.csr_matrix((weights[order], cols[order], indptr),
+                                    shape=(cells, p.shape[0]))
+            accumulate_grad(volume, (s_t @ g2).reshape(volume.shape))
         if points.requires_grad:
             dp = np.zeros_like(p)
-            for vals, _, _, wx, wy, wz, sx, sy, sz in corners:
-                gv = (g2 * vals).sum(axis=1)
+            for lin, inside, wx, wy, wz, (sx, sy, sz) in corners:
+                vals = np.take(data_flat, lin, axis=0)
+                vals *= g2
+                gv = np.where(inside, vals.sum(axis=1), 0.0)
                 dp[:, 0] += gv * sx * wy * wz
                 dp[:, 1] += gv * wx * sy * wz
                 dp[:, 2] += gv * wx * wy * sz

@@ -183,3 +183,81 @@ def cost_matrix_oracle(logits, vectors, gts, spec) -> np.ndarray:
             box_term = float(np.abs(vectors[i] - encode_box_oracle(gt, spec)).sum())
             out[i, g] = w_cls * cls_term + w_box * box_term
     return out
+
+
+def trilinear_sample_oracle(volume: Tensor, points: Tensor) -> Tensor:
+    """Trilinear sampling of (P, 3) points with one masked (P, C) copy kept per corner.
+
+    Each corner's values are gathered, zeroed where the corner lies outside
+    the volume, and kept for the point gradient.
+    """
+    p = points.data
+    nx, ny, nz, c = volume.shape
+    data_flat = volume.data.reshape(-1, c)
+    x0 = np.floor(p[:, 0]).astype(np.int64)
+    y0 = np.floor(p[:, 1]).astype(np.int64)
+    z0 = np.floor(p[:, 2]).astype(np.int64)
+    fx, fy, fz = p[:, 0] - x0, p[:, 1] - y0, p[:, 2] - z0
+
+    corners = []
+    for dx in (0, 1):
+        wx, sx = (fx, 1.0) if dx else (1.0 - fx, -1.0)
+        for dy in (0, 1):
+            wy, sy = (fy, 1.0) if dy else (1.0 - fy, -1.0)
+            for dz in (0, 1):
+                wz, sz = (fz, 1.0) if dz else (1.0 - fz, -1.0)
+                ix, iy, iz = x0 + dx, y0 + dy, z0 + dz
+                inside = ((ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+                          & (iz >= 0) & (iz < nz))
+                lin = ((np.clip(ix, 0, nx - 1) * ny + np.clip(iy, 0, ny - 1)) * nz
+                       + np.clip(iz, 0, nz - 1))
+                vals = data_flat[lin] * inside[:, None]
+                corners.append((vals, lin, inside, wx, wy, wz, sx, sy, sz))
+
+    out = np.zeros((p.shape[0], c))
+    for vals, _, _, wx, wy, wz, _, _, _ in corners:
+        out += (wx * wy * wz)[:, None] * vals
+
+    def backward(g):
+        if volume.requires_grad:
+            dflat = np.zeros_like(data_flat)
+            for vals, lin, inside, wx, wy, wz, _, _, _ in corners:
+                w = (wx * wy * wz) * inside
+                np.add.at(dflat, lin[inside], (w[:, None] * g)[inside])
+            nm.accumulate_grad(volume, dflat.reshape(volume.shape))
+        if points.requires_grad:
+            dp = np.zeros_like(p)
+            for vals, _, _, wx, wy, wz, sx, sy, sz in corners:
+                gv = (g * vals).sum(axis=1)
+                dp[:, 0] += gv * sx * wy * wz
+                dp[:, 1] += gv * wx * sy * wz
+                dp[:, 2] += gv * wx * wy * sz
+            nm.accumulate_grad(points, dp)
+
+    return nm.record_op(out, (volume, points), backward)
+
+
+def deformable_cross_attention_oracle(queries, references, volume, params, config) -> Tensor:
+    """Deformable cross-attention that projects every voxel, then samples per head."""
+    n, c = queries.shape
+    heads, k, dh = config.num_heads, config.num_points, config.head_dim
+    nx, ny, nz, _ = volume.shape
+    offsets = nm.reshape(nm.affine(queries, params.offset_w, params.offset_b),
+                         (n, heads, k, 3))
+    logits = nm.reshape(nm.affine(queries, params.attn_w, params.attn_b), (n, heads, k))
+    weights = nm.softmax(logits, axis=-1)
+    locations = nm.add(nm.reshape(references, (n, 1, 1, 3)), offsets)
+    grid_locations = nm.mul(locations, Tensor(np.array([nx - 1.0, ny - 1.0, nz - 1.0])))
+
+    flat = nm.reshape(volume, (nx * ny * nz, c))
+    value = nm.reshape(nm.affine(flat, params.value_w, params.value_b), (nx, ny, nz, c))
+    head_outputs = []
+    for h in range(heads):
+        vol_h = nm.getitem(value, (slice(None), slice(None), slice(None),
+                                   slice(h * dh, (h + 1) * dh)))
+        pts_h = nm.reshape(nm.getitem(grid_locations, (slice(None), h)), (n * k, 3))
+        sampled = nm.reshape(nm.trilinear_sample(vol_h, pts_h), (n, k, dh))
+        w_h = nm.reshape(nm.getitem(weights, (slice(None), h)), (n, k, 1))
+        head_outputs.append(nm.tsum(nm.mul(sampled, w_h), axis=1))
+    merged = nm.concat(head_outputs, axis=-1)
+    return nm.affine(merged, params.out_w, params.out_b)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from voxdet import numerics as nm
 from voxdet.decoder import (
@@ -14,7 +15,11 @@ from voxdet.decoder import (
 )
 from voxdet.geometry import VoxelGridSpec
 from voxdet.modality import VoxelGrid
-from voxdet.numerics import Tensor
+from voxdet.numerics import Tape, Tensor, backward, grad_check
+from voxdet.numerics.gradcheck import central_difference, max_relative_error
+from voxdet.verification import GRAD_EPS, GRAD_TOLERANCE, PROBE_SCALE
+
+from helpers import deformable_cross_attention_oracle
 
 CONFIG = DecoderConfig(num_queries=4, num_blocks=2, num_heads=2, num_points=2,
                        channels=8, num_classes=3, ffn_dim=16)
@@ -140,6 +145,75 @@ class TestDeformableAttention:
                             (4, CONFIG.num_heads, CONFIG.num_points))
         weights = nm.softmax(logits, axis=-1)
         np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+def _cross_fixture(heads, seed):
+    """A cross-attention module whose offset, attention and bias terms all carry weight."""
+    config = DecoderConfig(num_queries=6, num_blocks=1, num_heads=heads, num_points=3,
+                           channels=8, num_classes=2)
+    ca = DecoderParams.create(config, seed=seed).blocks[0].cross
+    rng = np.random.default_rng([seed, 30])
+    ca.offset_w.data[...] = 0.05 * rng.standard_normal(ca.offset_w.shape)
+    for p in (ca.attn_w, ca.attn_b, ca.value_b, ca.out_b):
+        p.data[...] = 0.5 * rng.standard_normal(p.shape)
+    queries = rng.standard_normal((6, 8))
+    volume = rng.standard_normal((4, 3, 2, 8))
+    return config, ca, queries, volume, rng
+
+
+def _cross_values_and_grads(fn, config, ca, queries, refs, volume, probe):
+    leaves = [Tensor(x, requires_grad=True) for x in (queries, refs, volume)]
+    params = nm.parameters_of(ca)
+    for p in params:
+        p.reset_gradient()
+    with Tape() as tape:
+        out = fn(*leaves, ca, config)
+        loss = nm.tsum(nm.mul(out, Tensor(probe)))
+    backward(tape, loss)
+    return [out.data] + [leaf.grad for leaf in leaves] + [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("placement", ["inside", "faces", "outside"])
+def test_cross_attention_matches_project_then_sample_oracle(heads, placement):
+    config, ca, queries, volume, rng = _cross_fixture(heads, seed=heads)
+    refs = rng.uniform(0.1, 0.9, size=(6, 3))
+    if placement == "faces":  # one coordinate of each reference on a face of the grid
+        refs[np.arange(6), rng.integers(0, 3, size=6)] = rng.integers(0, 2, size=6)
+    elif placement == "outside":  # more than one cell outside on every axis
+        refs[:4] = rng.choice([-1.0, 1.0], size=(4, 3)) * rng.uniform(1.2, 1.6, size=(4, 3))
+        refs[:4] += refs[:4] > 0
+    probe = rng.standard_normal((6, 8))
+    got = _cross_values_and_grads(deformable_cross_attention, config, ca, queries, refs,
+                                  volume, probe)
+    want = _cross_values_and_grads(deformable_cross_attention_oracle, config, ca, queries,
+                                   refs, volume, probe)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_cross_attention_value_and_reference_gradients():
+    # references near and past the grid faces: some samples lose part of their
+    # trilinear mass, so the mass-scaled value bias depends on the references
+    config, ca, queries, volume, rng = _cross_fixture(2, seed=31)
+    refs = rng.uniform(-0.2, 1.2, size=(6, 3))
+    probe = Tensor(PROBE_SCALE * rng.choice([-1.0, 1.0], size=(6, 8)))
+
+    def readout(r):
+        out = deformable_cross_attention(Tensor(queries), r, Tensor(volume), ca, config)
+        return nm.tsum(nm.mul(out, probe))
+
+    outside = (refs < 0.0) | (refs > 1.0)
+    assert outside.any() and not outside.all()
+    assert grad_check(readout, refs, eps=GRAD_EPS) < GRAD_TOLERANCE
+    for param in (ca.value_w, ca.value_b):
+        param.reset_gradient()
+        with Tape() as tape:
+            out = readout(Tensor(refs))
+        backward(tape, out)
+        numeric = central_difference(param.data.reshape(-1),
+                                     lambda: readout(Tensor(refs)).item(), GRAD_EPS)
+        assert max_relative_error(param.grad.reshape(-1), numeric) < GRAD_TOLERANCE
 
 
 class TestDecoderBlock:

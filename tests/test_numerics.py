@@ -7,6 +7,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from voxdet import numerics as nm
 from voxdet.numerics import NumericsError, Parameter, Tape, Tensor, backward, grad_check
 
+from helpers import trilinear_sample_oracle
+
 
 class TestSoftmax:
     def test_equal_logits_uniform(self):
@@ -162,6 +164,32 @@ class TestTrilinear:
         np.testing.assert_allclose(out.data.ravel(), ts, rtol=0, atol=1e-15)
 
 
+def _values_and_grads(op, inputs, probe):
+    """``op(*inputs)`` and the gradient of ``sum(op(*inputs) * probe)`` for each input."""
+    leaves = [Tensor(x, requires_grad=True) for x in inputs]
+    with Tape() as tape:
+        out = op(*leaves)
+        loss = nm.tsum(nm.mul(out, Tensor(probe)))
+    backward(tape, loss)
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_trilinear_matches_masked_copy_oracle(seed):
+    rng = np.random.default_rng([seed, 41])
+    counts = tuple(int(v) for v in rng.integers(1, 6, size=3))
+    vol = rng.standard_normal(counts + (int(rng.integers(1, 7)),))
+    n = 40
+    # inside, within one cell outside, beyond it, and exactly on cell faces
+    pts = rng.uniform(-1.6, 0.6, size=(n, 3)) + rng.uniform(0, counts, size=(n, 3))
+    pts[:8] = rng.integers(-1, np.array(counts) + 1, size=(8, 3))
+    probe = rng.standard_normal((n, vol.shape[-1]))
+    got = _values_and_grads(nm.trilinear_sample, (vol, pts), probe)
+    want = _values_and_grads(trilinear_sample_oracle, (vol, pts), probe)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 class TestAffine:
     def test_identity(self):
         x = Tensor(np.random.default_rng(6).standard_normal((3, 4)))
@@ -181,6 +209,25 @@ class TestAffine:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             nm.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+
+    @pytest.mark.parametrize("x_shape", [(5, 4), (4,)])
+    def test_one_node_equals_matmul_then_add(self, x_shape):
+        rng = np.random.default_rng(8)
+        inputs = (rng.standard_normal(x_shape), rng.standard_normal((4, 3)),
+                  rng.standard_normal(3))
+        probe = rng.standard_normal(x_shape[:-1] + (3,))
+
+        def matmul_add(x, w, b):
+            flat = nm.reshape(x, (-1, 4))
+            return nm.reshape(nm.add(nm.matmul(flat, w), b), x_shape[:-1] + (3,))
+
+        got = _values_and_grads(nm.affine, inputs, probe)
+        want = _values_and_grads(matmul_add, inputs, probe)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        with Tape() as tape:
+            nm.affine(*(Tensor(v, requires_grad=True) for v in inputs))
+        assert len(tape._nodes) == 1
 
 
 class TestBackward:
@@ -276,3 +323,14 @@ class TestFiniteness:
     def test_overflow_detected(self):
         with pytest.raises(NumericsError):
             nm.exp(Tensor([1000.0]))
+
+
+class TestFiniteSumCheck:
+    def test_overflowing_sum_accepted_without_warning(self, recwarn):
+        Tensor([1e308, 1e308])
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("values", [[np.inf, -np.inf], [1.0, np.nan]])
+    def test_non_finite_rejected(self, values):
+        with pytest.raises(NumericsError):
+            Tensor(values)
