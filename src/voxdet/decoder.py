@@ -50,7 +50,6 @@ class DecoderConfig:
     channels: int = 32
     num_classes: int = 3
     ffn_dim: int = 64
-    detach_references: bool = False
 
     def __post_init__(self):
         if self.num_queries < 1 or self.num_blocks < 1 or self.num_points < 1:
@@ -306,8 +305,6 @@ def decoder_block(
     cls, box = _shared_head(q3, head)
     delta = nm.getitem(box, (slice(None), slice(0, 3)))
     refined = nm.sigmoid(nm.add(nm.inverse_sigmoid(references), delta))
-    if config.detach_references:
-        refined = refined.detach()
     pred = BlockPrediction(class_logits=cls, box_params=box,
                            reference_in=references, reference_out=refined)
     return q3, pred, refined

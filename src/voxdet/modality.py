@@ -178,46 +178,27 @@ def predict_depth_distribution(
     return nm.transpose(dist, (2, 0, 1))
 
 
-def _bilinear_prep(u, v, height, width):
-    """Corner indices, weights, and in-bounds flags for (u, v) pixel samples."""
-    u0 = np.floor(u).astype(np.int64)
-    v0 = np.floor(v).astype(np.int64)
-    fu = u - u0
-    fv = v - v0
-    corners = []
-    for dv in (0, 1):
-        wv = fv if dv else 1.0 - fv
-        for du in (0, 1):
-            wu = fu if du else 1.0 - fu
-            uu = u0 + du
-            vv = v0 + dv
-            inside = (uu >= 0) & (uu < width) & (vv >= 0) & (vv < height)
-            corners.append(
-                (np.clip(vv, 0, height - 1), np.clip(uu, 0, width - 1), wv * wu * inside)
-            )
-    return corners
-
-
 def lift_image_to_voxels(
     features: Tensor,
     depth_dist: Tensor,
     calib,
     spec: VoxelGridSpec,
     depth: DepthSpec,
-    depth_interpolation: str = "linear",
 ) -> Tensor:
     """Fill the voxel grid from one camera view.
 
     Every voxel center projects to (u, v, d); inside the image and in front
     of the perception limit, the cell receives the bilinear pixel feature
     scaled by the occupancy probability read from the depth distribution at
-    (u, v, d).  The depth axis interpolates linearly between bin centers
-    (``depth_interpolation="nearest"`` snaps to the closest bin); beyond the
-    first/last center it clamps to the end bin.  All other voxels are zero.
-    Differentiable with respect to ``features`` and ``depth_dist``.
+    (u, v, d).  The depth axis interpolates linearly between bin centers;
+    beyond the first/last center it clamps to the end bin.  All other voxels
+    are zero.  Differentiable with respect to ``features`` and ``depth_dist``.
+
+    Both reads are ``numerics.interpolation_matrix`` products: the pixel
+    feature is P @ features over the four bilinear corners, the occupancy
+    O @ depth_dist over eight (corner, depth bin) entries weighted
+    ``w*(1-fb)`` and ``w*fb``; the gradients are P^T and O^T products.
     """
-    if depth_interpolation not in ("linear", "nearest"):
-        raise ValueError(f"unknown depth interpolation {depth_interpolation!r}")
     h, w, c = features.shape
     d_bins = depth.bins
     if tuple(depth_dist.shape) != (d_bins, h, w):
@@ -234,26 +215,30 @@ def lift_image_to_voxels(
 
     idx = np.nonzero(mask)[0]
     um, vm, dm = u[idx], v[idx], d[idx]
-    corners = _bilinear_prep(um, vm, h, w)
-
+    u0 = np.floor(um).astype(np.int64)
+    v0 = np.floor(vm).astype(np.int64)
+    fu, fv = um - u0, vm - v0
     td = dm / depth.bin_width - 0.5  # continuous bin coordinate, centers at integers
-    if depth_interpolation == "nearest":
-        b0 = np.clip(np.floor(td + 0.5).astype(np.int64), 0, d_bins - 1)
-        b1 = b0
-        fb = np.zeros_like(td)
-    else:
-        raw = np.floor(td).astype(np.int64)
-        fb = td - raw
-        b0 = np.clip(raw, 0, d_bins - 1)
-        b1 = np.clip(raw + 1, 0, d_bins - 1)
+    raw = np.floor(td).astype(np.int64)
+    fb = td - raw
+    b0 = np.clip(raw, 0, d_bins - 1) * (h * w)
+    b1 = np.clip(raw + 1, 0, d_bins - 1) * (h * w)
 
-    f_data = features.data
-    d_data = depth_dist.data
-    occupancy = np.zeros(idx.shape[0])
-    pixel_feat = np.zeros((idx.shape[0], c))
-    for rows, cols, wgt in corners:
-        occupancy += wgt * ((1.0 - fb) * d_data[b0, rows, cols] + fb * d_data[b1, rows, cols])
-        pixel_feat += wgt[:, None] * f_data[rows, cols]
+    pixels, pixel_w, occ_cells, occ_w = [], [], [], []
+    for dv, du in np.ndindex(2, 2):
+        uu, vv = u0 + du, v0 + dv
+        inside = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
+        pix = np.where(inside, vv * w + uu, 0)
+        wgt = (fv if dv else 1.0 - fv) * (fu if du else 1.0 - fu) * inside
+        pixels.append(pix)
+        pixel_w.append(wgt)
+        occ_cells += [b0 + pix, b1 + pix]
+        occ_w += [wgt * (1.0 - fb), wgt * fb]
+
+    f_flat = features.data.reshape(h * w, c)
+    d_flat = depth_dist.data.reshape(-1)
+    pixel_feat = nm.interpolation_matrix(pixels, pixel_w, h * w) @ f_flat
+    occupancy = nm.interpolation_matrix(occ_cells, occ_w, d_flat.shape[0]) @ d_flat
 
     out = np.zeros((centers.shape[0], c))
     out[idx] = occupancy[:, None] * pixel_feat
@@ -261,18 +246,12 @@ def lift_image_to_voxels(
     def backward(g):
         g_flat = g.reshape(-1, c)[idx]
         if features.requires_grad:
-            df = np.zeros_like(f_data)
-            scaled = (occupancy[:, None] * g_flat)
-            for rows, cols, wgt in corners:
-                np.add.at(df, (rows, cols), wgt[:, None] * scaled)
-            nm.accumulate_grad(features, df)
+            p_t = nm.interpolation_matrix(pixels, pixel_w, h * w, transpose=True)
+            nm.accumulate_grad(features, (p_t @ (occupancy[:, None] * g_flat)).reshape(h, w, c))
         if depth_dist.requires_grad:
-            dd = np.zeros_like(d_data)
+            o_t = nm.interpolation_matrix(occ_cells, occ_w, d_flat.shape[0], transpose=True)
             g_occ = (g_flat * pixel_feat).sum(axis=1)
-            for rows, cols, wgt in corners:
-                np.add.at(dd, (b0, rows, cols), wgt * (1.0 - fb) * g_occ)
-                np.add.at(dd, (b1, rows, cols), wgt * fb * g_occ)
-            nm.accumulate_grad(depth_dist, dd)
+            nm.accumulate_grad(depth_dist, (o_t @ g_occ).reshape(d_bins, h, w))
 
     result = nm.record_op(out, (features, depth_dist), backward)
     return nm.reshape(result, spec.counts + (c,))

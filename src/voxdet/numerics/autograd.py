@@ -75,10 +75,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A copy that shares values but takes no part in differentiation."""
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -20,7 +20,8 @@ __all__ = [
     "add", "sub", "mul", "neg", "scale", "exp", "log", "relu", "sigmoid",
     "softplus", "absolute", "square", "matmul", "reshape", "transpose",
     "concat", "getitem", "tsum", "tmean", "softmax", "affine", "conv",
-    "trilinear_sample", "layer_norm", "nn_upsample3d", "inverse_sigmoid",
+    "interpolation_matrix", "trilinear_sample", "layer_norm", "nn_upsample3d",
+    "inverse_sigmoid",
 ]
 
 
@@ -419,7 +420,41 @@ def conv(volume, kernel, bias, stride=1, padding=0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# trilinear sampling
+# interpolation
+
+
+def interpolation_matrix(cells, weights, n_cells: int, transpose: bool = False):
+    """Sparse interpolation matrix from per-corner ``(cell index, weight)`` arrays.
+
+    ``cells`` and ``weights`` are (K, P): corner k of point p reads cell
+    ``cells[k, p]`` with weight ``weights[k, p]``.  Returns the (P, n_cells)
+    CSR matrix S, so that ``S @ values`` interpolates an (n_cells, C) array,
+    or with ``transpose`` the (n_cells, P) matrix S^T that scatters a (P, C)
+    gradient back onto the cells.
+
+    No entry is merged or reordered beyond what the layout needs, and a
+    sparse product adds a row's entries in stored order: each row of S keeps
+    its point's corners in corner order, and each row of S^T keeps its cell's
+    entries in (corner, point) order.  The sums therefore run in the order of
+    a corner-by-corner gather or scatter-add.
+    """
+    weights = np.asarray(weights)
+    k, p = weights.shape
+    # 32-bit indices when they fit, so scipy neither scans nor converts them
+    index = np.int32 if max(n_cells, k * p) < 2**31 else np.int64
+    cells = np.asarray(cells, dtype=index)
+    if not transpose:
+        return sparse.csr_matrix((weights.T.ravel(), cells.T.ravel(),
+                                  np.arange(0, k * p + 1, k, dtype=index)),
+                                 shape=(p, n_cells))
+    order = np.argsort(cells.ravel(), kind="stable")
+    # row c starts after the entries of every cell below c; a repeat over the
+    # sorted cells costs far less than a cumulative sum over all n_cells rows
+    indptr = np.repeat(np.arange(k * p + 1, dtype=index),
+                       np.diff(cells.ravel()[order], prepend=-1, append=n_cells))
+    points = np.tile(np.arange(p, dtype=index), k)
+    return sparse.csr_matrix((weights.ravel()[order], points[order], indptr),
+                             shape=(n_cells, p))
 
 
 def trilinear_sample(volume, points) -> Tensor:
@@ -430,12 +465,10 @@ def trilinear_sample(volume, points) -> Tensor:
     contribute zero, so a point beyond one cell outside returns exactly zero.
     Differentiable with respect to both the volume and the points.
 
-    Each of the eight corners keeps only its flat cell index, inside mask and
-    axis weights; the forward pass gathers one (P, C) block per corner, scales
-    it in place and adds it into the output.  The backward pass gathers the
-    corner values again for the point gradient instead of keeping them, and
-    forms the volume gradient as one sparse product with the transposed
-    interpolation weights.
+    The eight corners of every point become one ``interpolation_matrix`` S
+    (an outside corner reads cell 0 with weight 0): the output is
+    ``S @ volume`` and the volume gradient ``S^T @ g``.  The point gradient
+    gathers each corner's values again instead of keeping them.
     """
     volume = as_tensor(volume)
     points = as_tensor(points)
@@ -455,32 +488,18 @@ def trilinear_sample(volume, points) -> Tensor:
     for dx, dy, dz in np.ndindex(2, 2, 2):
         ix, iy, iz = base[:, 0] + dx, base[:, 1] + dy, base[:, 2] + dz
         inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny) & (iz >= 0) & (iz < nz)
-        lin = (np.clip(ix, 0, nx - 1) * ny + np.clip(iy, 0, ny - 1)) * nz + np.clip(iz, 0, nz - 1)
+        lin = np.where(inside, (ix * ny + iy) * nz + iz, 0)
         wx, wy, wz = (f if d else 1.0 - f for f, d in zip(frac, (dx, dy, dz)))
         signs = tuple(1.0 if d else -1.0 for d in (dx, dy, dz))
         corners.append((lin, inside, wx, wy, wz, signs))
-
-    out = np.zeros((p.shape[0], c))
-    for lin, inside, wx, wy, wz, _ in corners:
-        vals = np.take(data_flat, lin, axis=0)
-        vals *= ((wx * wy * wz) * inside)[:, None]
-        out += vals
+    cells = [lin for lin, *_ in corners]
+    weights = [(wx * wy * wz) * inside for _, inside, wx, wy, wz, _ in corners]
+    out = interpolation_matrix(cells, weights, data_flat.shape[0]) @ data_flat
 
     def backward(g):
         g2 = g.reshape(-1, c)
         if volume.requires_grad:
-            # S^T g for the (P, voxels) interpolation matrix S; each voxel's
-            # entries stay in (corner, point) order, the order in which a
-            # corner-by-corner scatter-add accumulates them
-            rows = np.concatenate([lin[inside] for lin, inside, *_ in corners])
-            cols = np.concatenate([np.flatnonzero(inside) for _, inside, *_ in corners])
-            weights = np.concatenate([(wx * wy * wz)[inside]
-                                      for _, inside, wx, wy, wz, _ in corners])
-            cells = data_flat.shape[0]
-            order = np.argsort(rows, kind="stable")
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=cells))])
-            s_t = sparse.csr_matrix((weights[order], cols[order], indptr),
-                                    shape=(cells, p.shape[0]))
+            s_t = interpolation_matrix(cells, weights, data_flat.shape[0], transpose=True)
             accumulate_grad(volume, (s_t @ g2).reshape(volume.shape))
         if points.requires_grad:
             dp = np.zeros_like(p)

@@ -77,7 +77,6 @@ class PipelineConfig:
     head_strides: tuple = (1, 2)
     kt_enabled: bool = False
     kt_teacher: str = "lidar"  # lidar | fused
-    depth_interpolation: str = "linear"
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
@@ -213,10 +212,7 @@ def _lift_camera(cam, scene, config, params):
         aligned = cam.calibration
     feats = Tensor(cam.features)
     dist = predict_depth_distribution(feats, params.depth_head, config.depth)
-    return lift_image_to_voxels(
-        feats, dist, aligned, config.grid, config.depth,
-        depth_interpolation=config.depth_interpolation,
-    )
+    return lift_image_to_voxels(feats, dist, aligned, config.grid, config.depth)
 
 
 def _camera_branch(scene, config, params, threads):

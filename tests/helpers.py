@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from voxdet import numerics as nm
-from voxdet.geometry import CameraCalibration, VoxelGridSpec, project_points
+from voxdet.geometry import CameraCalibration, VoxelGridSpec, project_points, voxel_centers
 from voxdet.modality import lift_image_to_voxels, predict_depth_distribution
 from voxdet.numerics import Tensor
 from voxdet.scene.types import Box3D, CameraView, PointCloud, Scene
@@ -91,6 +91,72 @@ def lift_oracle(features, depth_dist, calib, spec, depth):
                         pixel += wgt * features[vv, uu]
                 out[i, j, k] = occupancy * pixel
     return out
+
+
+def lift_image_to_voxels_oracle(features: Tensor, depth_dist: Tensor, calib, spec,
+                                depth) -> Tensor:
+    """Camera lift with per-corner gathers forward and ``np.add.at`` scatters backward.
+
+    Occupancy sums ``w*((1-fb)*d[b0] + fb*d[b1])`` corner by corner.
+    """
+    h, w, c = features.shape
+    d_bins = depth.bins
+    centers = voxel_centers(spec).reshape(-1, 3)
+    u, v, d, valid = project_points(centers, calib)
+    mask = valid & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    mask &= d < depth.depth_limit
+
+    idx = np.nonzero(mask)[0]
+    um, vm, dm = u[idx], v[idx], d[idx]
+    u0 = np.floor(um).astype(np.int64)
+    v0 = np.floor(vm).astype(np.int64)
+    fu, fv = um - u0, vm - v0
+    corners = []
+    for dv in (0, 1):
+        wv = fv if dv else 1.0 - fv
+        for du in (0, 1):
+            wu = fu if du else 1.0 - fu
+            uu, vv = u0 + du, v0 + dv
+            inside = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
+            corners.append(
+                (np.clip(vv, 0, h - 1), np.clip(uu, 0, w - 1), wv * wu * inside)
+            )
+
+    td = dm / depth.bin_width - 0.5
+    raw = np.floor(td).astype(np.int64)
+    fb = td - raw
+    b0 = np.clip(raw, 0, d_bins - 1)
+    b1 = np.clip(raw + 1, 0, d_bins - 1)
+
+    f_data = features.data
+    d_data = depth_dist.data
+    occupancy = np.zeros(idx.shape[0])
+    pixel_feat = np.zeros((idx.shape[0], c))
+    for rows, cols, wgt in corners:
+        occupancy += wgt * ((1.0 - fb) * d_data[b0, rows, cols] + fb * d_data[b1, rows, cols])
+        pixel_feat += wgt[:, None] * f_data[rows, cols]
+
+    out = np.zeros((centers.shape[0], c))
+    out[idx] = occupancy[:, None] * pixel_feat
+
+    def backward(g):
+        g_flat = g.reshape(-1, c)[idx]
+        if features.requires_grad:
+            df = np.zeros_like(f_data)
+            scaled = occupancy[:, None] * g_flat
+            for rows, cols, wgt in corners:
+                np.add.at(df, (rows, cols), wgt[:, None] * scaled)
+            nm.accumulate_grad(features, df)
+        if depth_dist.requires_grad:
+            dd = np.zeros_like(d_data)
+            g_occ = (g_flat * pixel_feat).sum(axis=1)
+            for rows, cols, wgt in corners:
+                np.add.at(dd, (b0, rows, cols), wgt * (1.0 - fb) * g_occ)
+                np.add.at(dd, (b1, rows, cols), wgt * fb * g_occ)
+            nm.accumulate_grad(depth_dist, dd)
+
+    result = nm.record_op(out, (features, depth_dist), backward)
+    return nm.reshape(result, spec.counts + (c,))
 
 
 def side_camera(fx=10.0, cx=7.5, cy=7.5, yaw=0.0, position=(0.0, 0.0, 0.0)):

@@ -38,12 +38,10 @@ def pipeline_configs(draw):
         head_strides=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))),
         kt_enabled=draw(st.booleans()),
         kt_teacher=draw(st.sampled_from(["lidar", "fused"])),
-        depth_interpolation=draw(st.sampled_from(["linear", "nearest"])),
         decoder=DecoderConfig(
             num_queries=draw(st.integers(1, 900)), num_blocks=draw(st.integers(1, 6)),
             num_heads=heads, num_points=draw(st.integers(1, 8)), channels=channels,
             num_classes=draw(st.integers(1, 10)), ffn_dim=draw(st.integers(1, 512)),
-            detach_references=draw(st.booleans()),
         ),
         postprocess=PostprocessConfig(
             max_detections=draw(st.integers(0, 500)), xy_range=draw(positive),
@@ -99,7 +97,8 @@ class TestRoundTrip:
 
 
 class TestStrictKeys:
-    @pytest.mark.parametrize("path", ["use_camra", "decoder.num_querys"])
+    @pytest.mark.parametrize("path", ["use_camra", "decoder.num_querys",
+                                      "depth_interpolation", "decoder.detach_references"])
     def test_typo_rejected_by_dotted_path(self, path):
         data = PipelineConfig().to_dict()
         *parents, key = path.split(".")

@@ -20,10 +20,11 @@ from voxdet.modality import (
     voxel_encoder,
     voxelize_points,
 )
-from voxdet.numerics import Parameter, Tensor
+from voxdet.geometry import project_points, voxel_centers
+from voxdet.numerics import Parameter, Tape, Tensor, backward
 from voxdet.scene.types import PointCloud
 
-from helpers import lift_oracle, side_camera
+from helpers import lift_image_to_voxels_oracle, lift_oracle, side_camera
 
 
 class TestDepthDistribution:
@@ -109,27 +110,51 @@ class TestLift:
                                    side_camera(), spec, depth)
         assert out.data.max() <= 1.0 + 1e-12
 
-    def test_nearest_depth_mode(self):
-        spec = VoxelGridSpec((-0.5, 0.5), (-0.5, 0.5), (4.0, 5.0), (1, 1, 1), 1)
-        calib = CameraCalibration(
-            intrinsics=np.array([[1.0, 0, 1.0], [0, 1.0, 1.0], [0, 0, 1.0]]),
-            extrinsic=np.eye(4),
-        )
-        depth = DepthSpec(bins=64, depth_limit=64.0)
-        feats = np.zeros((3, 3, 1))
-        feats[1, 1, 0] = 2.0
-        dist = np.zeros((64, 3, 3))
-        dist[4, 1, 1] = 1.0  # bin 4 center sits at 4.5 m, the voxel center depth
-        out = lift_image_to_voxels(Tensor(feats), Tensor(dist), calib, spec, depth,
-                                   depth_interpolation="nearest")
-        assert out.data.ravel()[0] == 2.0
 
-    def test_bad_interpolation_mode(self):
-        spec = VoxelGridSpec((-1, 1), (-1, 1), (-1, 1), (2, 2, 2), 1)
-        with pytest.raises(ValueError):
-            lift_image_to_voxels(Tensor(np.zeros((2, 2, 1))),
-                                 Tensor(np.full((4, 2, 2), 0.25)), side_camera(),
-                                 spec, DepthSpec(4, 4.0), depth_interpolation="cubic")
+def _lift_values_and_grads(lift, feats, dist, calib, spec, depth, probe):
+    """The lift and the gradients of ``sum(lift * probe)`` for features and depth."""
+    f, dd = Tensor(feats, requires_grad=True), Tensor(dist, requires_grad=True)
+    with Tape() as tape:
+        out = lift(f, dd, calib, spec, depth)
+        loss = nm.tsum(nm.mul(out, Tensor(probe)))
+    backward(tape, loss)
+    return out.data, f.grad, dd.grad
+
+
+def _border_camera(w, h):
+    # camera frame = ego frame, so a voxel center with x = 0 (y = 0) projects
+    # exactly onto the last pixel column (row)
+    k = np.array([[2.0, 0.0, w - 1.0], [0.0, 2.0, h - 1.0], [0.0, 0.0, 1.0]])
+    return CameraCalibration(intrinsics=k, extrinsic=np.eye(4))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lift_matches_scatter_oracle(seed):
+    rng = np.random.default_rng([seed, 17])
+    h, w, c = 4, 5, 3
+    depth = DepthSpec(bins=4, depth_limit=8.0)  # bin centers at 1, 3, 5, 7
+    if seed % 2 == 0:
+        # depths 0.8 (before the first center) ... 7.2 (beyond the last)
+        spec = VoxelGridSpec((-1.5, 1.5), (-1.5, 1.5), (0.0, 8.0), (3, 3, 5), c)
+        calib = _border_camera(w, h)
+        u, v, d, _ = project_points(voxel_centers(spec).reshape(-1, 3), calib)
+        assert (u == w - 1).any() and (v == h - 1).any()
+        assert d.min() < 0.5 * depth.bin_width
+        assert depth.depth_limit - 0.5 * depth.bin_width < d.max() < depth.depth_limit
+    else:
+        spec = VoxelGridSpec((1.0, 9.0), (-4.0, 4.0), (-1.0, 1.0), (8, 8, 4), c)
+        calib = side_camera(fx=2.0, cx=2.0, cy=1.5)
+    feats = rng.standard_normal((h, w, c))
+    dist = np.ascontiguousarray(rng.dirichlet(np.ones(4), size=(h, w)).transpose(2, 0, 1))
+    probe = rng.standard_normal(spec.counts + (c,))
+    out, df, dd = _lift_values_and_grads(lift_image_to_voxels, feats, dist, calib, spec,
+                                         depth, probe)
+    want, df_want, dd_want = _lift_values_and_grads(lift_image_to_voxels_oracle, feats, dist,
+                                                    calib, spec, depth, probe)
+    assert np.abs(out).max() > 0
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(df, df_want, rtol=0, atol=1e-12)
+    assert np.array_equal(dd, dd_want)
 
 
 class TestSweepFusion:

@@ -190,6 +190,24 @@ def test_trilinear_matches_masked_copy_oracle(seed):
         assert np.array_equal(g, w)
 
 
+def test_interpolation_matrix_keeps_entry_order():
+    # row 0 sums to 1.0 and row 1 to 0.0 only when each row's entries are
+    # added in the given order; duplicate columns must stay separate entries
+    cells = np.array([[1, 2], [0, 2], [0, 0]])  # (corner, point)
+    weights = np.array([[1e16, 1e16], [-1e16, 1.0], [1.0, -1e16]])
+    s = nm.interpolation_matrix(cells, weights, 3)
+    assert s.shape == (2, 3) and s.nnz == 6
+    assert np.array_equal(s @ np.ones(3), [1.0, 0.0])
+    # the transpose adds each cell's entries in (corner, point) order; the
+    # cells appear out of order and cell 0 holds point 1 twice
+    cells = np.array([[2, 1], [1, 0], [1, 0]])
+    weights = np.array([[5.0, 1e16], [-1e16, 2.0], [1.0, 3.0]])
+    s_t = nm.interpolation_matrix(cells, weights, 3, transpose=True)
+    assert s_t.shape == (3, 2) and s_t.nnz == 6
+    assert np.array_equal(s_t @ np.ones(2), [5.0, 1.0, 5.0])
+    assert np.array_equal(s_t @ np.ones((2, 2)), [[5.0, 5.0], [1.0, 1.0], [5.0, 5.0]])
+
+
 class TestAffine:
     def test_identity(self):
         x = Tensor(np.random.default_rng(6).standard_normal((3, 4)))
