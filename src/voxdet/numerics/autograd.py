@@ -33,6 +33,11 @@ class NumericsError(ArithmeticError):
     """Raised when an operation would produce or propagate non-finite values."""
 
 
+# below this many elements the elementwise finiteness check is cheaper than
+# entering ``np.errstate`` to sum first
+_SUM_FIRST_SIZE = 65_536
+
+
 class Tensor:
     """A dense float64 array node.
 
@@ -46,11 +51,15 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        # any NaN or inf makes the sum non-finite; finite values can overflow
-        # it too, so only then is every element checked
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = arr.sum()
-        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
+        if arr.size < _SUM_FIRST_SIZE:
+            finite = np.isfinite(arr).all()
+        else:
+            # any NaN or inf makes the sum non-finite; finite values can overflow
+            # it too, so only then is every element checked
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = arr.sum()
+            finite = np.isfinite(total) or np.isfinite(arr).all()
+        if not finite:
             raise NumericsError("tensor holds non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -155,8 +164,11 @@ def accumulate_grad(node: Tensor, grad: np.ndarray) -> None:
     if not node.requires_grad:
         return
     if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    node.grad += grad
+        # a copy, never ``grad`` itself: one gradient array may reach several parents
+        node.grad = np.empty_like(node.data)
+        node.grad[...] = grad
+    else:
+        node.grad += grad
 
 
 def record_op(

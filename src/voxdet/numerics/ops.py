@@ -327,9 +327,9 @@ def softmax(logits, axis: int) -> Tensor:
         raise ValueError("softmax axis must be an integer")
     if not -logits.ndim <= axis < logits.ndim:
         raise ValueError(f"softmax axis {axis} invalid for rank {logits.ndim}")
-    shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out_data = ex / ex.sum(axis=axis, keepdims=True)
+    out_data = logits.data - logits.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)

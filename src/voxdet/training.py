@@ -67,12 +67,46 @@ def _lap_total(cost: np.ndarray) -> float:
     return float(cost[rows, cols].sum())
 
 
+def _reduced_costs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
+    """Reduced costs ``c - u - v`` under duals of the optimal assignment ``rows -> cols``.
+
+    The row potentials are shortest paths over the assignment's residual
+    graph: row i may take matched row k's column at ``c[i, col(k)] -
+    c[k, col(k)]``, and, with more rows than columns, any row may take the
+    zero-cost padding column an unmatched row holds.  ``None`` when the
+    relaxation does not settle.
+    """
+    if cost.shape[0] < cost.shape[1]:
+        r = _reduced_costs(cost.T, cols, rows)
+        return None if r is None else r.T
+    held = cost[rows, cols]
+    step = cost[:, cols] - held
+    unmatched = np.ones(cost.shape[0], dtype=bool)
+    unmatched[rows] = False
+    d = np.zeros(cost.shape[0])
+    for _ in range(cost.shape[0] + 1):
+        new = np.minimum(d, (d[rows] + step).min(axis=1))
+        if unmatched.any():
+            new = np.minimum(new, new[unmatched].min())
+        if np.array_equal(new, d):
+            break
+        d = new
+    else:
+        return None
+    v = np.empty(cost.shape[1])
+    v[cols] = held - d[rows]
+    return cost - d[:, None] - v
+
+
 def hungarian_match(cost) -> Assignment:
     """Minimum-cost one-to-one assignment of min(n_pred, n_gt) pairs.
 
     Among all optimal assignments, the lexicographically smallest pair
     sequence is returned: rows are scanned in order, each taking the
-    smallest column that still permits an optimal completion.
+    smallest column that still permits an optimal completion.  Only columns
+    whose reduced cost under one optimal dual is within the tolerance are
+    tried: every reduced cost is nonnegative, so an assignment through (i, j)
+    costs at least ``total + r[i, j]``.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -83,8 +117,16 @@ def hungarian_match(cost) -> Assignment:
     if n == 0 or m == 0:
         return Assignment(pairs=(), unmatched_predictions=tuple(range(n)))
 
-    total = _lap_total(cost)
+    opt_rows, opt_cols = linear_sum_assignment(cost)
+    total = float(cost[opt_rows, opt_cols].sum())
     tol = 1e-9 * max(1.0, abs(total))
+    # rounding in the duals and in the sums the test below compares
+    slack = 64 * np.finfo(np.float64).eps * (n + m) * max(1.0, float(np.abs(cost).max()))
+    reduced = _reduced_costs(cost, opt_rows, opt_cols)
+    if reduced is None or reduced.min() < -slack:
+        candidate = np.ones((n, m), dtype=bool)
+    else:
+        candidate = reduced <= tol + slack
     need = min(n, m)
     pairs: list[tuple[int, int]] = []
     free_cols = list(range(m))
@@ -94,6 +136,8 @@ def hungarian_match(cost) -> Assignment:
             break
         rows_left = n - i - 1
         for j in free_cols:
+            if not candidate[i, j]:
+                continue
             rest_rows = np.arange(i + 1, n)
             rest_cols = [c for c in free_cols if c != j]
             rest = _lap_total(cost[np.ix_(rest_rows, rest_cols)])

@@ -35,6 +35,13 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             nm.softmax(Tensor(np.zeros(3)), axis=2)
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_equals_out_of_place_formula(self, axis):
+        x = np.random.default_rng(3).uniform(-30, 30, size=(6, 7, 5))
+        ex = np.exp(x - x.max(axis=axis, keepdims=True))
+        expected = ex / ex.sum(axis=axis, keepdims=True)
+        np.testing.assert_array_equal(nm.softmax(Tensor(x), axis=axis).data, expected)
+
 
 class TestConv:
     def test_identity_kernel(self):
@@ -352,3 +359,19 @@ class TestFiniteSumCheck:
     def test_non_finite_rejected(self, values):
         with pytest.raises(NumericsError):
             Tensor(values)
+
+    # 65,535 elements are checked one by one, 65,537 are summed first
+    @pytest.mark.parametrize("size", [65_535, 65_537])
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [np.nan, np.inf]])
+    def test_non_finite_rejected_either_side_of_split(self, size, bad):
+        values = np.zeros(size)
+        values[size // 2:size // 2 + len(bad)] = bad
+        with pytest.raises(NumericsError):
+            Tensor(values)
+
+    @pytest.mark.parametrize("size", [65_535, 65_537])
+    def test_overflowing_sum_accepted_either_side_of_split(self, size, recwarn):
+        values = np.zeros(size)
+        values[[0, -1]] = 1e308
+        Tensor(values)
+        assert not recwarn.list

@@ -2,8 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
-from helpers import cost_matrix_oracle, encode_box_oracle
+from helpers import cost_matrix_oracle, encode_box_oracle, hungarian_match_oracle
+from voxdet import training
 from voxdet.decoder import BlockPrediction, encode_boxes
 from voxdet.geometry import VoxelGridSpec
 from voxdet.numerics import Tensor
@@ -80,6 +85,86 @@ class TestHungarian:
         assign = hungarian_match(np.zeros((3, 0)))
         assert assign.pairs == ()
         assert assign.unmatched_predictions == (0, 1, 2)
+
+
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    st.tuples(st.integers(8, 30), st.integers(1, 5)),
+    st.tuples(st.integers(1, 5), st.integers(8, 30)),
+)
+
+
+@st.composite
+def tie_heavy_costs(draw):
+    """Cost matrices whose optimal assignments are rarely unique."""
+    shape = draw(SHAPES)
+    whole = draw(arrays(np.int64, shape, elements=st.integers(0, 2))).astype(np.float64)
+    kind = draw(st.sampled_from(["integer", "tenths", "near_tie", "tolerance_edge"]))
+    if kind == "integer":
+        return whole
+    digits = draw(arrays(np.int64, shape, elements=st.integers(0, 3))).astype(np.float64)
+    if kind == "tenths":
+        return whole + digits / 10
+    if kind == "near_tie":  # ties broken by 1e-10, well inside the matcher's tolerance
+        return whole + 1e-10 * digits
+    # steps of 1e-9 on totals below one land exactly on the tolerance
+    return 0.3 * (whole > 1) + 1e-9 * digits
+
+
+def tolerance_edge_costs(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        shape = tuple(int(k) for k in rng.integers(1, 8, size=2))
+        yield 1e-9 * rng.integers(0, 4, shape) + 0.3 * rng.integers(0, 2, shape)
+
+
+def outcome(match, cost):
+    try:
+        return match(cost)
+    except RuntimeError as err:
+        return str(err)
+
+
+class TestHungarianOracle:
+    """The dual-pruned search returns exactly the exhaustive search's assignment."""
+
+    @given(tie_heavy_costs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_oracle(self, cost):
+        assert outcome(hungarian_match, cost) == outcome(hungarian_match_oracle, cost)
+
+    def test_equals_oracle_at_tolerance_edge(self):
+        # alternatives costing the optimum plus exactly the tolerance: the
+        # reduced cost lands a few ulps above it, so only the slack keeps them
+        for cost in tolerance_edge_costs(seed=5, count=300):
+            assert outcome(hungarian_match, cost) == outcome(hungarian_match_oracle, cost)
+
+    def test_duals_of_a_non_optimal_assignment_refused(self):
+        # the assignment (0, 1), (1, 0) costs 2 against an optimum of 0: its
+        # residual graph has a negative cycle, so the relaxation never settles
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert training._reduced_costs(cost, np.array([0, 1]), np.array([1, 0])) is None
+
+    def test_every_column_tried_without_duals(self, monkeypatch):
+        monkeypatch.setattr(training, "_reduced_costs", lambda cost, rows, cols: None)
+        for cost in tolerance_edge_costs(seed=6, count=50):
+            assert outcome(hungarian_match, cost) == outcome(hungarian_match_oracle, cost)
+
+    def test_solve_count(self, monkeypatch):
+        solves = []
+
+        def counting(cost):
+            solves.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(training, "linear_sum_assignment", counting)
+        cost = np.random.default_rng(9).uniform(0.0, 10.0, size=(300, 20))
+        assign = hungarian_match(cost)
+        assert len(solves) <= 2 * min(cost.shape) + 1
+        rows, cols = linear_sum_assignment(cost)
+        total = sum(cost[i, j] for i, j in assign.pairs)
+        assert len(assign.pairs) == 20
+        assert total == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
 
 
 class TestMatchCost:
