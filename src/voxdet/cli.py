@@ -25,6 +25,7 @@ from .scene.generate import SceneConfig, SceneGenerationError, generate_sequence
 from .scene.io import SceneIOError, read_scene, write_scene
 from .serialize import (
     atomic_write,
+    from_dict,
     read_boxes_jsonl,
     read_metrics_json,
     write_boxes_jsonl,
@@ -195,27 +196,26 @@ def _matched_center_error_cells(result, scene, config) -> float:
     return max(errors) if errors else 0.0
 
 
-REPORT_KEYS = ("z", "encoder_op", "sweeps", "cell_size", "channels")
-
-
 def _cmd_report(args) -> int:
     rows = []
     for run_dir in args.inputs:
         run = Path(run_dir)
-        config = _load_json(run / "config.json", f"{run.name}/config.json")
+        where = f"{run.name}/config.json"
+        echo = _load_json(run / "config.json", where)
+        if not isinstance(echo, dict) or "sweeps" not in echo:
+            raise ValueError(f"missing field {where + '.sweeps'!r}")
+        sweeps = int(echo.pop("sweeps"))
+        config = from_dict(PipelineConfig, echo, where)
+        grid = config.grid
         metrics = read_metrics_json(run / "metrics.json")
-        grid = config.get("grid", {})
-        counts = grid.get("counts", [0, 0, 0])
-        x_range = grid.get("x_range", [0.0, 1.0])
-        cell = (float(x_range[1]) - float(x_range[0])) / max(1, int(counts[0]))
         rows.append(
             {
                 "run": run.name,
-                "z": int(counts[2]),
-                "encoder_op": config.get("encoder_op", ""),
-                "sweeps": int(config.get("sweeps", 1)),
-                "cell_size": cell,
-                "channels": int(grid.get("channels", 0)),
+                "z": grid.counts[2],
+                "encoder_op": config.encoder_op,
+                "sweeps": sweeps,
+                "cell_size": grid.cell_sizes[0],
+                "channels": grid.channels,
                 "map": metrics["map"],
                 "nds": metrics["nds"],
                 **{f"m{k}": v for k, v in metrics["tp_errors"].items()},

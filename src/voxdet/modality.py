@@ -340,16 +340,15 @@ def voxelize_points(cloud: PointCloud, spec: VoxelGridSpec) -> VoxelGrid:
 def multi_scale_heads(raw: VoxelGrid, params: MultiScaleHeadParams) -> Tensor:
     """Parallel strided convolution heads, upsampled back and summed.
 
-    Integer strides apply to the horizontal axes (stride 1 on height);
-    explicit (sx, sy, sz) triples are honored as given.  Upsampling is
-    nearest-neighbor so block-constant fields survive exactly.
+    Strides apply to the horizontal axes (stride 1 on height).  Upsampling
+    is nearest-neighbor so block-constant fields survive exactly.
     """
     if not params.strides:
         raise ValueError("multi_scale_heads needs at least one head")
     nx, ny, nz, _ = raw.features.shape
     total = None
     for stride, w, b in zip(params.strides, params.weights, params.biases):
-        s = (stride, stride, 1) if isinstance(stride, (int, np.integer)) else tuple(stride)
+        s = (stride, stride, 1)
         for extent, sv, axis in zip((nx, ny, nz), s, "xyz"):
             if extent % sv != 0:
                 raise ValueError(f"stride {sv} does not divide {axis} extent {extent}")

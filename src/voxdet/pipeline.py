@@ -74,7 +74,7 @@ class PipelineConfig:
     use_camera: bool = True
     use_lidar: bool = True
     encoder_op: str = "conv3d"  # none | conv2d | conv3d
-    head_strides: tuple = (1, 2)
+    head_strides: tuple[int, ...] = (1, 2)
     kt_enabled: bool = False
     kt_teacher: str = "lidar"  # lidar | fused
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
@@ -87,6 +87,8 @@ class PipelineConfig:
             raise ValueError(f"encoder_op: unknown value {self.encoder_op!r}")
         if self.kt_teacher not in ("lidar", "fused"):
             raise ValueError(f"kt_teacher: unknown value {self.kt_teacher!r}")
+        if any(s < 1 for s in self.head_strides):
+            raise ValueError(f"head_strides: strides must be >= 1, got {self.head_strides}")
         if not (self.use_camera or self.use_lidar):
             raise ValueError("use_camera/use_lidar: at least one modality required")
         if self.grid.channels != self.decoder.channels:

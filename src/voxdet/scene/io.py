@@ -19,7 +19,7 @@ import numpy as np
 
 from ..geometry import CameraCalibration, EgoPose
 from ..serialize import atomic_write, from_dict, to_dict
-from .types import Box3D, CameraView, PointCloud, Scene, SceneManifest
+from .types import CameraRecord, CameraView, PointCloud, PoseRecord, Scene, SceneManifest
 
 __all__ = ["SceneIOError", "FORMAT_VERSION", "write_scene", "read_scene"]
 
@@ -56,16 +56,16 @@ def write_scene(scene: Scene, path) -> SceneManifest:
         fname = f"{cam.name}.f32"
         _write_blob(root / fname, cam.features)
         cameras.append(
-            {
-                "name": cam.name,
-                "file": fname,
-                "height": h,
-                "width": w,
-                "channels": c,
-                "time_offset": cam.time_offset,
-                "intrinsics": cam.calibration.intrinsics.tolist(),
-                "extrinsic": cam.calibration.extrinsic.tolist(),
-            }
+            CameraRecord(
+                name=cam.name,
+                file=fname,
+                height=h,
+                width=w,
+                channels=c,
+                time_offset=cam.time_offset,
+                intrinsics=cam.calibration.intrinsics.tolist(),
+                extrinsic=cam.calibration.extrinsic.tolist(),
+            )
         )
 
     records = np.column_stack(
@@ -80,10 +80,10 @@ def write_scene(scene: Scene, path) -> SceneManifest:
         points_file="points.f32",
         num_points=len(scene.cloud),
         ego_poses=[
-            {"time_offset": p.timestamp, "matrix": p.matrix.tolist()}
+            PoseRecord(time_offset=p.timestamp, matrix=p.matrix.tolist())
             for p in scene.ego_poses
         ],
-        boxes=[to_dict(b) for b in scene.boxes],
+        boxes=list(scene.boxes),
         format_version=FORMAT_VERSION,
     )
     atomic_write(root / "manifest.json", json.dumps(to_dict(manifest), indent=1))
@@ -107,43 +107,42 @@ def read_scene(path) -> Scene:
             f"format_version: expected {FORMAT_VERSION}, found {version!r}"
         )
 
-    channel_counts = {entry["channels"] for entry in raw["cameras"]}
+    try:
+        manifest = from_dict(SceneManifest, raw)
+    except ValueError as exc:
+        raise SceneIOError(str(exc)) from exc
+
+    channel_counts = {entry.channels for entry in manifest.cameras}
     if len(channel_counts) > 1:
         raise SceneIOError(f"cameras: channel counts disagree ({sorted(channel_counts)})")
 
     cameras = []
-    for entry in raw["cameras"]:
-        shape = (entry["height"], entry["width"], entry["channels"])
-        feats = _read_blob(root / entry["file"], shape, f"camera {entry['name']}")
+    for entry in manifest.cameras:
+        shape = (entry.height, entry.width, entry.channels)
+        feats = _read_blob(root / entry.file, shape, f"camera {entry.name}")
         calib = CameraCalibration(
-            intrinsics=np.array(entry["intrinsics"]),
-            extrinsic=np.array(entry["extrinsic"]),
+            intrinsics=np.array(entry.intrinsics),
+            extrinsic=np.array(entry.extrinsic),
         )
         cameras.append(
             CameraView(
-                name=entry["name"],
+                name=entry.name,
                 calibration=calib,
                 features=feats,
-                time_offset=float(entry["time_offset"]),
+                time_offset=entry.time_offset,
             )
         )
 
-    records = _read_blob(root / raw["points_file"], (raw["num_points"], 5), "points")
+    records = _read_blob(root / manifest.points_file, (manifest.num_points, 5), "points")
     cloud = PointCloud(records[:, :3], records[:, 3], records[:, 4])
 
-    poses = [
-        EgoPose(matrix=np.array(p["matrix"]), timestamp=float(p["time_offset"]))
-        for p in raw["ego_poses"]
-    ]
-    try:
-        boxes = [from_dict(Box3D, b, f"boxes[{i}]") for i, b in enumerate(raw["boxes"])]
-    except ValueError as exc:
-        raise SceneIOError(str(exc)) from exc
+    poses = [EgoPose(matrix=np.array(p.matrix), timestamp=p.time_offset)
+             for p in manifest.ego_poses]
     return Scene(
-        scene_id=raw["scene_id"],
-        seed=int(raw["seed"]),
+        scene_id=manifest.scene_id,
+        seed=manifest.seed,
         cameras=cameras,
         cloud=cloud,
         ego_poses=poses,
-        boxes=boxes,
+        boxes=manifest.boxes,
     )

@@ -9,7 +9,10 @@ import numpy as np
 
 from ..geometry import CameraCalibration, EgoPose
 
-__all__ = ["Box3D", "PointCloud", "CameraView", "Scene", "SceneManifest", "normalize_yaw"]
+__all__ = [
+    "Box3D", "PointCloud", "CameraView", "Scene", "CameraRecord", "PoseRecord", "SceneManifest",
+    "normalize_yaw",
+]
 
 
 def normalize_yaw(yaw: float) -> float:
@@ -132,16 +135,38 @@ class CameraView:
 
 
 @dataclass
+class CameraRecord:
+    """Manifest entry of one camera: its blob file, feature shape and calibration."""
+
+    name: str
+    file: str
+    height: int
+    width: int
+    channels: int
+    time_offset: float
+    intrinsics: list[list[float]]
+    extrinsic: list[list[float]]
+
+
+@dataclass
+class PoseRecord:
+    """Manifest entry of one ego pose."""
+
+    time_offset: float
+    matrix: list[list[float]]
+
+
+@dataclass
 class SceneManifest:
     """Declared contents of an on-disk scene directory."""
 
     scene_id: str
     seed: int
-    cameras: list[dict]
+    cameras: list[CameraRecord]
     points_file: str
     num_points: int
-    ego_poses: list[dict]
-    boxes: list[dict]
+    ego_poses: list[PoseRecord]
+    boxes: list[Box3D]
     format_version: int = 1
 
 

@@ -60,98 +60,22 @@ class Assignment:
     unmatched_predictions: tuple[int, ...]
 
 
-def _lap_total(cost: np.ndarray) -> float:
-    if cost.shape[0] == 0 or cost.shape[1] == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
-
-
-def _reduced_costs(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
-    """Reduced costs ``c - u - v`` under duals of the optimal assignment ``rows -> cols``.
-
-    The row potentials are shortest paths over the assignment's residual
-    graph: row i may take matched row k's column at ``c[i, col(k)] -
-    c[k, col(k)]``, and, with more rows than columns, any row may take the
-    zero-cost padding column an unmatched row holds.  ``None`` when the
-    relaxation does not settle.
-    """
-    if cost.shape[0] < cost.shape[1]:
-        r = _reduced_costs(cost.T, cols, rows)
-        return None if r is None else r.T
-    held = cost[rows, cols]
-    step = cost[:, cols] - held
-    unmatched = np.ones(cost.shape[0], dtype=bool)
-    unmatched[rows] = False
-    d = np.zeros(cost.shape[0])
-    for _ in range(cost.shape[0] + 1):
-        new = np.minimum(d, (d[rows] + step).min(axis=1))
-        if unmatched.any():
-            new = np.minimum(new, new[unmatched].min())
-        if np.array_equal(new, d):
-            break
-        d = new
-    else:
-        return None
-    v = np.empty(cost.shape[1])
-    v[cols] = held - d[rows]
-    return cost - d[:, None] - v
-
-
 def hungarian_match(cost) -> Assignment:
-    """Minimum-cost one-to-one assignment of min(n_pred, n_gt) pairs.
+    """Minimum-cost one-to-one assignment of min(n_pred, n_gt) pairs, in row order.
 
-    Among all optimal assignments, the lexicographically smallest pair
-    sequence is returned: rows are scanned in order, each taking the
-    smallest column that still permits an optimal completion.  Only columns
-    whose reduced cost under one optimal dual is within the tolerance are
-    tried: every reduced cost is nonnegative, so an assignment through (i, j)
-    costs at least ``total + r[i, j]``.
+    One ``linear_sum_assignment`` solve, as in DETR's matcher.  Among tied
+    optimal assignments the result is scipy's choice, which is deterministic
+    for a given scipy version.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
-    n, m = cost.shape
-    if n == 0 or m == 0:
-        return Assignment(pairs=(), unmatched_predictions=tuple(range(n)))
-
-    opt_rows, opt_cols = linear_sum_assignment(cost)
-    total = float(cost[opt_rows, opt_cols].sum())
-    tol = 1e-9 * max(1.0, abs(total))
-    # rounding in the duals and in the sums the test below compares
-    slack = 64 * np.finfo(np.float64).eps * (n + m) * max(1.0, float(np.abs(cost).max()))
-    reduced = _reduced_costs(cost, opt_rows, opt_cols)
-    if reduced is None or reduced.min() < -slack:
-        candidate = np.ones((n, m), dtype=bool)
-    else:
-        candidate = reduced <= tol + slack
-    need = min(n, m)
-    pairs: list[tuple[int, int]] = []
-    free_cols = list(range(m))
-    fixed = 0.0
-    for i in range(n):
-        if len(pairs) == need:
-            break
-        rows_left = n - i - 1
-        for j in free_cols:
-            if not candidate[i, j]:
-                continue
-            rest_rows = np.arange(i + 1, n)
-            rest_cols = [c for c in free_cols if c != j]
-            rest = _lap_total(cost[np.ix_(rest_rows, rest_cols)])
-            if fixed + cost[i, j] + rest <= total + tol:
-                pairs.append((i, j))
-                fixed += cost[i, j]
-                free_cols.remove(j)
-                break
-        else:
-            if rows_left < need - len(pairs):  # pragma: no cover - defensive
-                raise RuntimeError("assignment refinement failed to complete")
-    matched_rows = {i for i, _ in pairs}
-    unmatched = tuple(i for i in range(n) if i not in matched_rows)
-    return Assignment(pairs=tuple(pairs), unmatched_predictions=unmatched)
+    rows, cols = linear_sum_assignment(cost)
+    unmatched = np.setdiff1d(np.arange(cost.shape[0]), rows)
+    return Assignment(pairs=tuple(zip(rows.tolist(), cols.tolist())),
+                      unmatched_predictions=tuple(unmatched.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,12 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from voxdet import numerics as nm
 from voxdet.geometry import CameraCalibration, VoxelGridSpec, project_points, voxel_centers
 from voxdet.modality import lift_image_to_voxels, predict_depth_distribution
 from voxdet.numerics import Tensor
 from voxdet.scene.types import Box3D, CameraView, PointCloud, Scene
-from voxdet.training import Assignment
 
 
 def project(point_ego, calib: CameraCalibration):
@@ -222,45 +220,6 @@ def brute_force_assignment_total(cost: np.ndarray) -> float:
         for rows in itertools.permutations(range(n), m):
             best = min(best, float(cost[list(rows), cols].sum()))
     return best
-
-
-def _lap_total(cost: np.ndarray) -> float:
-    if cost.shape[0] == 0 or cost.shape[1] == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
-
-
-def hungarian_match_oracle(cost: np.ndarray) -> Assignment:
-    """Lexicographically smallest optimal assignment, re-solving for every (row, column) tried.
-
-    Rows are scanned in order; each takes the smallest free column for which
-    an optimal completion of the remaining rows and columns still reaches the
-    optimum within ``1e-9 * max(1, |total|)``.
-    """
-    n, m = cost.shape
-    total = _lap_total(cost)
-    tol = 1e-9 * max(1.0, abs(total))
-    pairs: list[tuple[int, int]] = []
-    free_cols = list(range(m))
-    fixed = 0.0
-    for i in range(n):
-        if len(pairs) == min(n, m):
-            break
-        for j in free_cols:
-            rest_cols = [c for c in free_cols if c != j]
-            rest = _lap_total(cost[np.ix_(np.arange(i + 1, n), rest_cols)])
-            if fixed + cost[i, j] + rest <= total + tol:
-                pairs.append((i, j))
-                fixed += cost[i, j]
-                free_cols.remove(j)
-                break
-        else:
-            if n - i - 1 < min(n, m) - len(pairs):
-                raise RuntimeError("assignment refinement failed to complete")
-    matched_rows = {i for i, _ in pairs}
-    return Assignment(pairs=tuple(pairs),
-                      unmatched_predictions=tuple(i for i in range(n) if i not in matched_rows))
 
 
 def encode_box_oracle(box: Box3D, spec: VoxelGridSpec) -> np.ndarray:

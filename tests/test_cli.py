@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from voxdet.cli import main
+from voxdet.geometry import VoxelGridSpec
 from voxdet.pipeline import PipelineConfig
 from voxdet.scene import SceneConfig
 from voxdet.verification import gradient_suite
@@ -92,6 +93,38 @@ class TestDetectAndEval:
         bad = {"schema_version": 99, "map": 0.0, "nds": 0.0, "tp_errors": {}}
         (run / "metrics.json").write_text(json.dumps(bad))
         assert main(["report", "--inputs", str(run), "--out", str(tmp_path / "r.csv")]) == 1
+
+
+def _write_run(run: Path, echo: dict) -> None:
+    run.mkdir()
+    (run / "config.json").write_text(json.dumps(echo, indent=1))
+    metrics = {"schema_version": 1, "map": 0.5, "tp_errors": {"ate": 0.25, "ase": 0.125},
+               "nds": 0.375, "per_class_ap": {}}
+    (run / "metrics.json").write_text(json.dumps(metrics))
+
+
+class TestReport:
+    CONFIG = PipelineConfig(
+        grid=VoxelGridSpec((-51.2, 51.2), (-8.0, 8.0), (-2.0, 2.0), (96, 16, 5), 32),
+        use_camera=False, encoder_op="conv2d")
+
+    def test_csv_from_config_echo(self, tmp_path):
+        _write_run(tmp_path / "run", {**self.CONFIG.to_dict(), "sweeps": 2})
+        out = tmp_path / "report.csv"
+        assert main(["report", "--inputs", str(tmp_path / "run"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"run,z,encoder_op,sweeps,cell_size,channels,map,nds,mate,mase\r\n"
+            b"run,5,conv2d,2,1.0666666666666667,32,0.5,0.375,0.25,0.125\r\n")
+
+    @pytest.mark.parametrize("field", ["grid", "encoder_op", "sweeps"])
+    def test_incomplete_echo_named(self, tmp_path, capsys, field):
+        echo = {**self.CONFIG.to_dict(), "sweeps": 2}
+        del echo[field]
+        _write_run(tmp_path / "run", echo)
+        assert main(["report", "--inputs", str(tmp_path / "run"),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert f"run/config.json.{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestTrack:

@@ -188,6 +188,13 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="encoder_op"):
             PipelineConfig.from_dict(data)
 
+    @pytest.mark.parametrize("strides", [["a"], [0], [[2, 2, 1]]])
+    def test_bad_head_strides_named(self, strides):
+        data = PipelineConfig().to_dict()
+        data["head_strides"] = strides
+        with pytest.raises(ValueError, match="head_strides"):
+            PipelineConfig.from_dict(data)
+
 
 class TestStage:
     def test_wraps_other_errors_with_stage_name(self):

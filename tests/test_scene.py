@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -213,8 +214,6 @@ class TestSceneIO:
             read_scene(tmp_path / "scene")
 
     def test_camera_channel_mismatch_rejected(self, tmp_path):
-        import json
-
         scene = generate_scene(SceneConfig(n_objects=1, channels=8), 2)
         write_scene(scene, tmp_path / "scene")
         manifest = tmp_path / "scene" / "manifest.json"
@@ -225,8 +224,6 @@ class TestSceneIO:
             read_scene(tmp_path / "scene")
 
     def test_malformed_manifest_box_named(self, tmp_path):
-        import json
-
         scene = generate_scene(SceneConfig(n_objects=2, channels=8), 2)
         write_scene(scene, tmp_path / "scene")
         manifest = tmp_path / "scene" / "manifest.json"
@@ -235,3 +232,24 @@ class TestSceneIO:
         manifest.write_text(json.dumps(data))
         with pytest.raises(SceneIOError, match=r"boxes\[1\]\.size"):
             read_scene(tmp_path / "scene")
+
+
+def _drop(key):
+    return lambda entry: entry.pop(key)
+
+
+@pytest.mark.parametrize("section, edit, message", [
+    ("cameras", _drop("height"), r"missing field 'cameras\[0\]\.height'"),
+    ("cameras", lambda entry: entry.update(height="x"),
+     r"cameras\[0\]\.height: expected int, found 'x'"),
+    ("cameras", lambda entry: entry.update(focal=1.0), r"unknown field 'cameras\[0\]\.focal'"),
+    ("ego_poses", _drop("matrix"), r"missing field 'ego_poses\[0\]\.matrix'"),
+])
+def test_malformed_manifest_entry_named(tmp_path, section, edit, message):
+    write_scene(generate_scene(SceneConfig(n_objects=1, channels=8), 2), tmp_path / "scene")
+    manifest = tmp_path / "scene" / "manifest.json"
+    data = json.loads(manifest.read_text())
+    edit(data[section][0])
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(SceneIOError, match=message):
+        read_scene(tmp_path / "scene")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from helpers import cost_matrix_oracle, encode_box_oracle, hungarian_match_oracle
+from helpers import brute_force_assignment_total, cost_matrix_oracle, encode_box_oracle
 from voxdet import training
 from voxdet.decoder import BlockPrediction, encode_boxes
 from voxdet.geometry import VoxelGridSpec
@@ -30,18 +30,6 @@ SPEC = VoxelGridSpec((-8.0, 8.0), (-8.0, 8.0), (-2.0, 2.0), (16, 16, 4), 32)
 ODD_SPEC = VoxelGridSpec((-51.2, 51.2), (-30.0, 45.0), (-5.0, 3.3), (128, 96, 10), 8)
 
 
-def brute_force_total(cost: np.ndarray) -> float:
-    n, m = cost.shape
-    best = np.inf
-    if n <= m:
-        for cols in itertools.permutations(range(m), n):
-            best = min(best, sum(cost[i, j] for i, j in enumerate(cols)))
-    else:
-        for rows in itertools.permutations(range(n), m):
-            best = min(best, sum(cost[i, j] for j, i in enumerate(rows)))
-    return best
-
-
 class TestHungarian:
     def test_two_by_two(self):
         assign = hungarian_match(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -61,7 +49,7 @@ class TestHungarian:
             assign = hungarian_match(cost)
             total = sum(cost[i, j] for i, j in assign.pairs)
             assert len(assign.pairs) == min(n, m)
-            assert total == pytest.approx(brute_force_total(cost), abs=1e-9)
+            assert total == pytest.approx(brute_force_assignment_total(cost), abs=1e-9)
 
     def test_rectangular_unmatched(self):
         cost = np.array([[5.0], [0.0], [9.0]])
@@ -105,9 +93,9 @@ def tie_heavy_costs(draw):
     digits = draw(arrays(np.int64, shape, elements=st.integers(0, 3))).astype(np.float64)
     if kind == "tenths":
         return whole + digits / 10
-    if kind == "near_tie":  # ties broken by 1e-10, well inside the matcher's tolerance
+    if kind == "near_tie":  # ties broken by 1e-10
         return whole + 1e-10 * digits
-    # steps of 1e-9 on totals below one land exactly on the tolerance
+    # near-optimal alternatives a few steps of 1e-9 above the optimum
     return 0.3 * (whole > 1) + 1e-9 * digits
 
 
@@ -118,37 +106,33 @@ def tolerance_edge_costs(seed, count):
         yield 1e-9 * rng.integers(0, 4, shape) + 0.3 * rng.integers(0, 2, shape)
 
 
-def outcome(match, cost):
-    try:
-        return match(cost)
-    except RuntimeError as err:
-        return str(err)
+def check_optimal_one_to_one(cost):
+    """One-to-one pairs in row order, and optimal against brute force up to 7x7."""
+    n, m = cost.shape
+    assign = hungarian_match(cost)
+    rows = [i for i, _ in assign.pairs]
+    cols = [j for _, j in assign.pairs]
+    assert len(assign.pairs) == min(n, m)
+    assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+    assert assign.unmatched_predictions == tuple(i for i in range(n) if i not in rows)
+    if n <= 7 and m <= 7:  # well below the 1e-9 steps of the near-optimal alternatives
+        total = float(cost[rows, cols].sum())
+        assert total == pytest.approx(brute_force_assignment_total(cost), abs=1e-12)
 
 
 class TestHungarianOracle:
-    """The dual-pruned search returns exactly the exhaustive search's assignment."""
+    """Matches are one-to-one and optimal against a brute-force oracle, ties included."""
 
     @given(tie_heavy_costs())
     @settings(max_examples=300, deadline=None)
-    def test_equals_oracle(self, cost):
-        assert outcome(hungarian_match, cost) == outcome(hungarian_match_oracle, cost)
+    def test_tie_heavy_optimal(self, cost):
+        check_optimal_one_to_one(cost)
 
-    def test_equals_oracle_at_tolerance_edge(self):
-        # alternatives costing the optimum plus exactly the tolerance: the
-        # reduced cost lands a few ulps above it, so only the slack keeps them
+    def test_tolerance_edge_optimal(self):
+        # alternatives costing the optimum plus a few 1e-9 steps; an exact
+        # tie-break rule can fail to complete on these in floating point
         for cost in tolerance_edge_costs(seed=5, count=300):
-            assert outcome(hungarian_match, cost) == outcome(hungarian_match_oracle, cost)
-
-    def test_duals_of_a_non_optimal_assignment_refused(self):
-        # the assignment (0, 1), (1, 0) costs 2 against an optimum of 0: its
-        # residual graph has a negative cycle, so the relaxation never settles
-        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert training._reduced_costs(cost, np.array([0, 1]), np.array([1, 0])) is None
-
-    def test_every_column_tried_without_duals(self, monkeypatch):
-        monkeypatch.setattr(training, "_reduced_costs", lambda cost, rows, cols: None)
-        for cost in tolerance_edge_costs(seed=6, count=50):
-            assert outcome(hungarian_match, cost) == outcome(hungarian_match_oracle, cost)
+            check_optimal_one_to_one(cost)
 
     def test_solve_count(self, monkeypatch):
         solves = []
@@ -160,7 +144,7 @@ class TestHungarianOracle:
         monkeypatch.setattr(training, "linear_sum_assignment", counting)
         cost = np.random.default_rng(9).uniform(0.0, 10.0, size=(300, 20))
         assign = hungarian_match(cost)
-        assert len(solves) <= 2 * min(cost.shape) + 1
+        assert solves == [cost.shape]
         rows, cols = linear_sum_assignment(cost)
         total = sum(cost[i, j] for i, j in assign.pairs)
         assert len(assign.pairs) == 20
