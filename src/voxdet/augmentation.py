@@ -20,7 +20,6 @@ from . import numerics as nm
 from .geometry import (
     CameraCalibration,
     EgoPose,
-    align_to_initial,
     metric_to_grid_coords,
     voxel_centers,
 )
@@ -134,19 +133,17 @@ def apply_to_voxel_grid(transform: GlobalTransform, grid: VoxelGrid) -> VoxelGri
 def transform_scene(scene: Scene, transform: GlobalTransform) -> Scene:
     """Apply a global transform to every modality of a scene, cameras included.
 
-    Camera sweeps are first aligned into the initial ego frame, then the rig
-    follows the scene: orientations pick up the rotation/flip, positions are
-    additionally scaled.  Pixel content is unchanged (a camera moving rigidly
+    Camera sweeps are first aligned into the ego frame at offset 0, as the
+    pipeline lifts them, then the rig follows the scene: orientations pick up
+    the rotation/flip, positions are additionally scaled.  Pixel content is unchanged (a camera moving rigidly
     with the world sees the same image), so lifted features of the
     transformed scene match the transformed lifted features of the original.
     """
     new_cloud, new_boxes = apply_to_points(transform, scene.cloud, scene.boxes)
     rf = transform.rotation_flip_matrix()
-    pose_0 = scene.ego_poses[0] if scene.ego_poses else EgoPose(np.eye(4))
     new_cameras = []
     for cam in scene.cameras:
-        pose_t = scene.pose_at(cam.time_offset) if scene.ego_poses else pose_0
-        aligned = align_to_initial(cam.calibration, pose_t, pose_0)
+        aligned = scene.initial_frame_calibration(cam)
         ext = aligned.extrinsic
         new_ext = np.eye(4)
         new_ext[:3, :3] = rf @ ext[:3, :3]

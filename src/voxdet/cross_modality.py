@@ -8,6 +8,7 @@ them with a single 1x1x1 convolution to the unified volume.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,24 +18,11 @@ from .modality import EncoderTap, VoxelGrid
 from .numerics import Parameter, Tensor
 
 __all__ = [
-    "ModalitySelection",
     "FusionParams",
     "partial_l2",
     "knowledge_transfer_loss",
     "modality_switch_fuse",
 ]
-
-
-@dataclass(frozen=True)
-class ModalitySelection:
-    """Which modality-specific spaces feed the final prediction."""
-
-    use_camera: bool = True
-    use_lidar: bool = True
-
-    def __post_init__(self):
-        if not (self.use_camera or self.use_lidar):
-            raise ValueError("at least one modality must be selected")
 
 
 @dataclass
@@ -91,26 +79,12 @@ def knowledge_transfer_loss(
     return nm.tmean(partial_l2(t_samples, s_samples))
 
 
-def modality_switch_fuse(
-    vi: VoxelGrid | None,
-    vp: VoxelGrid | None,
-    selection: ModalitySelection,
-    params: FusionParams,
-) -> VoxelGrid:
-    """Select the active spaces, sum them, and fuse with one convolution."""
-    chosen = []
-    if selection.use_camera:
-        if vi is None:
-            raise ValueError("selection requests the camera space but it is absent")
-        chosen.append(vi)
-    if selection.use_lidar:
-        if vp is None:
-            raise ValueError("selection requests the LiDAR space but it is absent")
-        chosen.append(vp)
-    if len(chosen) == 2 and chosen[0].spec != chosen[1].spec:
+def modality_switch_fuse(spaces: list[VoxelGrid], params: FusionParams) -> VoxelGrid:
+    """Sum the selected spaces (camera, then LiDAR) and fuse with one convolution."""
+    if not spaces:
+        raise ValueError("modality fusion needs at least one space")
+    if any(v.spec != spaces[0].spec for v in spaces[1:]):
         raise ValueError("fused spaces must share a grid spec")
-    combined = chosen[0].features
-    for other in chosen[1:]:
-        combined = nm.add(combined, other.features)
+    combined = functools.reduce(nm.add, [v.features for v in spaces])
     fused = nm.conv(combined, params.weight, params.bias)
-    return VoxelGrid(spec=chosen[0].spec, features=fused)
+    return VoxelGrid(spec=spaces[0].spec, features=fused)

@@ -275,7 +275,6 @@ def _shared_head(x: Tensor, head: HeadParams) -> tuple[Tensor, Tensor]:
 class BlockPrediction:
     class_logits: Tensor  # (N, num_classes)
     box_params: Tensor  # (N, 10)
-    reference_in: Tensor  # (N, 3) normalized, before this block's refinement
     reference_out: Tensor  # (N, 3) normalized, after sigmoid-space update
 
 
@@ -305,8 +304,7 @@ def decoder_block(
     cls, box = _shared_head(q3, head)
     delta = nm.getitem(box, (slice(None), slice(0, 3)))
     refined = nm.sigmoid(nm.add(nm.inverse_sigmoid(references), delta))
-    pred = BlockPrediction(class_logits=cls, box_params=box,
-                           reference_in=references, reference_out=refined)
+    pred = BlockPrediction(class_logits=cls, box_params=box, reference_out=refined)
     return q3, pred, refined
 
 
@@ -381,15 +379,14 @@ def decode_boxes(prediction: BlockPrediction, spec) -> list[Box3D]:
     return out
 
 
-def decode(params: DecoderParams, grid: VoxelGrid, config: DecoderConfig | None = None) -> DecodeResult:
+def decode(params: DecoderParams, grid: VoxelGrid) -> DecodeResult:
     """Run all decoder blocks over the unified volume."""
-    config = config or params.config
     queries = params.query_embed
     references = initial_references(params)
     blocks = []
     for block in params.blocks:
         queries, pred, references = decoder_block(
-            queries, references, grid.features, block, params.head, config
+            queries, references, grid.features, block, params.head, params.config
         )
         blocks.append(pred)
     detections = decode_boxes(blocks[-1], grid.spec)

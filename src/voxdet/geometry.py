@@ -128,14 +128,6 @@ class VoxelGridSpec:
             (hi - lo) / n for (lo, hi), n in zip(self.ranges, self.counts)
         )
 
-    @property
-    def midpoints(self) -> tuple[float, float, float]:
-        return tuple((lo + hi) / 2.0 for lo, hi in self.ranges)
-
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=np.float64)
-        return all(lo <= v < hi for v, (lo, hi) in zip(p, self.ranges))
-
 
 def project_points(points: np.ndarray, calib: CameraCalibration):
     """Vectorized pinhole projection of (N, 3) ego-frame points.

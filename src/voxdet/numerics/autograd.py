@@ -155,9 +155,6 @@ class Tape:
     def _record(self, node: Tensor) -> None:
         self._nodes.append(node)
 
-    def backward(self, loss: Tensor) -> None:
-        backward(self, loss)
-
 
 def accumulate_grad(node: Tensor, grad: np.ndarray) -> None:
     """Add ``grad`` into ``node.grad``, allocating the buffer on first use."""

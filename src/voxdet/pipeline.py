@@ -10,6 +10,7 @@ not depend on the worker count.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .cross_modality import FusionParams, ModalitySelection, modality_switch_fuse
+from .cross_modality import FusionParams, modality_switch_fuse
 from .decoder import DecodeResult, DecoderConfig, DecoderParams, decode
-from .geometry import VoxelGridSpec, align_to_initial
+from .geometry import VoxelGridSpec
 from .modality import (
     DepthHeadParams,
     DepthSpec,
@@ -87,8 +88,8 @@ class PipelineConfig:
             raise ValueError(f"encoder_op: unknown value {self.encoder_op!r}")
         if self.kt_teacher not in ("lidar", "fused"):
             raise ValueError(f"kt_teacher: unknown value {self.kt_teacher!r}")
-        if any(s < 1 for s in self.head_strides):
-            raise ValueError(f"head_strides: strides must be >= 1, got {self.head_strides}")
+        if not self.head_strides or any(s < 1 for s in self.head_strides):
+            raise ValueError(f"head_strides: need one or more strides >= 1, got {self.head_strides}")
         if not (self.use_camera or self.use_lidar):
             raise ValueError("use_camera/use_lidar: at least one modality required")
         if self.grid.channels != self.decoder.channels:
@@ -96,14 +97,6 @@ class PipelineConfig:
                 f"grid.channels: {self.grid.channels} must equal decoder channels "
                 f"{self.decoder.channels}"
             )
-
-    @property
-    def grid_spec(self) -> VoxelGridSpec:
-        return self.grid
-
-    @property
-    def selection(self) -> ModalitySelection:
-        return ModalitySelection(use_camera=self.use_camera, use_lidar=self.use_lidar)
 
     def to_dict(self) -> dict:
         return to_dict(self)
@@ -144,7 +137,7 @@ def _needs_lidar(config: PipelineConfig) -> bool:
 
 
 def build_model(config: PipelineConfig, seed: int | None = None,
-                n_camera_sweeps: int | None = None) -> ModelParams:
+                n_camera_sweeps: int = 1) -> ModelParams:
     """Instantiate all parameters from per-component child seeds."""
     seed = config.seed if seed is None else seed
     c = config.grid.channels
@@ -153,9 +146,8 @@ def build_model(config: PipelineConfig, seed: int | None = None,
         depth_head = DepthHeadParams.create(
             _component_rng(seed, "depth_head"), c, config.depth.bins
         )
-        sweeps = 1 if n_camera_sweeps is None else n_camera_sweeps
         sweep_fusion = SweepFusionParams.create(
-            _component_rng(seed, "sweep_fusion"), c, sweeps
+            _component_rng(seed, "sweep_fusion"), c, n_camera_sweeps
         )
         encoder_img = EncoderParams.create(
             _component_rng(seed, "encoder_img"), c, config.encoder_op, prefix="encoder_img"
@@ -207,40 +199,28 @@ def _stage(name):
 
 
 def _lift_camera(cam, scene, config, params):
-    pose_0 = scene.pose_at(0.0) if scene.ego_poses else None
-    if pose_0 is not None:
-        aligned = align_to_initial(cam.calibration, scene.pose_at(cam.time_offset), pose_0)
-    else:
-        aligned = cam.calibration
     feats = Tensor(cam.features)
     dist = predict_depth_distribution(feats, params.depth_head, config.depth)
-    return lift_image_to_voxels(feats, dist, aligned, config.grid, config.depth)
+    calib = scene.initial_frame_calibration(cam)
+    return lift_image_to_voxels(feats, dist, calib, config.grid, config.depth)
 
 
 def _camera_branch(scene, config, params, threads):
-    offsets = scene.sweep_offsets
-    groups = {t: [c for c in scene.cameras if c.time_offset == t] for t in offsets}
-    camera_list = [(t, cam) for t in offsets for cam in groups[t]]
-    parallel = threads > 1 and nm.active_tape() is None and len(camera_list) > 1
-    if parallel:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lifted = list(
-                pool.map(lambda item: _lift_camera(item[1], scene, config, params), camera_list)
-            )
-    else:
-        lifted = [_lift_camera(cam, scene, config, params) for _, cam in camera_list]
+    def lift(cam):
+        return _lift_camera(cam, scene, config, params)
 
-    per_sweep = []
-    cursor = 0
-    for t in offsets:
-        total = None
-        for _ in groups[t]:  # fixed camera order keeps the sum deterministic
-            contribution = lifted[cursor]
-            cursor += 1
-            total = contribution if total is None else nm.add(total, contribution)
-        if total is None:
-            raise ValueError(f"sweep at offset {t} has no cameras")
-        per_sweep.append(total)
+    if threads > 1 and nm.active_tape() is None and len(scene.cameras) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            lifted = list(pool.map(lift, scene.cameras))
+    else:
+        lifted = [lift(cam) for cam in scene.cameras]
+    offsets = scene.sweep_offsets
+    # scene camera order within a sweep keeps the sum independent of the pool
+    per_sweep = [
+        functools.reduce(nm.add, [v for v, cam in zip(lifted, scene.cameras)
+                                  if cam.time_offset == t])
+        for t in offsets
+    ]
     fused = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion)
     grid = VoxelGrid(spec=config.grid, features=fused)
     return voxel_encoder(grid, params.encoder_img)
@@ -267,11 +247,12 @@ def forward_scene(
             )
             teacher = pts_tap
     with _stage("fusion"):
-        vu = modality_switch_fuse(vi, vp, config.selection, params.fusion)
+        selected = [v for v, on in ((vi, config.use_camera), (vp, config.use_lidar)) if on]
+        vu = modality_switch_fuse(selected, params.fusion)
     if config.kt_enabled and config.kt_teacher == "fused":
         teacher = EncoderTap(features=vu.features)
     with _stage("decode"):
-        result = decode(params.decoder, vu, config.decoder)
+        result = decode(params.decoder, vu)
     expose_taps = teacher is not None and student is not None
     return ForwardResult(
         vu=vu,
@@ -291,7 +272,7 @@ def run_detection(
 ) -> DetectionResult:
     """Full inference: forward pass plus range filter and circle NMS."""
     if params is None:
-        params = build_model(config, n_camera_sweeps=len(scene.sweep_offsets) or None)
+        params = build_model(config, n_camera_sweeps=len(scene.sweep_offsets) or 1)
     fw = forward_scene(scene, config, params, threads=threads)
     with _stage("postprocess"):
         detections = run_postprocess(fw.decode.detections, config)
@@ -307,7 +288,7 @@ def run_sequence(
 ) -> list[TrackerState]:
     """Detect every frame and chain the greedy tracker; frames must be time-ordered."""
     if params is None and scenes:
-        params = build_model(config, n_camera_sweeps=len(scenes[0].sweep_offsets) or None)
+        params = build_model(config, n_camera_sweeps=len(scenes[0].sweep_offsets) or 1)
     state = TrackerState()
     states = []
     for scene in scenes:

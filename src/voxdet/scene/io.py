@@ -13,6 +13,7 @@ float64 in memory.  read_scene(write_scene(s)) reproduces s bit-exactly.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,15 @@ def _read_blob(path: Path, shape: tuple[int, ...], field: str) -> np.ndarray:
             f"manifest declares shape {shape} ({expected})"
         )
     return raw.reshape(shape).astype(np.float64)
+
+
+@contextmanager
+def _entry(path: str):
+    """Re-raise a manifest entry's validation error as a SceneIOError naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SceneIOError(f"{path}: {exc}") from exc
 
 
 def write_scene(scene: Scene, path) -> SceneManifest:
@@ -117,13 +127,14 @@ def read_scene(path) -> Scene:
         raise SceneIOError(f"cameras: channel counts disagree ({sorted(channel_counts)})")
 
     cameras = []
-    for entry in manifest.cameras:
+    for i, entry in enumerate(manifest.cameras):
         shape = (entry.height, entry.width, entry.channels)
         feats = _read_blob(root / entry.file, shape, f"camera {entry.name}")
-        calib = CameraCalibration(
-            intrinsics=np.array(entry.intrinsics),
-            extrinsic=np.array(entry.extrinsic),
-        )
+        with _entry(f"cameras[{i}]"):
+            calib = CameraCalibration(
+                intrinsics=np.array(entry.intrinsics),
+                extrinsic=np.array(entry.extrinsic),
+            )
         cameras.append(
             CameraView(
                 name=entry.name,
@@ -136,8 +147,10 @@ def read_scene(path) -> Scene:
     records = _read_blob(root / manifest.points_file, (manifest.num_points, 5), "points")
     cloud = PointCloud(records[:, :3], records[:, 3], records[:, 4])
 
-    poses = [EgoPose(matrix=np.array(p.matrix), timestamp=p.time_offset)
-             for p in manifest.ego_poses]
+    poses = []
+    for i, p in enumerate(manifest.ego_poses):
+        with _entry(f"ego_poses[{i}]"):
+            poses.append(EgoPose(matrix=np.array(p.matrix), timestamp=p.time_offset))
     return Scene(
         scene_id=manifest.scene_id,
         seed=manifest.seed,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..geometry import CameraCalibration, EgoPose
+from ..geometry import CameraCalibration, EgoPose, align_to_initial
 
 __all__ = [
     "Box3D", "PointCloud", "CameraView", "Scene", "CameraRecord", "PoseRecord", "SceneManifest",
@@ -186,6 +186,16 @@ class Scene:
             if abs(pose.timestamp - time_offset) < 1e-9:
                 return pose
         raise KeyError(f"no ego pose recorded at offset {time_offset}")
+
+    def initial_frame_calibration(self, cam: CameraView) -> CameraCalibration:
+        """The camera's calibration re-expressed in the ego frame at offset 0.
+
+        A scene without poses is taken to be recorded in that frame already.
+        """
+        if not self.ego_poses:
+            return cam.calibration
+        return align_to_initial(cam.calibration, self.pose_at(cam.time_offset),
+                                self.pose_at(0.0))
 
     @property
     def sweep_offsets(self) -> list[float]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import numbers
 import os
 import typing
 from pathlib import Path
@@ -63,9 +64,10 @@ def to_dict(obj):
 def from_dict(cls, data, path: str = ""):
     """Rebuild dataclass ``cls`` from :func:`to_dict` output.
 
-    Values are cast to the field annotations.  ``data`` must hold exactly the
-    fields ``to_dict`` writes; a missing or unknown key raises ``ValueError``
-    naming its dotted path (``path`` prefixes it).
+    Scalars must have their annotated JSON type (an int is also a float); a
+    wrong type, or a missing or unknown key, raises ``ValueError`` naming its
+    dotted path (``path`` prefixes it).  ``data`` must hold exactly the fields
+    ``to_dict`` writes.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{path or cls.__name__}: expected an object, found {data!r}")
@@ -122,15 +124,33 @@ def _decode(tp, value, path: str):
             return dict(value)
         kt, vt = args
         return {
-            _decode(kt, k, _join(path, k)): _decode(vt, v, _join(path, k))
+            _decode_key(kt, k, _join(path, k)): _decode(vt, v, _join(path, k))
             for k, v in value.items()
         }
-    if tp in (int, float, bool, str):
-        try:
-            return tp(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: expected {tp.__name__}, found {value!r}") from None
+    if tp in _SCALARS:
+        if not _SCALARS[tp](value):
+            raise ValueError(f"{path}: expected {tp.__name__}, found {value!r}")
+        return tp(value)
     return value
+
+
+# JSON scalar checks: a bool is never a number, and an int field takes no fraction
+_SCALARS = {
+    int: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    bool: lambda v: isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+}
+
+
+def _decode_key(tp, key, path: str):
+    """JSON object keys are strings; an int key must spell an integer."""
+    if tp is int and isinstance(key, str):
+        try:
+            return int(key)
+        except ValueError:
+            raise ValueError(f"{path}: expected int, found {key!r}") from None
+    return _decode(tp, key, path)
 
 
 def _jsonl(records) -> str:
@@ -166,7 +186,7 @@ def read_boxes_jsonl(path) -> list[list[Box3D]]:
         try:
             if not isinstance(rec, dict) or "frame" not in rec:
                 raise ValueError("missing field 'frame'")
-            frame = int(rec.pop("frame"))
+            frame = _decode(int, rec.pop("frame"), "frame")
             rec.pop("id", None)
             box = from_dict(Box3D, rec)
         except (TypeError, ValueError) as exc:

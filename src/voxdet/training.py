@@ -221,7 +221,7 @@ def compute_scene_loss(scene, config, params, threads: int = 1):
     from .pipeline import forward_scene
 
     fw = forward_scene(scene, config, params, threads=threads)
-    spec = config.grid_spec
+    spec = config.grid
     assignments = [
         hungarian_match(cost_matrix(block, scene.boxes, spec))
         for block in fw.decode.blocks
@@ -229,7 +229,7 @@ def compute_scene_loss(scene, config, params, threads: int = 1):
     l_det, cls_part, box_part = detection_loss(
         fw.decode.blocks, scene.boxes, assignments, spec
     )
-    if config.kt_enabled and fw.teacher_tap is not None and fw.student_tap is not None:
+    if config.kt_enabled:
         positions = fw.decode.final_references * reference_grid_scale(spec.counts)
         l_kt = knowledge_transfer_loss(fw.teacher_tap, fw.student_tap, positions)
     else:
@@ -264,7 +264,7 @@ def micro_fit(
 
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    params = build_model(config, seed, n_camera_sweeps=len(scene.sweep_offsets) or None)
+    params = build_model(config, seed, n_camera_sweeps=len(scene.sweep_offsets) or 1)
     optimizer = SGDOptimizer(params.trainable(), learning_rate)
     history: list[LossBreakdown] = []
 

@@ -235,8 +235,7 @@ def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS)
         refs_in = Tensor(np.full((4, 3), 0.5))
         refined = nm.sigmoid(nm.add(nm.inverse_sigmoid(refs_in),
                                     nm.getitem(box, (slice(None), slice(0, 3)))))
-        pred = BlockPrediction(class_logits=logits, box_params=box,
-                               reference_in=refs_in, reference_out=refined)
+        pred = BlockPrediction(class_logits=logits, box_params=box, reference_out=refined)
         loss, _, _ = detection_loss([pred], gts, [assignment], lspec)
         return loss
 
@@ -291,11 +290,11 @@ def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS)
 
     def decode_scalar():
         grid = VoxelGrid(spec=spec, features=Tensor(volume))
-        return _decode_readout(decode(dparams, grid, config))
+        return _decode_readout(decode(dparams, grid))
 
     def decode_volume_fn(v):
         grid = VoxelGrid(spec=spec, features=nm.reshape(v, spec.counts + (8,)))
-        return _decode_readout(decode(dparams, grid, config))
+        return _decode_readout(decode(dparams, grid))
 
     results.append(_run("decode.volume", rng,
                         lambda r: 0.5 * r.standard_normal(int(np.prod(spec.counts)) * 8),

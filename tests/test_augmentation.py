@@ -15,7 +15,7 @@ from voxdet.augmentation import (
 from voxdet.geometry import VoxelGridSpec
 from voxdet.modality import DepthHeadParams, DepthSpec, VoxelGrid
 from voxdet.numerics import Parameter, Tensor
-from voxdet.scene import Box3D, PointCloud, bev_boxes_overlap
+from voxdet.scene import Box3D, PointCloud, SceneConfig, bev_boxes_overlap, generate_scene
 from voxdet.scene.types import Scene
 
 from helpers import lift_scene_cameras, synthetic_camera_scene
@@ -168,6 +168,28 @@ class TestLiftSynchronization:
         lifted_moved = lift_scene_cameras(moved, spec, depth, params)
 
         np.testing.assert_array_equal(lifted_moved, transformed_grid)
+
+
+def test_transform_scene_aligns_cameras_like_the_pipeline(monkeypatch):
+    import voxdet.pipeline as pipeline
+
+    scene = generate_scene(SceneConfig(n_objects=1, n_cameras=2, channels=32,
+                                       n_camera_sweeps=2, ego_speed=2.0), seed=4)
+    scene.ego_poses.reverse()  # the first recorded pose is now the one at -0.5 s
+    assert scene.ego_poses[0].timestamp == -0.5
+    lifted_with = []
+    lift = pipeline.lift_image_to_voxels
+
+    def recording_lift(feats, dist, calib, *args):
+        lifted_with.append(calib.extrinsic)
+        return lift(feats, dist, calib, *args)
+
+    monkeypatch.setattr(pipeline, "lift_image_to_voxels", recording_lift)
+    pipeline.run_detection(scene, pipeline.PipelineConfig(use_lidar=False))
+    moved = transform_scene(scene, GlobalTransform())
+    assert len(lifted_with) == len(moved.cameras) == 4
+    for extrinsic, cam in zip(lifted_with, moved.cameras):
+        np.testing.assert_array_equal(cam.calibration.extrinsic, extrinsic)
 
 
 class TestGtSample:

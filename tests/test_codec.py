@@ -128,6 +128,40 @@ class TestStrictKeys:
             from_dict(Box3D, data)
 
 
+def _with(data, path, value):
+    *parents, key = path.split(".")
+    node = data
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    return data
+
+
+@pytest.mark.parametrize("cls, path, value, message", [
+    (PipelineConfig, "use_camera", "false", "use_camera: expected bool, found 'false'"),
+    (PipelineConfig, "kt_enabled", "no", "kt_enabled: expected bool, found 'no'"),
+    (PipelineConfig, "use_lidar", 1, "use_lidar: expected bool, found 1"),
+    (PipelineConfig, "seed", 3.9, "seed: expected int, found 3.9"),
+    (PipelineConfig, "seed", True, "seed: expected int, found True"),
+    (PipelineConfig, "grid.counts", [16.7, 16, 4], r"grid.counts\[0\]: expected int, found 16.7"),
+    (PipelineConfig, "depth.depth_limit", False, "depth.depth_limit: expected float, found False"),
+    (PipelineConfig, "encoder_op", 3, "encoder_op: expected str, found 3"),
+    (SceneConfig, "n_objects", 2.5, "n_objects: expected int, found 2.5"),
+])
+def test_wrong_json_type_named(cls, path, value, message):
+    with pytest.raises(ValueError, match=message):
+        from_dict(cls, _with(to_dict(cls()), path, value))
+
+
+def test_int_loads_as_float_and_int_keys_parse():
+    data = _with(PipelineConfig().to_dict(), "postprocess.nms_radius", 2)
+    _with(data, "postprocess.nms_radius_per_class", {"0": 1})
+    post = PipelineConfig.from_dict(data).postprocess
+    assert type(post.nms_radius) is float and post.nms_radius == 2.0
+    assert post.nms_radius_per_class == {0: 1.0}
+    assert type(post.nms_radius_per_class[0]) is float
+
+
 def test_to_dict_is_plain_json():
     config = PipelineConfig(postprocess=PostprocessConfig(nms_radius_per_class={2: 0.5}))
     data = to_dict(config)

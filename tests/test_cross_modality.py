@@ -4,7 +4,6 @@ import pytest
 from voxdet import numerics as nm
 from voxdet.cross_modality import (
     FusionParams,
-    ModalitySelection,
     knowledge_transfer_loss,
     modality_switch_fuse,
     partial_l2,
@@ -131,30 +130,29 @@ class TestModalitySwitchFuse:
 
     def test_camera_only_identity(self):
         vi = self._grid(1.5)
-        out = modality_switch_fuse(vi, None, ModalitySelection(True, False),
-                                   identity_fusion(3))
+        out = modality_switch_fuse([vi], identity_fusion(3))
         np.testing.assert_allclose(out.features.data, vi.features.data, rtol=0, atol=1e-12)
 
     def test_zero_summand(self):
         vi = VoxelGrid(spec=SPEC, features=Tensor(
             np.random.default_rng(10).standard_normal(SPEC.counts + (3,))))
         vp = self._grid(0.0)
-        out = modality_switch_fuse(vi, vp, ModalitySelection(True, True), identity_fusion(3))
+        out = modality_switch_fuse([vi, vp], identity_fusion(3))
         np.testing.assert_allclose(out.features.data, vi.features.data, rtol=0, atol=1e-12)
 
     def test_constant_sum(self):
-        out = modality_switch_fuse(self._grid(2.0), self._grid(3.0),
-                                   ModalitySelection(True, True), identity_fusion(3))
+        out = modality_switch_fuse([self._grid(2.0), self._grid(3.0)], identity_fusion(3))
         np.testing.assert_allclose(out.features.data, 5.0, rtol=0, atol=1e-12)
 
-    def test_absent_grid_rejected(self):
-        with pytest.raises(ValueError):
-            modality_switch_fuse(None, self._grid(1.0), ModalitySelection(True, True),
-                                 identity_fusion(3))
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one space"):
+            modality_switch_fuse([], identity_fusion(3))
 
-    def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError):
-            ModalitySelection(False, False)
+    def test_spec_mismatch_rejected(self):
+        other = VoxelGridSpec((-2.0, 2.0), (-2.0, 2.0), (-1.0, 3.0), (4, 4, 2), 3)
+        vp = VoxelGrid(spec=other, features=Tensor(np.zeros(other.counts + (3,))))
+        with pytest.raises(ValueError, match="share a grid spec"):
+            modality_switch_fuse([self._grid(1.0), vp], identity_fusion(3))
 
     def test_linear_in_inputs(self):
         rng = np.random.default_rng(11)
@@ -164,9 +162,9 @@ class TestModalitySwitchFuse:
 
         def fuse(x, y):
             return modality_switch_fuse(
-                VoxelGrid(spec=SPEC, features=Tensor(x)),
-                VoxelGrid(spec=SPEC, features=Tensor(y)),
-                ModalitySelection(True, True), fusion,
+                [VoxelGrid(spec=SPEC, features=Tensor(x)),
+                 VoxelGrid(spec=SPEC, features=Tensor(y))],
+                fusion,
             ).features.data
 
         # the fusion convolution is affine; subtracting the zero response

@@ -244,13 +244,13 @@ class TestDecoderBlock:
 
     def test_block_count_matches_predictions(self):
         params = DecoderParams.create(CONFIG, seed=21)
-        result = decode(params, small_volume(), CONFIG)
+        result = decode(params, small_volume())
         assert len(result.blocks) == CONFIG.num_blocks
         assert len(result.detections) == CONFIG.num_queries
 
     def test_references_stay_in_unit_cube(self):
         params = DecoderParams.create(CONFIG, seed=22)
-        result = decode(params, small_volume(3), CONFIG)
+        result = decode(params, small_volume(3))
         for block in result.blocks:
             assert block.reference_out.data.min() >= 0.0
             assert block.reference_out.data.max() <= 1.0
@@ -265,8 +265,7 @@ class TestDecodeBoxes:
         logits[0] = logits_row
         refs = np.full((n, 3), 0.5)
         return BlockPrediction(
-            class_logits=Tensor(logits), box_params=Tensor(box),
-            reference_in=Tensor(refs), reference_out=Tensor(refs),
+            class_logits=Tensor(logits), box_params=Tensor(box), reference_out=Tensor(refs),
         )
 
     def test_yaw_identity(self):
@@ -299,7 +298,7 @@ class TestDecodeEquivariance:
             blk.cross.offset_w.data[...] = 0.2 * rng.standard_normal(blk.cross.offset_w.shape)
             blk.cross.attn_w.data[...] = 0.2 * rng.standard_normal(blk.cross.attn_w.shape)
         volume = small_volume(4)
-        base = decode(params, volume, config)
+        base = decode(params, volume)
 
         perm = np.array([5, 2, 7, 0, 4, 1, 6, 3])
         params_perm = DecoderParams.create(config, seed=23)
@@ -310,7 +309,7 @@ class TestDecodeEquivariance:
                 b_dst.cross.offset_w.data[...] = b_src.cross.offset_w.data
                 b_dst.cross.attn_w.data[...] = b_src.cross.attn_w.data
         params_perm.query_embed.data[...] = params.query_embed.data[perm]
-        permuted = decode(params_perm, volume, config)
+        permuted = decode(params_perm, volume)
 
         for blk_base, blk_perm in zip(base.blocks, permuted.blocks):
             np.testing.assert_allclose(blk_perm.class_logits.data,

@@ -188,7 +188,11 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="encoder_op"):
             PipelineConfig.from_dict(data)
 
-    @pytest.mark.parametrize("strides", [["a"], [0], [[2, 2, 1]]])
+    def test_no_modality_rejected(self):
+        with pytest.raises(ValueError, match="use_camera/use_lidar"):
+            PipelineConfig(use_camera=False, use_lidar=False)
+
+    @pytest.mark.parametrize("strides", [["a"], [0], [[2, 2, 1]], []])
     def test_bad_head_strides_named(self, strides):
         data = PipelineConfig().to_dict()
         data["head_strides"] = strides

@@ -244,6 +244,12 @@ def _drop(key):
      r"cameras\[0\]\.height: expected int, found 'x'"),
     ("cameras", lambda entry: entry.update(focal=1.0), r"unknown field 'cameras\[0\]\.focal'"),
     ("ego_poses", _drop("matrix"), r"missing field 'ego_poses\[0\]\.matrix'"),
+    ("cameras", lambda entry: entry.update(height=24.7),
+     r"cameras\[0\]\.height: expected int, found 24\.7"),
+    ("cameras", lambda entry: entry.update(intrinsics=[[20.0, 0.0], [0.0, 20.0]]),
+     r"cameras\[0\]: intrinsics must be 3x3, got \(2, 2\)"),
+    ("ego_poses", lambda entry: entry["matrix"][3].__setitem__(0, 1.0),
+     r"ego_poses\[0\]: ego pose bottom row must be \(0, 0, 0, 1\)"),
 ])
 def test_malformed_manifest_entry_named(tmp_path, section, edit, message):
     write_scene(generate_scene(SceneConfig(n_objects=1, channels=8), 2), tmp_path / "scene")

@@ -73,6 +73,7 @@ class TestBoxesJsonlErrors:
         (lambda rec: rec.pop("center"), "center"),
         (lambda rec: rec.update(centre=[0.0, 0.0, 0.0]), "centre"),
         (lambda rec: rec.update(score=1.5), "score"),
+        (lambda rec: rec.update(frame=0.5), "frame: expected int, found 0.5"),
     ])
     def test_malformed_record_names_line_and_field(self, tmp_path, edit, field):
         path = tmp_path / "boxes.jsonl"

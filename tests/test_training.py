@@ -193,8 +193,7 @@ def make_block(logits, box, refs=None):
     n = logits.shape[0]
     refs = np.full((n, 3), 0.5) if refs is None else refs
     return BlockPrediction(
-        class_logits=Tensor(logits), box_params=Tensor(box),
-        reference_in=Tensor(refs), reference_out=Tensor(refs.copy()),
+        class_logits=Tensor(logits), box_params=Tensor(box), reference_out=Tensor(refs.copy()),
     )
 
 
