@@ -83,6 +83,8 @@ def modality_switch_fuse(spaces: list[VoxelGrid], params: FusionParams) -> Voxel
     """Sum the selected spaces (camera, then LiDAR) and fuse with one convolution."""
     if not spaces:
         raise ValueError("modality fusion needs at least one space")
+    if any(v is None for v in spaces):
+        raise ValueError("a selected modality space is absent")
     if any(v.spec != spaces[0].spec for v in spaces[1:]):
         raise ValueError("fused spaces must share a grid spec")
     combined = functools.reduce(nm.add, [v.features for v in spaces])

@@ -144,7 +144,11 @@ class TestModalitySwitchFuse:
         out = modality_switch_fuse([self._grid(2.0), self._grid(3.0)], identity_fusion(3))
         np.testing.assert_allclose(out.features.data, 5.0, rtol=0, atol=1e-12)
 
-    def test_empty_list_rejected(self):
+    def test_absent_grid_rejected(self):
+        with pytest.raises(ValueError, match="space is absent"):
+            modality_switch_fuse([None, self._grid(1.0)], identity_fusion(3))
+
+    def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="at least one space"):
             modality_switch_fuse([], identity_fusion(3))
 
