@@ -54,6 +54,9 @@ class DecoderConfig:
     def __post_init__(self):
         if self.num_queries < 1 or self.num_blocks < 1 or self.num_points < 1:
             raise ValueError("query/block/point counts must be >= 1")
+        for name in ("num_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.channels % self.num_heads != 0:
             raise ValueError(
                 f"channels {self.channels} not divisible by heads {self.num_heads}"
@@ -196,9 +199,8 @@ def self_attention(queries: Tensor, params: AttentionParams, num_heads: int) -> 
     q = split(nm.affine(queries, params.wq, params.bq))
     k = split(nm.affine(queries, params.wk, params.bk))
     v = split(nm.affine(queries, params.wv, params.bv))
-    scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    attn = nm.softmax(scores, axis=-1)
-    ctx = nm.reshape(nm.transpose(nm.matmul(attn, v), (1, 0, 2)), (n, c))
+    attended = nm.attention(q, k, v, 1.0 / math.sqrt(dh))
+    ctx = nm.reshape(nm.transpose(attended, (1, 0, 2)), (n, c))
     out = nm.affine(ctx, params.wo, params.bo)
     return nm.layer_norm(nm.add(queries, out), params.gamma, params.beta)
 
@@ -217,16 +219,16 @@ def deformable_cross_attention(
 ) -> Tensor:
     """Sample the volume at learned offsets around each reference point.
 
-    Offsets are predicted in normalized coordinates.  The raw volume is
-    sampled once at all n*H*K points, and per head the K samples are mixed
-    with softmax weights before that head's slice of the value projection is
-    applied: sampling is linear, so this equals projecting every voxel first
-    and sampling the projection.  The value bias enters scaled by the
-    weight-mixed trilinear mass of the same points (the samples of a ones
-    volume), so samples at or beyond one cell outside the grid contribute
-    neither value nor bias.  Heads are concatenated and a final projection
-    maps back to C channels.  Residual and normalization are the caller's
-    responsibility.
+    Offsets are predicted in normalized coordinates.  One weighted
+    ``trilinear_sample`` of the raw volume mixes each head's K samples with
+    their softmax weights, and that head's slice of the value projection is
+    applied to the mix: sampling is linear, so this equals projecting every
+    voxel first and sampling the projection.  The value bias enters scaled by
+    the weight-mixed trilinear mass of the same points (the weighted sample
+    of a ones volume), so samples at or beyond one cell outside the grid
+    contribute neither value nor bias.  Heads are concatenated and a final
+    projection maps back to C channels.  Residual and normalization are the
+    caller's responsibility.
     """
     n, c = queries.shape
     heads, k = config.num_heads, config.num_points
@@ -237,16 +239,15 @@ def deformable_cross_attention(
 
     offsets = nm.reshape(nm.affine(queries, params.offset_w, params.offset_b),
                          (n, heads, k, 3))
-    logits = nm.reshape(nm.affine(queries, params.attn_w, params.attn_b), (n, heads, k))
-    weights = nm.reshape(nm.softmax(logits, axis=-1), (n, heads, k, 1))
+    logits = nm.reshape(nm.affine(queries, params.attn_w, params.attn_b), (n * heads, k))
+    weights = nm.softmax(logits, axis=-1)
 
     locations = nm.add(nm.reshape(references, (n, 1, 1, 3)), offsets)
     grid_locations = nm.mul(locations, Tensor(reference_grid_scale((nx, ny, nz))))
-    points = nm.reshape(grid_locations, (n * heads * k, 3))
+    points = nm.reshape(grid_locations, (n * heads, k, 3))
 
     def mix(vol, channels):  # (n, H, channels): the K samples weighted per head
-        sampled = nm.reshape(nm.trilinear_sample(vol, points), (n, heads, k, channels))
-        return nm.tsum(nm.mul(sampled, weights), axis=2)
+        return nm.reshape(nm.trilinear_sample(vol, points, weights), (n, heads, channels))
 
     mixed = nm.transpose(mix(volume, c), (1, 0, 2))  # (H, n, C)
     mass = mix(Tensor(np.ones((nx, ny, nz, 1))), 1)  # (n, H, 1)

@@ -1,5 +1,5 @@
 """Differentiable primitives: elementwise math, reductions, linear algebra,
-convolution, trilinear sampling, and normalization.
+softmax and attention, convolution, trilinear sampling, and normalization.
 
 Every operation runs in float64.  Convolution is cross-correlation with zero
 padding (no kernel flip).  Trilinear sampling uses a zero-padding border:
@@ -19,7 +19,7 @@ from .autograd import Tensor, accumulate_grad, as_tensor, record_op
 __all__ = [
     "add", "sub", "mul", "neg", "scale", "exp", "log", "relu", "sigmoid",
     "softplus", "absolute", "square", "matmul", "reshape", "transpose",
-    "concat", "getitem", "tsum", "tmean", "softmax", "affine", "conv",
+    "concat", "getitem", "tsum", "tmean", "softmax", "attention", "affine", "conv",
     "interpolation_matrix", "trilinear_sample", "layer_norm", "nn_upsample3d",
     "inverse_sigmoid",
 ]
@@ -317,7 +317,7 @@ def affine(x, w, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax and attention
 
 
 def softmax(logits, axis: int) -> Tensor:
@@ -336,6 +336,48 @@ def softmax(logits, axis: int) -> Tensor:
         accumulate_grad(logits, out_data * (g - inner))
 
     return record_op(out_data, (logits,), backward)
+
+
+def attention(q, k, v, scale: float) -> Tensor:
+    """Scaled dot-product attention ``softmax(q k^T * scale) v`` as one tape node.
+
+    ``q``, ``k`` and ``v`` are (H, n, dh); so is the output.  The forward pass
+    runs the same ``matmul``, ``scale`` and max-shifted ``softmax`` arithmetic
+    as the composite but keeps only each row's max and sum, not the (H, n, n)
+    probabilities; backward recomputes them from q and k.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ValueError(f"attention expects equal (H, n, dh) q, k, v, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    scale = float(scale)
+    k_t = np.ascontiguousarray(k.data.transpose(0, 2, 1))
+
+    def logits():
+        return (q.data @ k_t) * scale
+
+    probs = logits()
+    row_max = probs.max(axis=-1, keepdims=True)
+    probs -= row_max
+    np.exp(probs, out=probs)
+    row_sum = probs.sum(axis=-1, keepdims=True)
+    probs /= row_sum
+    out_data = probs @ v.data
+
+    def backward(g):
+        probs = logits()
+        probs -= row_max
+        np.exp(probs, out=probs)
+        probs /= row_sum
+        accumulate_grad(v, probs.transpose(0, 2, 1) @ g)
+        d_logits = g @ v.data.transpose(0, 2, 1)
+        d_logits -= (d_logits * probs).sum(axis=-1, keepdims=True)
+        d_logits *= probs
+        d_logits *= scale
+        accumulate_grad(q, d_logits @ k.data)
+        accumulate_grad(k, d_logits.transpose(0, 2, 1) @ q.data)
+
+    return record_op(out_data, (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -457,18 +499,24 @@ def interpolation_matrix(cells, weights, n_cells: int, transpose: bool = False):
                              shape=(n_cells, p))
 
 
-def trilinear_sample(volume, points) -> Tensor:
+def trilinear_sample(volume, points, weights=None) -> Tensor:
     """Interpolate an (X, Y, Z, C) volume at continuous grid coordinates.
 
     ``points`` is (..., 3) or a single (3,) point in index space where cell
     centers sit at integer coordinates.  Corners falling outside the volume
     contribute zero, so a point beyond one cell outside returns exactly zero.
-    Differentiable with respect to both the volume and the points.
+    Differentiable with respect to the volume, the points and the weights.
+
+    With ``weights`` (R, K), ``points`` is (R, K, 3) and the output is the
+    (R, C) weighted sum over K, ``sum_k weights[r, k] * sample(points[r, k])``,
+    with no per-point sample kept.
 
     The eight corners of every point become one ``interpolation_matrix`` S
-    (an outside corner reads cell 0 with weight 0): the output is
-    ``S @ volume`` and the volume gradient ``S^T @ g``.  The point gradient
-    gathers each corner's values again instead of keeping them.
+    whose row r holds its K points' corners in (point, corner) order, each
+    corner weight times the point's weight (an outside corner reads cell 0
+    with weight 0): the output is ``S @ volume`` and the volume gradient
+    ``S^T @ g``.  The point and weight gradients gather each corner's values
+    again instead of keeping them.
     """
     volume = as_tensor(volume)
     points = as_tensor(points)
@@ -476,9 +524,20 @@ def trilinear_sample(volume, points) -> Tensor:
         raise ValueError(f"trilinear volume must be (X, Y, Z, C), got {volume.shape}")
     if points.shape[-1] != 3:
         raise ValueError(f"points must have a trailing axis of 3, got {points.shape}")
-    single = points.ndim == 1
-    lead_shape = points.shape[:-1]
+    if weights is None:
+        parents = (volume, points)
+        out_shape = points.shape[:-1]
+        k = 1
+    else:
+        weights = as_tensor(weights)
+        if points.ndim != 3 or weights.shape != points.shape[:2] or points.shape[1] < 1:
+            raise ValueError(f"weighted points must be (R, K, 3) with (R, K) weights and K >= 1, "
+                             f"got {points.shape} and {weights.shape}")
+        parents = (volume, points, weights)
+        out_shape = points.shape[:1]
+        k = points.shape[1]
     p = points.data.reshape(-1, 3)
+    rows = p.shape[0] // k
     nx, ny, nz, c = volume.shape
     data_flat = volume.data.reshape(-1, c)
 
@@ -492,32 +551,40 @@ def trilinear_sample(volume, points) -> Tensor:
         wx, wy, wz = (f if d else 1.0 - f for f, d in zip(frac, (dx, dy, dz)))
         signs = tuple(1.0 if d else -1.0 for d in (dx, dy, dz))
         corners.append((lin, inside, wx, wy, wz, signs))
-    cells = [lin for lin, *_ in corners]
-    weights = [(wx * wy * wz) * inside for _, inside, wx, wy, wz, _ in corners]
-    out = interpolation_matrix(cells, weights, data_flat.shape[0]) @ data_flat
+    corner_weights = [(wx * wy * wz) * inside for _, inside, wx, wy, wz, _ in corners]
+    scaled = (corner_weights if weights is None
+              else [w * weights.data.reshape(-1) for w in corner_weights])
+
+    def entries(per_corner):  # (8, rows*K) -> (K*8, rows): row r in (point, corner) order
+        return np.asarray(per_corner).reshape(8, rows, k).transpose(2, 0, 1).reshape(8 * k, rows)
+
+    cells, matrix_weights = entries([lin for lin, *_ in corners]), entries(scaled)
+    out = interpolation_matrix(cells, matrix_weights, data_flat.shape[0]) @ data_flat
 
     def backward(g):
-        g2 = g.reshape(-1, c)
+        g2 = g.reshape(rows, c)
         if volume.requires_grad:
-            s_t = interpolation_matrix(cells, weights, data_flat.shape[0], transpose=True)
+            s_t = interpolation_matrix(cells, matrix_weights, data_flat.shape[0],
+                                       transpose=True)
             accumulate_grad(volume, (s_t @ g2).reshape(volume.shape))
-        if points.requires_grad:
-            dp = np.zeros_like(p)
-            for lin, inside, wx, wy, wz, (sx, sy, sz) in corners:
-                vals = np.take(data_flat, lin, axis=0)
-                vals *= g2
-                gv = np.where(inside, vals.sum(axis=1), 0.0)
-                dp[:, 0] += gv * sx * wy * wz
-                dp[:, 1] += gv * wx * sy * wz
-                dp[:, 2] += gv * wx * wy * sz
-            accumulate_grad(points, dp.reshape(points.shape))
+        if not any(t.requires_grad for t in parents[1:]):  # points, weights
+            return
+        dp = np.zeros_like(p)
+        dw = np.zeros(p.shape[0])
+        for (lin, inside, wx, wy, wz, (sx, sy, sz)), w in zip(corners, corner_weights):
+            vals = np.take(data_flat, lin, axis=0).reshape(rows, k, c)
+            vals *= g2[:, None, :]
+            gv = np.where(inside, vals.sum(axis=2).reshape(-1), 0.0)
+            dw += gv * w
+            dp[:, 0] += gv * sx * wy * wz
+            dp[:, 1] += gv * wx * sy * wz
+            dp[:, 2] += gv * wx * wy * sz
+        if weights is not None:
+            dp *= weights.data.reshape(-1, 1)
+            accumulate_grad(weights, dw.reshape(weights.shape))
+        accumulate_grad(points, dp.reshape(points.shape))
 
-    result = record_op(out, (volume, points), backward)
-    if single:
-        return reshape(result, (c,))
-    if lead_shape != (p.shape[0],):
-        return reshape(result, lead_shape + (c,))
-    return result
+    return record_op(out.reshape(out_shape + (c,)), parents, backward)
 
 
 # ---------------------------------------------------------------------------

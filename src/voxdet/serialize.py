@@ -144,12 +144,14 @@ _SCALARS = {
 
 
 def _decode_key(tp, key, path: str):
-    """JSON object keys are strings; an int key must spell an integer."""
+    """JSON object keys are strings; an int key must spell an integer as ``str`` writes it."""
     if tp is int and isinstance(key, str):
         try:
-            return int(key)
+            if str(int(key)) == key:
+                return int(key)
         except ValueError:
-            raise ValueError(f"{path}: expected int, found {key!r}") from None
+            pass
+        raise ValueError(f"{path}: expected int, found {key!r}")
     return _decode(tp, key, path)
 
 

@@ -303,6 +303,20 @@ def trilinear_sample_oracle(volume: Tensor, points: Tensor) -> Tensor:
     return nm.record_op(out, (volume, points), backward)
 
 
+def weighted_trilinear_sample_oracle(volume: Tensor, points: Tensor, weights: Tensor) -> Tensor:
+    """The weighted sampler as separate nodes: sample all (R, K) points, scale, sum over K."""
+    r, k, _ = points.shape
+    sampled = trilinear_sample_oracle(volume, nm.reshape(points, (r * k, 3)))
+    scaled = nm.mul(nm.reshape(sampled, (r, k, volume.shape[-1])), nm.reshape(weights, (r, k, 1)))
+    return nm.tsum(scaled, axis=1)
+
+
+def attention_oracle(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """Self-attention as five nodes: transpose, matmul, scale, softmax, matmul."""
+    scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 2, 1))), scale)
+    return nm.matmul(nm.softmax(scores, axis=-1), v)
+
+
 def deformable_cross_attention_oracle(queries, references, volume, params, config) -> Tensor:
     """Deformable cross-attention that projects every voxel, then samples per head."""
     n, c = queries.shape

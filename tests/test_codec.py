@@ -1,6 +1,7 @@
 """The dataclass codec shared by configs, scene manifests and box records."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,14 @@ def test_int_loads_as_float_and_int_keys_parse():
     assert type(post.nms_radius) is float and post.nms_radius == 2.0
     assert post.nms_radius_per_class == {0: 1.0}
     assert type(post.nms_radius_per_class[0]) is float
+
+
+@pytest.mark.parametrize("key", ["1_0", " 3", "+3", "03"])
+def test_non_canonical_int_key_named(key):
+    data = _with(PipelineConfig().to_dict(), "postprocess.nms_radius_per_class", {key: 1.0})
+    message = f"postprocess.nms_radius_per_class.{key}: expected int, found {key!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig.from_dict(data)
 
 
 def test_to_dict_is_plain_json():

@@ -31,6 +31,13 @@ def small_volume(seed=0):
     return VoxelGrid(spec=SPEC, features=Tensor(data))
 
 
+@pytest.mark.parametrize("field, value", [("num_heads", 0), ("num_heads", -4),
+                                          ("ffn_dim", 0), ("ffn_dim", -3)])
+def test_config_rejects_sizes_below_one(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+        DecoderConfig(**{field: value})
+
+
 class TestInitQueries:
     def test_deterministic(self):
         a = DecoderParams.create(CONFIG, seed=5)
@@ -254,6 +261,42 @@ class TestDecoderBlock:
         for block in result.blocks:
             assert block.reference_out.data.min() >= 0.0
             assert block.reference_out.data.max() <= 1.0
+
+
+def _closure_arrays(fn, seen=None):
+    """Every ndarray a backward closure keeps, through nested functions, lists and tuples."""
+    seen = set() if seen is None else seen
+    found = []
+    todo = [c.cell_contents for c in (fn.__closure__ or ())]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen or isinstance(item, Tensor):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif callable(item) and getattr(item, "__closure__", None):
+            found.extend(_closure_arrays(item, seen))
+    return found
+
+
+def test_decode_tape_keeps_no_per_point_samples_or_score_matrices():
+    # the desk-scale decoder with 40 queries, so that the (H, n, C) per-head
+    # mix cannot take the (H, n, n) shape of a score matrix
+    config = DecoderConfig(num_queries=40)
+    n, heads, k, c = config.num_queries, config.num_heads, config.num_points, config.channels
+    spec = VoxelGridSpec((-8.0, 8.0), (-8.0, 8.0), (-2.0, 2.0), (16, 16, 4), c)
+    volume = Tensor(np.random.default_rng(40).standard_normal(spec.counts + (c,)),
+                    requires_grad=True)
+    params = DecoderParams.create(config, seed=41)
+    with Tape() as tape:
+        decode(params, VoxelGrid(spec=spec, features=volume))
+    banned = {(n * heads * k, c), (n, heads, k, c), (heads, n, n)}
+    for node in tape._nodes:
+        arrays = [node.data] + _closure_arrays(node._backward)
+        assert not [a.shape for a in arrays if a.shape in banned]
 
 
 class TestDecodeBoxes:

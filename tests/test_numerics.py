@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from voxdet import numerics as nm
 from voxdet.numerics import NumericsError, Parameter, Tape, Tensor, backward, grad_check
 
-from helpers import trilinear_sample_oracle
+from helpers import attention_oracle, trilinear_sample_oracle, weighted_trilinear_sample_oracle
 
 
 class TestSoftmax:
@@ -195,6 +195,117 @@ def test_trilinear_matches_masked_copy_oracle(seed):
     want = _values_and_grads(trilinear_sample_oracle, (vol, pts), probe)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (2, 4, 3), (2, 2, 3, 3)])
+def test_unweighted_trilinear_is_the_masked_copy_oracle(shape):
+    rng = np.random.default_rng(len(shape))
+    vol = rng.standard_normal((3, 4, 2, 5))
+    pts = rng.uniform(-1.5, 4.5, size=shape)
+    probe = rng.standard_normal(shape[:-1] + (5,))
+
+    def flat_oracle(v, p):
+        return nm.reshape(trilinear_sample_oracle(v, nm.reshape(p, (-1, 3))), probe.shape)
+
+    got = _values_and_grads(lambda v, p: nm.trilinear_sample(v, p, weights=None),
+                            (vol, pts), probe)
+    want = _values_and_grads(flat_oracle, (vol, pts), probe)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    with Tape() as tape:
+        nm.trilinear_sample(Tensor(vol, requires_grad=True), Tensor(pts))
+    assert len(tape._nodes) == 1
+
+
+def _weighted_sample_inputs(heads, k, placement, seed):
+    """(volume, (R, K, 3) points, (R, K) weights) for R = 5 queries times ``heads``."""
+    rng = np.random.default_rng([heads, k, seed])
+    counts = np.array([4, 3, 5])
+    vol = rng.standard_normal(tuple(counts) + (6,))
+    rows = 5 * heads
+    pts = rng.uniform(0.0, counts - 1.0, size=(rows, k, 3))
+    if placement == "faces":  # one coordinate of each point on a face of the grid
+        axis = rng.integers(0, 3, size=(rows, k))
+        face = rng.integers(0, 2, size=(rows, k)) * (counts[axis] - 1.0)
+        np.put_along_axis(pts, axis[..., None], face[..., None], axis=2)
+    elif placement == "outside":  # half the points more than one cell outside
+        beyond = rng.uniform(1.1, 2.5, size=(rows, k, 3))
+        side = rng.integers(0, 2, size=(rows, k, 3)).astype(bool)
+        far = np.where(side, counts - 1.0 + beyond, -beyond)
+        pts = np.where(rng.uniform(size=(rows, k, 1)) < 0.5, far, pts)
+    weights = rng.uniform(-0.5, 1.5, size=(rows, k))
+    return vol, pts, weights, rng.standard_normal((rows, 6))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("placement", ["inside", "faces", "outside"])
+def test_weighted_trilinear_matches_sample_mul_sum_oracle(heads, k, placement):
+    vol, pts, weights, probe = _weighted_sample_inputs(heads, k, placement, seed=0)
+    got = _values_and_grads(nm.trilinear_sample, (vol, pts, weights), probe)
+    want = _values_and_grads(weighted_trilinear_sample_oracle, (vol, pts, weights), probe)
+    assert got[0].shape == (5 * heads, 6)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    if placement == "outside":
+        assert np.any(got[2] != 0.0) and np.any(got[3] == 0.0)
+
+
+def test_weighted_trilinear_rejects_mismatched_weights():
+    vol = Tensor(np.zeros((2, 2, 2, 1)))
+    with pytest.raises(ValueError, match="weighted points"):
+        nm.trilinear_sample(vol, Tensor(np.zeros((3, 2, 3))), Tensor(np.ones((3, 4))))
+    with pytest.raises(ValueError, match="weighted points"):
+        nm.trilinear_sample(vol, Tensor(np.zeros((6, 3))), Tensor(np.ones((6,))))
+    with pytest.raises(ValueError, match="weighted points"):
+        nm.trilinear_sample(vol, Tensor(np.zeros((3, 0, 3))), Tensor(np.ones((3, 0))))
+
+
+def _attention_inputs(n, seed, hot_rows=()):
+    """(H, n, dh) q, k, v; ``hot_rows`` of q give logits around 700 against every key."""
+    rng = np.random.default_rng([n, seed])
+    q, k, v = (rng.standard_normal((2, n, 4)) for _ in range(3))
+    k[..., 0] = 1.0 + 0.01 * rng.standard_normal((2, n))
+    for row in hot_rows:
+        q[:, row, 0] = 1400.0  # times scale 0.5 times k[..., 0] near 1
+    return q, k, v, rng.standard_normal((2, n, 4))
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_attention_matches_five_node_oracle(n):
+    q, k, v, probe = _attention_inputs(n, seed=1, hot_rows=range(0, n, 3))
+    got = _values_and_grads(lambda *a: nm.attention(*a, 0.5), (q, k, v), probe)
+    want = _values_and_grads(lambda *a: attention_oracle(*a, 0.5), (q, k, v), probe)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_attention_hot_rows_need_the_max_shift():
+    q, k, v, _ = _attention_inputs(7, seed=2, hot_rows=(0, 4))
+    logits = 0.5 * q @ k.transpose(0, 2, 1)
+    assert logits[:, [0, 4]].min() > 690.0
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.exp(logits)).all()
+    out = nm.attention(Tensor(q), Tensor(k), Tensor(v), 0.5)
+    assert np.isfinite(out.data).all()
+
+
+def test_attention_is_one_node_keeping_no_score_matrix():
+    q, k, v, _ = _attention_inputs(7, seed=3)
+    leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    with Tape() as tape:
+        out = nm.attention(*leaves, 0.5)
+    assert len(tape._nodes) == 1 and out.shape == (2, 7, 4)
+    kept = [c.cell_contents for c in out._backward.__closure__]
+    assert all(getattr(x, "shape", None) != (2, 7, 7) for x in kept)
+
+
+def test_attention_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="attention expects"):
+        nm.attention(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 4))),
+                     Tensor(np.zeros((2, 5, 4))), 1.0)
 
 
 def test_interpolation_matrix_keeps_entry_order():
