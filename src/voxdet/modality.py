@@ -11,6 +11,7 @@ voxels; its pre-ReLU block-3 activation is exposed as the transfer tap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,9 @@ class DepthHeadParams:
 
 @dataclass
 class SweepFusionParams:
+    # A shared 1x1x1 merge of each sweep and its time offset, then a 1x1x1
+    # fuse across sweeps.  With no nonlinearity between them they are stored
+    # apart but applied as one composed linear map by one conv.
     merge_weight: Parameter  # (1, 1, 1, C + 1, C), shared across sweeps
     merge_bias: Parameter  # (C,)
     fuse_weight: Parameter  # (1, 1, 1, n * C, C)
@@ -264,32 +268,43 @@ def fuse_sweeps_image(
 ) -> Tensor:
     """Space-level temporal fusion of per-sweep image voxel grids.
 
-    Each sweep gets its scalar time offset appended as an extra channel and
-    is merged back to C channels by a shared 1x1x1 convolution; the merged
-    sweeps are concatenated channel-wise and fused to C by one convolution.
+    Each sweep gets its scalar time offset appended as an extra channel, is
+    merged back to C channels by a shared 1x1x1 map, and the merged sweeps
+    are fused to C by a 1x1x1 map across sweeps.  Merge and fuse are linear,
+    so they are composed into one map applied by one conv over the n
+    offset-extended sweeps: sweep ``s`` gets the (C+1, C) weight
+    ``merge @ fuse_s`` and the bias is ``fuse_bias + merge_bias @ sum_s fuse_s``.
     """
     if not spaces:
         raise ValueError("fuse_sweeps_image needs at least one sweep")
     if len(spaces) != len(time_offsets):
         raise ValueError("one time offset per sweep required")
+    for i, offset in enumerate(time_offsets):
+        if not math.isfinite(offset):
+            raise ValueError(f"time_offsets[{i}] must be finite, got {offset}")
     if abs(time_offsets[0]) > 1e-12:
         raise ValueError(f"initial sweep offset must be 0, got {time_offsets[0]}")
     shape = tuple(spaces[0].shape)
     for s in spaces[1:]:
         if tuple(s.shape) != shape:
             raise ValueError(f"sweep grids disagree in shape: {s.shape} vs {shape}")
+    n, c = len(spaces), shape[-1]
+    expected = {"merge_weight": (1, 1, 1, c + 1, c), "merge_bias": (c,),
+                "fuse_weight": (1, 1, 1, n * c, c), "fuse_bias": (c,)}
+    for field, want in expected.items():
+        got = tuple(getattr(params, field).shape)
+        if got != want:
+            raise ValueError(f"SweepFusionParams.{field} must be {want} for {n} sweep(s) "
+                             f"of {c} channels, got {got}")
 
-    n_expected = params.fuse_weight.shape[3] // shape[-1]
-    if len(spaces) != n_expected:
-        raise ValueError(f"fusion weights built for {n_expected} sweeps, got {len(spaces)}")
-
-    merged = []
+    fuse = nm.reshape(params.fuse_weight, (n, c, c))
+    # (1, 1, 1, C+1, C) @ (n, C, C) broadcasts to one composed weight per sweep
+    weight = nm.reshape(nm.matmul(params.merge_weight, fuse), (1, 1, 1, n * (c + 1), c))
+    bias = nm.affine(params.merge_bias, nm.tsum(fuse, axis=0), params.fuse_bias)
+    extended = []
     for space, offset in zip(spaces, time_offsets):
-        channel = Tensor(np.full(shape[:3] + (1,), float(offset)))
-        stacked = nm.concat([space, channel], axis=3)
-        merged.append(nm.conv(stacked, params.merge_weight, params.merge_bias))
-    fused_in = nm.concat(merged, axis=3) if len(merged) > 1 else merged[0]
-    return nm.conv(fused_in, params.fuse_weight, params.fuse_bias)
+        extended += [space, Tensor(np.full(shape[:3] + (1,), float(offset)))]
+    return nm.conv(nm.concat(extended, axis=3), weight, bias)
 
 
 # ---------------------------------------------------------------------------

@@ -341,3 +341,34 @@ def deformable_cross_attention_oracle(queries, references, volume, params, confi
         head_outputs.append(nm.tsum(nm.mul(sampled, w_h), axis=1))
     merged = nm.concat(head_outputs, axis=-1)
     return nm.affine(merged, params.out_w, params.out_b)
+
+
+def fuse_sweeps_image_oracle(spaces, time_offsets, params) -> Tensor:
+    """Sweep fusion as separate maps: a merge conv per offset-extended sweep,
+    a channel-wise concat of the merged sweeps, then the fuse conv."""
+    shape = tuple(spaces[0].shape)
+    merged = []
+    for space, offset in zip(spaces, time_offsets):
+        channel = Tensor(np.full(shape[:3] + (1,), float(offset)))
+        stacked = nm.concat([space, channel], axis=3)
+        merged.append(nm.conv(stacked, params.merge_weight, params.merge_bias))
+    return nm.conv(nm.concat(merged, axis=3), params.fuse_weight, params.fuse_bias)
+
+
+def closure_arrays(fn, seen=None):
+    """Every ndarray a backward closure keeps, through nested functions, lists and tuples."""
+    seen = set() if seen is None else seen
+    found = []
+    todo = [c.cell_contents for c in (fn.__closure__ or ())]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen or isinstance(item, Tensor):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif callable(item) and getattr(item, "__closure__", None):
+            found.extend(closure_arrays(item, seen))
+    return found

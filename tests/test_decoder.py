@@ -19,7 +19,7 @@ from voxdet.numerics import Tape, Tensor, backward, grad_check
 from voxdet.numerics.gradcheck import central_difference, max_relative_error
 from voxdet.verification import GRAD_EPS, GRAD_TOLERANCE, PROBE_SCALE
 
-from helpers import deformable_cross_attention_oracle
+from helpers import closure_arrays, deformable_cross_attention_oracle
 
 CONFIG = DecoderConfig(num_queries=4, num_blocks=2, num_heads=2, num_points=2,
                        channels=8, num_classes=3, ffn_dim=16)
@@ -263,25 +263,6 @@ class TestDecoderBlock:
             assert block.reference_out.data.max() <= 1.0
 
 
-def _closure_arrays(fn, seen=None):
-    """Every ndarray a backward closure keeps, through nested functions, lists and tuples."""
-    seen = set() if seen is None else seen
-    found = []
-    todo = [c.cell_contents for c in (fn.__closure__ or ())]
-    while todo:
-        item = todo.pop()
-        if id(item) in seen or isinstance(item, Tensor):
-            continue
-        seen.add(id(item))
-        if isinstance(item, np.ndarray):
-            found.append(item)
-        elif isinstance(item, (list, tuple)):
-            todo.extend(item)
-        elif callable(item) and getattr(item, "__closure__", None):
-            found.extend(_closure_arrays(item, seen))
-    return found
-
-
 def test_decode_tape_keeps_no_per_point_samples_or_score_matrices():
     # the desk-scale decoder with 40 queries, so that the (H, n, C) per-head
     # mix cannot take the (H, n, n) shape of a score matrix
@@ -295,7 +276,7 @@ def test_decode_tape_keeps_no_per_point_samples_or_score_matrices():
         decode(params, VoxelGrid(spec=spec, features=volume))
     banned = {(n * heads * k, c), (n, heads, k, c), (heads, n, n)}
     for node in tape._nodes:
-        arrays = [node.data] + _closure_arrays(node._backward)
+        arrays = [node.data] + closure_arrays(node._backward)
         assert not [a.shape for a in arrays if a.shape in banned]
 
 

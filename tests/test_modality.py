@@ -22,9 +22,16 @@ from voxdet.modality import (
 )
 from voxdet.geometry import project_points, voxel_centers
 from voxdet.numerics import Parameter, Tape, Tensor, backward
+from voxdet.numerics.gradcheck import central_difference, max_relative_error
+from voxdet.verification import GRAD_EPS, GRAD_TOLERANCE, PROBE_SCALE
 from voxdet.scene.types import PointCloud
 
-from helpers import lift_image_to_voxels_oracle, lift_oracle, side_camera
+from helpers import (
+    fuse_sweeps_image_oracle,
+    lift_image_to_voxels_oracle,
+    lift_oracle,
+    side_camera,
+)
 
 
 class TestDepthDistribution:
@@ -200,6 +207,84 @@ class TestSweepFusion:
                 [Tensor(np.ones((2, 2, 2, 3))), Tensor(np.ones((2, 2, 1, 3)))],
                 [0.0, -0.5], params,
             )
+
+    @pytest.mark.parametrize("field, shape", [
+        ("merge_weight", (1, 1, 1, 3, 3)),
+        ("merge_weight", (1, 1, 1, 4, 4)),
+        ("fuse_weight", (1, 1, 1, 7, 3)),
+        ("fuse_weight", (1, 1, 1, 3, 3)),
+        ("merge_bias", (4,)),
+        ("fuse_bias", (1, 3)),
+    ])
+    def test_malformed_params_name_the_field(self, field, shape):
+        params = self._identity_params(3, 2)
+        setattr(params, field, Parameter(field, np.zeros(shape)))
+        x = Tensor(np.ones((2, 2, 2, 3)))
+        with pytest.raises(ValueError, match=rf"SweepFusionParams\.{field} must be"):
+            fuse_sweeps_image([x, x], [0.0, -0.5], params)
+
+    @pytest.mark.parametrize("offsets, index", [
+        ([math.nan, -0.5], 0), ([0.0, math.inf], 1), ([0.0, -math.inf], 1),
+    ])
+    def test_non_finite_offset_names_its_index(self, offsets, index):
+        x = Tensor(np.ones((2, 2, 2, 3)))
+        with pytest.raises(ValueError, match=rf"time_offsets\[{index}\] must be finite"):
+            fuse_sweeps_image([x, x], offsets, self._identity_params(3, 2))
+
+
+OFFSETS = (0.0, -0.5, -1.0)
+
+
+def _random_fusion_params(c, n, rng):
+    return SweepFusionParams(
+        merge_weight=Parameter("m", 0.5 * rng.standard_normal((1, 1, 1, c + 1, c))),
+        merge_bias=Parameter("mb", rng.standard_normal(c)),
+        fuse_weight=Parameter("f", 0.5 * rng.standard_normal((1, 1, 1, n * c, c))),
+        fuse_bias=Parameter("fb", rng.standard_normal(c)),
+    )
+
+
+def _fusion_values_and_grads(fuse, n, seed=50):
+    rng = np.random.default_rng(seed)
+    c = 4
+    params = _random_fusion_params(c, n, rng)
+    spaces = [Tensor(rng.standard_normal((3, 2, 2, c)), requires_grad=True) for _ in range(n)]
+    probe = Tensor(rng.standard_normal((3, 2, 2, c)))
+    with Tape() as tape:
+        out = fuse(spaces, list(OFFSETS[:n]), params)
+        loss = nm.tsum(nm.mul(out, probe))
+    backward(tape, loss)
+    grads = [t.grad for t in spaces] + [p.grad for p in nm.parameters_of(params)]
+    return out.data, grads
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_composed_fusion_matches_separate_maps(n):
+    out, grads = _fusion_values_and_grads(fuse_sweeps_image, n)
+    want, want_grads = _fusion_values_and_grads(fuse_sweeps_image_oracle, n)
+    assert len(grads) == n + 4 and all(g is not None for g in grads)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+    for g, w in zip(grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_fusion_gradients_match_central_differences():
+    rng = np.random.default_rng(51)
+    c, n = 3, 2
+    params = _random_fusion_params(c, n, rng)
+    spaces = [Tensor(rng.standard_normal((2, 2, 2, c)), requires_grad=s == 1) for s in range(n)]
+    probe = Tensor(PROBE_SCALE * rng.choice([-1.0, 1.0], size=(2, 2, 2, c)))
+
+    def readout():
+        out = fuse_sweeps_image(spaces, list(OFFSETS[:n]), params)
+        return nm.tsum(nm.mul(nm.square(out), probe))
+
+    with Tape() as tape:
+        loss = readout()
+    backward(tape, loss)
+    for x in (*nm.parameters_of(params), spaces[1]):
+        numeric = central_difference(x.data.reshape(-1), lambda: readout().item(), GRAD_EPS)
+        assert max_relative_error(x.grad.reshape(-1), numeric) < GRAD_TOLERANCE
 
 
 class TestVoxelize:

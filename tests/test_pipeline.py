@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import closure_arrays
+from voxdet import pipeline
+from voxdet.modality import fuse_sweeps_image
+from voxdet.numerics import Tape
 from voxdet.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -121,6 +125,35 @@ class TestSweepEquivalence:
         single = forward_scene(single_scene, config, params_single)
         np.testing.assert_allclose(multi.vu.features.data,
                                    single.vu.features.data, rtol=0, atol=1e-12)
+
+
+def test_sweep_fusion_tape_keeps_one_conv_and_no_merged_sweeps(monkeypatch):
+    # a 2-sweep desk-scale camera forward; the nodes sweep fusion records
+    # are the ones added to the tape while fuse_sweeps_image runs
+    scene = generate_scene(SceneConfig(n_objects=1, channels=32, n_camera_sweeps=2), 13)
+    config = PipelineConfig(use_lidar=False, seed=5)
+    params = build_model(config, n_camera_sweeps=2)
+    spans = []
+
+    def traced(spaces, offsets, fusion_params):
+        start = len(tape._nodes)
+        out = fuse_sweeps_image(spaces, offsets, fusion_params)
+        spans.append((start, len(tape._nodes), out))
+        return out
+
+    monkeypatch.setattr(pipeline, "fuse_sweeps_image", traced)
+    with Tape() as tape:
+        forward_scene(scene, config, params)
+    [(start, stop, out)] = spans
+    nodes = tape._nodes[start:stop]
+    grid, c = config.grid.counts, config.grid.channels
+    convs = [node for node in nodes if node._backward.__qualname__.startswith("conv.")
+             and node.shape[:3] == grid]
+    assert len(convs) == 1 and convs[0] is out
+    for node in nodes:
+        arrays = [node.data] + closure_arrays(node._backward)
+        assert not [a.shape for a in arrays if a.shape == grid + (2 * c,)]
+        assert not [a.shape for a in arrays if a.shape == grid + (c,) and a is not out.data]
 
 
 class TestSequence:
