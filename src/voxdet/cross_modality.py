@@ -2,8 +2,9 @@
 
 Knowledge transfer samples the teacher and student encoder taps at object
 query positions and penalizes their partial L2 distance; only the student
-receives gradients.  Modality fusion sums the processed spaces and mixes
-them with a single 1x1x1 convolution to the unified volume.
+receives gradients.  Modality fusion sums the processed spaces; the
+per-voxel 1x1x1 fusion map (:class:`FusionParams`) acts on the decoder's
+samples of that sum, so the fused volume is never built densely.
 """
 
 from __future__ import annotations
@@ -79,8 +80,12 @@ def knowledge_transfer_loss(
     return nm.tmean(partial_l2(t_samples, s_samples))
 
 
-def modality_switch_fuse(spaces: list[VoxelGrid], params: FusionParams) -> VoxelGrid:
-    """Sum the selected spaces (camera, then LiDAR) and fuse with one convolution."""
+def modality_switch_fuse(spaces: list[VoxelGrid]) -> VoxelGrid:
+    """Sum the selected spaces (camera, then LiDAR) into one grid.
+
+    The fusion map is not applied here: ``decoder.decode`` composes it into
+    each block's value projection, which equals sampling the fused volume.
+    """
     if not spaces:
         raise ValueError("modality fusion needs at least one space")
     if any(v is None for v in spaces):
@@ -88,5 +93,4 @@ def modality_switch_fuse(spaces: list[VoxelGrid], params: FusionParams) -> Voxel
     if any(v.spec != spaces[0].spec for v in spaces[1:]):
         raise ValueError("fused spaces must share a grid spec")
     combined = functools.reduce(nm.add, [v.features for v in spaces])
-    fused = nm.conv(combined, params.weight, params.bias)
-    return VoxelGrid(spec=spaces[0].spec, features=fused)
+    return VoxelGrid(spec=spaces[0].spec, features=combined)

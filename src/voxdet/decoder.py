@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
+from .cross_modality import FusionParams
 from .modality import VoxelGrid
 from .numerics import Parameter, Tensor
 from .numerics.ops import _sigmoid
@@ -216,19 +217,24 @@ def deformable_cross_attention(
     volume: Tensor,
     params: DeformableParams,
     config: DecoderConfig,
+    fusion: FusionParams,
 ) -> Tensor:
-    """Sample the volume at learned offsets around each reference point.
+    """Sample the fused volume at learned offsets around each reference point.
 
+    ``volume`` holds the summed modality spaces; ``fusion``'s per-voxel 1x1x1
+    map is composed into the value projection (weight ``W_f @ value_w``,
+    bias ``b_f @ value_w + value_b``), so the fused volume is never built.
     Offsets are predicted in normalized coordinates.  One weighted
-    ``trilinear_sample`` of the raw volume mixes each head's K samples with
-    their softmax weights, and that head's slice of the value projection is
-    applied to the mix: sampling is linear, so this equals projecting every
-    voxel first and sampling the projection.  The value bias enters scaled by
-    the weight-mixed trilinear mass of the same points (the weighted sample
-    of a ones volume), so samples at or beyond one cell outside the grid
-    contribute neither value nor bias.  Heads are concatenated and a final
-    projection maps back to C channels.  Residual and normalization are the
-    caller's responsibility.
+    ``trilinear_sample`` of the volume mixes each head's K samples with
+    their softmax weights, and that head's slice of the composed projection
+    is applied to the mix: sampling is linear, so this equals fusing and
+    projecting every voxel first and sampling the result.  The composed bias
+    enters scaled by the weight-mixed trilinear mass of the same points (the
+    weighted sample of a ones volume), so samples at or beyond one cell
+    outside the grid contribute neither value, fusion bias nor value bias,
+    as sampling the zero-padded fused volume would give.  Heads are
+    concatenated and a final projection maps back to C channels.  Residual
+    and normalization are the caller's responsibility.
     """
     n, c = queries.shape
     heads, k = config.num_heads, config.num_points
@@ -251,9 +257,11 @@ def deformable_cross_attention(
 
     mixed = nm.transpose(mix(volume, c), (1, 0, 2))  # (H, n, C)
     mass = mix(Tensor(np.ones((nx, ny, nz, 1))), 1)  # (n, H, 1)
-    w_heads = nm.transpose(nm.reshape(params.value_w, (c, heads, dh)), (1, 0, 2))
+    value_w = nm.matmul(nm.reshape(fusion.weight, (c, c)), params.value_w)
+    value_b = nm.affine(fusion.bias, params.value_w, params.value_b)
+    w_heads = nm.transpose(nm.reshape(value_w, (c, heads, dh)), (1, 0, 2))
     projected = nm.transpose(nm.matmul(mixed, w_heads), (1, 0, 2))  # (n, H, dh)
-    bias = nm.mul(mass, nm.reshape(params.value_b, (heads, dh)))
+    bias = nm.mul(mass, nm.reshape(value_b, (heads, dh)))
     merged = nm.reshape(nm.add(projected, bias), (n, c))
     return nm.affine(merged, params.out_w, params.out_b)
 
@@ -296,10 +304,11 @@ def decoder_block(
     block: BlockParams,
     head: HeadParams,
     config: DecoderConfig,
+    fusion: FusionParams,
 ) -> tuple[Tensor, BlockPrediction, Tensor]:
     """One decoder block; returns updated queries, predictions, refined refs."""
     q1 = self_attention(queries, block.self_attn, config.num_heads)
-    cross = deformable_cross_attention(q1, references, volume, block.cross, config)
+    cross = deformable_cross_attention(q1, references, volume, block.cross, config, fusion)
     q2 = nm.layer_norm(nm.add(q1, cross), block.cross.gamma, block.cross.beta)
     q3 = _feed_forward(q2, block.ffn)
     cls, box = _shared_head(q3, head)
@@ -380,14 +389,19 @@ def decode_boxes(prediction: BlockPrediction, spec) -> list[Box3D]:
     return out
 
 
-def decode(params: DecoderParams, grid: VoxelGrid) -> DecodeResult:
-    """Run all decoder blocks over the unified volume."""
+def decode(params: DecoderParams, grid: VoxelGrid, fusion: FusionParams) -> DecodeResult:
+    """Run all decoder blocks over the unified volume.
+
+    ``grid`` holds the summed modality spaces; each block's cross-attention
+    applies ``fusion``'s per-voxel map to its samples, which equals decoding
+    the densely fused volume.
+    """
     queries = params.query_embed
     references = initial_references(params)
     blocks = []
     for block in params.blocks:
         queries, pred, references = decoder_block(
-            queries, references, grid.features, block, params.head, params.config
+            queries, references, grid.features, block, params.head, params.config, fusion
         )
         blocks.append(pred)
     detections = decode_boxes(blocks[-1], grid.spec)

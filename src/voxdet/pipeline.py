@@ -174,12 +174,13 @@ def build_model(config: PipelineConfig, seed: int | None = None,
 
 @dataclass
 class ForwardResult:
+    """One forward pass.  ``vu`` holds the summed modality spaces before the
+    per-voxel fusion map, which the decoder applies to its samples."""
+
     vu: VoxelGrid
     decode: DecodeResult
     teacher_tap: EncoderTap | None = None
     student_tap: EncoderTap | None = None
-    camera_space: VoxelGrid | None = None
-    lidar_space: VoxelGrid | None = None
 
 
 @dataclass
@@ -248,19 +249,19 @@ def forward_scene(
             teacher = pts_tap
     with _stage("fusion"):
         selected = [v for v, on in ((vi, config.use_camera), (vp, config.use_lidar)) if on]
-        vu = modality_switch_fuse(selected, params.fusion)
+        vu = modality_switch_fuse(selected)
     if config.kt_enabled and config.kt_teacher == "fused":
-        teacher = EncoderTap(features=vu.features)
+        # KT reads the teacher as data, so the dense fused volume stays off the tape
+        teacher = EncoderTap(features=nm.conv(vu.features.data, params.fusion.weight.data,
+                                              params.fusion.bias.data))
     with _stage("decode"):
-        result = decode(params.decoder, vu)
+        result = decode(params.decoder, vu, params.fusion)
     expose_taps = teacher is not None and student is not None
     return ForwardResult(
         vu=vu,
         decode=result,
         teacher_tap=teacher if expose_taps else None,
         student_tap=student if expose_taps else None,
-        camera_space=vi,
-        lidar_space=vp,
     )
 
 

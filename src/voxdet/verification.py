@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics as nm
-from .cross_modality import partial_l2
+from .cross_modality import FusionParams, partial_l2
 from .decoder import (
     BlockPrediction,
     DecoderConfig,
@@ -86,7 +86,12 @@ def _decode_fixture(seed: int):
         blk.cross.attn_w.data[...] = 0.3 * rng.standard_normal(blk.cross.attn_w.shape)
     spec = VoxelGridSpec((-2.0, 2.0), (-2.0, 2.0), (-1.0, 1.0), (4, 4, 2), 8)
     volume = rng.standard_normal(spec.counts + (8,))
-    return config, params, spec, volume
+    # a non-identity fusion map with a nonzero bias, so both composed terms count
+    fusion_rng = np.random.default_rng([seed, 18])
+    fusion = FusionParams.create(fusion_rng, 8)
+    fusion.weight.data[...] += 0.3 * fusion_rng.standard_normal(fusion.weight.shape)
+    fusion.bias.data[...] = 0.5 * fusion_rng.standard_normal(8)
+    return config, params, fusion, spec, volume
 
 
 def _loss_fixture():
@@ -188,7 +193,7 @@ def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS)
     results.append(_run("softmax_cross_entropy", rng, lambda r: r.standard_normal(5),
                         sce_fn, points, eps))
 
-    config, dparams, spec, volume = _decode_fixture(seed)
+    config, dparams, fusion, spec, volume = _decode_fixture(seed)
     block = dparams.blocks[0]
     refs = np.random.default_rng([seed, 9]).uniform(0.2, 0.8, size=(4, 3))
     deform_probe = Tensor(
@@ -197,7 +202,7 @@ def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS)
 
     def deform_q_fn(q):
         out = deformable_cross_attention(nm.reshape(q, (4, 8)), Tensor(refs),
-                                         Tensor(volume), block.cross, config)
+                                         Tensor(volume), block.cross, config, fusion)
         return nm.tsum(nm.mul(out, deform_probe))
 
     results.append(_run("deformable.queries", rng, lambda r: 0.5 * r.standard_normal(32),
@@ -208,7 +213,7 @@ def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS)
     def deform_vol_fn(v):
         out = deformable_cross_attention(Tensor(queries_fixed), Tensor(refs),
                                          nm.reshape(v, spec.counts + (8,)),
-                                         block.cross, config)
+                                         block.cross, config, fusion)
         return nm.tsum(nm.mul(out, deform_probe))
 
     results.append(_run("deformable.volume", rng,
@@ -290,20 +295,21 @@ def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS)
 
     def decode_scalar():
         grid = VoxelGrid(spec=spec, features=Tensor(volume))
-        return _decode_readout(decode(dparams, grid))
+        return _decode_readout(decode(dparams, grid, fusion))
 
     def decode_volume_fn(v):
         grid = VoxelGrid(spec=spec, features=nm.reshape(v, spec.counts + (8,)))
-        return _decode_readout(decode(dparams, grid))
+        return _decode_readout(decode(dparams, grid, fusion))
 
     results.append(_run("decode.volume", rng,
                         lambda r: 0.5 * r.standard_normal(int(np.prod(spec.counts)) * 8),
                         decode_volume_fn, points, eps))
 
+    decode_params = dparams.parameters() + nm.parameters_of(fusion)
     worst_param = 0.0
-    for param in dparams.parameters():
+    for param in decode_params:
         worst_param = max(worst_param, _param_grad_check(decode_scalar, param, eps))
     results.append(GradCheckResult(name="decode.parameters", max_error=worst_param,
-                                   points=len(dparams.parameters())))
+                                   points=len(decode_params)))
 
     return results

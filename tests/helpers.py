@@ -10,9 +10,10 @@ import math
 import numpy as np
 
 from voxdet import numerics as nm
+from voxdet.cross_modality import FusionParams
 from voxdet.geometry import CameraCalibration, VoxelGridSpec, project_points, voxel_centers
 from voxdet.modality import lift_image_to_voxels, predict_depth_distribution
-from voxdet.numerics import Tensor
+from voxdet.numerics import Parameter, Tensor
 from voxdet.scene.types import Box3D, CameraView, PointCloud, Scene
 
 
@@ -341,6 +342,28 @@ def deformable_cross_attention_oracle(queries, references, volume, params, confi
         head_outputs.append(nm.tsum(nm.mul(sampled, w_h), axis=1))
     merged = nm.concat(head_outputs, axis=-1)
     return nm.affine(merged, params.out_w, params.out_b)
+
+
+def fused_cross_attention_oracle(queries, references, volume, params, config,
+                                 fusion) -> Tensor:
+    """Cross-attention over the densely fused volume: the 1x1x1 fusion conv over
+    every voxel, then the project-every-voxel oracle above."""
+    fused = nm.conv(volume, fusion.weight, fusion.bias)
+    return deformable_cross_attention_oracle(queries, references, fused, params, config)
+
+
+def random_fusion(c, rng):
+    """A non-identity fusion map with a nonzero bias."""
+    fusion = FusionParams.create(rng, c)
+    fusion.weight.data[...] += 0.3 * rng.standard_normal(fusion.weight.shape)
+    fusion.bias.data[...] = 0.5 * rng.standard_normal(c)
+    return fusion
+
+
+def identity_fusion(c):
+    w = np.zeros((1, 1, 1, c, c))
+    w[0, 0, 0] = np.eye(c)
+    return FusionParams(weight=Parameter("w", w), bias=Parameter("b", np.zeros(c)))
 
 
 def fuse_sweeps_image_oracle(spaces, time_offsets, params) -> Tensor:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voxdet import decoder
 from voxdet import numerics as nm
 from voxdet.decoder import (
     DecoderConfig,
@@ -19,11 +20,20 @@ from voxdet.numerics import Tape, Tensor, backward, grad_check
 from voxdet.numerics.gradcheck import central_difference, max_relative_error
 from voxdet.verification import GRAD_EPS, GRAD_TOLERANCE, PROBE_SCALE
 
-from helpers import closure_arrays, deformable_cross_attention_oracle
+from helpers import (
+    closure_arrays,
+    deformable_cross_attention_oracle,
+    fused_cross_attention_oracle,
+    identity_fusion,
+    random_fusion,
+)
 
 CONFIG = DecoderConfig(num_queries=4, num_blocks=2, num_heads=2, num_points=2,
                        channels=8, num_classes=3, ffn_dim=16)
 SPEC = VoxelGridSpec((-4.0, 4.0), (-4.0, 4.0), (-1.0, 1.0), (8, 8, 4), 8)
+
+
+FUSION = random_fusion(8, np.random.default_rng(25))
 
 
 def small_volume(seed=0):
@@ -114,7 +124,7 @@ class TestDeformableAttention:
         volume = Tensor(np.full((4, 4, 4, 4), 2.5))
         refs = Tensor(np.random.default_rng(9).uniform(0.1, 0.9, size=(3, 3)))
         q = Tensor(np.random.default_rng(10).standard_normal((3, 4)))
-        out = deformable_cross_attention(q, refs, volume, ca, config)
+        out = deformable_cross_attention(q, refs, volume, ca, config, identity_fusion(4))
         np.testing.assert_allclose(out.data, 2.5, rtol=0, atol=1e-12)
 
     def test_uniform_attention_weights(self):
@@ -140,7 +150,9 @@ class TestDeformableAttention:
         volume = Tensor(np.ones((4, 4, 4, 4)))
         refs = Tensor(np.array([[0.5, 0.5, 0.5]]))
         q = Tensor(np.zeros((1, 4)))
-        out = deformable_cross_attention(q, refs, volume, ca, config)
+        # a nonzero fusion bias must vanish with the value bias outside the grid
+        fusion = random_fusion(4, np.random.default_rng(26))
+        out = deformable_cross_attention(q, refs, volume, ca, config, fusion)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_attention_weights_sum_to_one(self):
@@ -165,16 +177,17 @@ def _cross_fixture(heads, seed):
         p.data[...] = 0.5 * rng.standard_normal(p.shape)
     queries = rng.standard_normal((6, 8))
     volume = rng.standard_normal((4, 3, 2, 8))
-    return config, ca, queries, volume, rng
+    fusion = random_fusion(8, rng)
+    return config, ca, fusion, queries, volume, rng
 
 
-def _cross_values_and_grads(fn, config, ca, queries, refs, volume, probe):
+def _cross_values_and_grads(fn, config, ca, fusion, queries, refs, volume, probe):
     leaves = [Tensor(x, requires_grad=True) for x in (queries, refs, volume)]
-    params = nm.parameters_of(ca)
+    params = nm.parameters_of([ca, fusion])
     for p in params:
         p.reset_gradient()
     with Tape() as tape:
-        out = fn(*leaves, ca, config)
+        out = fn(*leaves, ca, config, fusion)
         loss = nm.tsum(nm.mul(out, Tensor(probe)))
     backward(tape, loss)
     return [out.data] + [leaf.grad for leaf in leaves] + [p.grad.copy() for p in params]
@@ -183,7 +196,8 @@ def _cross_values_and_grads(fn, config, ca, queries, refs, volume, probe):
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("placement", ["inside", "faces", "outside"])
 def test_cross_attention_matches_project_then_sample_oracle(heads, placement):
-    config, ca, queries, volume, rng = _cross_fixture(heads, seed=heads)
+    # the oracle fuses every voxel with a dense conv, then projects and samples
+    config, ca, fusion, queries, volume, rng = _cross_fixture(heads, seed=heads)
     refs = rng.uniform(0.1, 0.9, size=(6, 3))
     if placement == "faces":  # one coordinate of each reference on a face of the grid
         refs[np.arange(6), rng.integers(0, 3, size=6)] = rng.integers(0, 2, size=6)
@@ -191,9 +205,9 @@ def test_cross_attention_matches_project_then_sample_oracle(heads, placement):
         refs[:4] = rng.choice([-1.0, 1.0], size=(4, 3)) * rng.uniform(1.2, 1.6, size=(4, 3))
         refs[:4] += refs[:4] > 0
     probe = rng.standard_normal((6, 8))
-    got = _cross_values_and_grads(deformable_cross_attention, config, ca, queries, refs,
-                                  volume, probe)
-    want = _cross_values_and_grads(deformable_cross_attention_oracle, config, ca, queries,
+    got = _cross_values_and_grads(deformable_cross_attention, config, ca, fusion, queries,
+                                  refs, volume, probe)
+    want = _cross_values_and_grads(fused_cross_attention_oracle, config, ca, fusion, queries,
                                    refs, volume, probe)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
@@ -202,18 +216,19 @@ def test_cross_attention_matches_project_then_sample_oracle(heads, placement):
 def test_cross_attention_value_and_reference_gradients():
     # references near and past the grid faces: some samples lose part of their
     # trilinear mass, so the mass-scaled value bias depends on the references
-    config, ca, queries, volume, rng = _cross_fixture(2, seed=31)
+    config, ca, fusion, queries, volume, rng = _cross_fixture(2, seed=31)
     refs = rng.uniform(-0.2, 1.2, size=(6, 3))
     probe = Tensor(PROBE_SCALE * rng.choice([-1.0, 1.0], size=(6, 8)))
 
     def readout(r):
-        out = deformable_cross_attention(Tensor(queries), r, Tensor(volume), ca, config)
+        out = deformable_cross_attention(Tensor(queries), r, Tensor(volume), ca, config,
+                                         fusion)
         return nm.tsum(nm.mul(out, probe))
 
     outside = (refs < 0.0) | (refs > 1.0)
     assert outside.any() and not outside.all()
     assert grad_check(readout, refs, eps=GRAD_EPS) < GRAD_TOLERANCE
-    for param in (ca.value_w, ca.value_b):
+    for param in (ca.value_w, ca.value_b, fusion.weight, fusion.bias):
         param.reset_gradient()
         with Tape() as tape:
             out = readout(Tensor(refs))
@@ -233,7 +248,7 @@ class TestDecoderBlock:
         q = Tensor(np.random.default_rng(18).standard_normal((4, 8)))
         refs = Tensor(np.random.default_rng(19).uniform(0.2, 0.8, size=(4, 3)))
         _, pred, refined = decoder_block(q, refs, small_volume().features,
-                                         params.blocks[0], params.head, CONFIG)
+                                         params.blocks[0], params.head, CONFIG, FUSION)
         np.testing.assert_allclose(refined.data, refs.data, rtol=0, atol=1e-9)
 
     def test_saturating_delta(self):
@@ -246,18 +261,18 @@ class TestDecoderBlock:
         q = Tensor(np.zeros((4, 8)))
         refs = Tensor(np.full((4, 3), 0.5))
         _, _, refined = decoder_block(q, refs, small_volume().features,
-                                      params.blocks[0], params.head, CONFIG)
+                                      params.blocks[0], params.head, CONFIG, FUSION)
         np.testing.assert_allclose(refined.data[:, 0], 1.0, rtol=0, atol=1e-15)
 
     def test_block_count_matches_predictions(self):
         params = DecoderParams.create(CONFIG, seed=21)
-        result = decode(params, small_volume())
+        result = decode(params, small_volume(), FUSION)
         assert len(result.blocks) == CONFIG.num_blocks
         assert len(result.detections) == CONFIG.num_queries
 
     def test_references_stay_in_unit_cube(self):
         params = DecoderParams.create(CONFIG, seed=22)
-        result = decode(params, small_volume(3))
+        result = decode(params, small_volume(3), FUSION)
         for block in result.blocks:
             assert block.reference_out.data.min() >= 0.0
             assert block.reference_out.data.max() <= 1.0
@@ -272,12 +287,40 @@ def test_decode_tape_keeps_no_per_point_samples_or_score_matrices():
     volume = Tensor(np.random.default_rng(40).standard_normal(spec.counts + (c,)),
                     requires_grad=True)
     params = DecoderParams.create(config, seed=41)
+    fusion = random_fusion(c, np.random.default_rng(42))
     with Tape() as tape:
-        decode(params, VoxelGrid(spec=spec, features=volume))
+        decode(params, VoxelGrid(spec=spec, features=volume), fusion)
     banned = {(n * heads * k, c), (n, heads, k, c), (heads, n, n)}
     for node in tape._nodes:
         arrays = [node.data] + closure_arrays(node._backward)
         assert not [a.shape for a in arrays if a.shape in banned]
+        # the fusion map acts on the samples: no fused copy of the volume is kept
+        assert not [a.shape for a in arrays
+                    if a.shape == spec.counts + (c,) and a is not volume.data]
+
+
+def test_decode_matches_decoding_densely_fused_volume(monkeypatch):
+    config = DecoderConfig(num_queries=6, num_blocks=3, num_heads=2, num_points=3,
+                           channels=8, num_classes=3, ffn_dim=16)
+    params = DecoderParams.create(config, seed=43)
+    rng = np.random.default_rng(44)
+    for blk in params.blocks:  # offsets and attention that depend on the queries
+        blk.cross.offset_w.data[...] = 0.3 * rng.standard_normal(blk.cross.offset_w.shape)
+        blk.cross.attn_w.data[...] = 0.3 * rng.standard_normal(blk.cross.attn_w.shape)
+        blk.cross.value_b.data[...] = 0.5 * rng.standard_normal(blk.cross.value_b.shape)
+    fusion = random_fusion(8, rng)
+    volume = small_volume(5)
+    got = decode(params, volume, fusion)
+
+    dense = nm.conv(volume.features, fusion.weight, fusion.bias)
+    monkeypatch.setattr(decoder, "deformable_cross_attention",
+                        lambda q, r, v, p, cfg, _: deformable_cross_attention_oracle(
+                            q, r, v, p, cfg))
+    want = decode(params, VoxelGrid(spec=SPEC, features=dense), fusion)
+    for g, w in zip(got.blocks, want.blocks):
+        for field in ("class_logits", "box_params", "reference_out"):
+            np.testing.assert_allclose(getattr(g, field).data, getattr(w, field).data,
+                                       rtol=0, atol=1e-12)
 
 
 class TestDecodeBoxes:
@@ -322,7 +365,7 @@ class TestDecodeEquivariance:
             blk.cross.offset_w.data[...] = 0.2 * rng.standard_normal(blk.cross.offset_w.shape)
             blk.cross.attn_w.data[...] = 0.2 * rng.standard_normal(blk.cross.attn_w.shape)
         volume = small_volume(4)
-        base = decode(params, volume)
+        base = decode(params, volume, FUSION)
 
         perm = np.array([5, 2, 7, 0, 4, 1, 6, 3])
         params_perm = DecoderParams.create(config, seed=23)
@@ -333,7 +376,7 @@ class TestDecodeEquivariance:
                 b_dst.cross.offset_w.data[...] = b_src.cross.offset_w.data
                 b_dst.cross.attn_w.data[...] = b_src.cross.attn_w.data
         params_perm.query_embed.data[...] = params.query_embed.data[perm]
-        permuted = decode(params_perm, volume)
+        permuted = decode(params_perm, volume, FUSION)
 
         for blk_base, blk_perm in zip(base.blocks, permuted.blocks):
             np.testing.assert_allclose(blk_perm.class_logits.data,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import closure_arrays
+from voxdet import numerics as nm
 from voxdet import pipeline
 from voxdet.modality import fuse_sweeps_image
 from voxdet.numerics import Tape
@@ -26,13 +27,16 @@ def detections_equal(a, b):
 
 
 class TestModalitySwitch:
-    def test_lidar_only_skips_camera(self):
+    def test_lidar_only_skips_camera(self, monkeypatch):
+        def lift(*args, **kwargs):
+            raise AssertionError("a LiDAR-only run lifted a camera")
+
+        monkeypatch.setattr(pipeline, "lift_image_to_voxels", lift)
         scene = small_scene()
         config = PipelineConfig(use_camera=False)
         result = run_detection(scene, config)
         assert result.raw.teacher_tap is None
         assert result.raw.student_tap is None
-        assert result.raw.camera_space is None
 
     def test_disabled_modality_input_independence(self):
         scene = small_scene(3)
@@ -154,6 +158,36 @@ def test_sweep_fusion_tape_keeps_one_conv_and_no_merged_sweeps(monkeypatch):
         arrays = [node.data] + closure_arrays(node._backward)
         assert not [a.shape for a in arrays if a.shape == grid + (2 * c,)]
         assert not [a.shape for a in arrays if a.shape == grid + (c,) and a is not out.data]
+
+
+@pytest.mark.parametrize("config, convs", [
+    # two multi-scale heads and three encoder conv3d blocks
+    (PipelineConfig(use_camera=False), 5),
+    # the depth head on the one camera and the sweep fusion
+    (PipelineConfig(use_lidar=False, encoder_op="none"), 2),
+])
+def test_forward_records_no_fusion_conv(config, convs):
+    # the fusion map acts on the decoder's samples, so no conv runs over the summed spaces
+    scene = generate_scene(SceneConfig(n_objects=1, n_cameras=1, channels=32), 29)
+    params = build_model(config)
+    with Tape() as tape:
+        forward_scene(scene, config, params)
+    assert len([node for node in tape._nodes
+                if node._backward.__qualname__.startswith("conv.")]) == convs
+
+
+def test_fused_kt_teacher_is_dense_fusion_off_the_tape():
+    scene = small_scene(31)
+    config = PipelineConfig(kt_enabled=True, kt_teacher="fused", seed=6)
+    params = build_model(config)
+    with Tape() as tape:
+        fw = forward_scene(scene, config, params)
+    teacher = fw.teacher_tap.features
+    want = nm.conv(fw.vu.features.data, params.fusion.weight.data, params.fusion.bias.data)
+    np.testing.assert_array_equal(teacher.data, want.data)
+    assert not teacher.requires_grad
+    assert not [node for node in tape._nodes
+                if node is teacher or np.shares_memory(node.data, teacher.data)]
 
 
 class TestSequence:
