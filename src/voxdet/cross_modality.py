@@ -32,12 +32,12 @@ class FusionParams:
     bias: Parameter  # (C,)
 
     @staticmethod
-    def create(rng: np.random.Generator, channels: int, prefix: str = "fusion"):
+    def create(rng: np.random.Generator, channels: int):
         w = 0.02 * rng.standard_normal((1, 1, 1, channels, channels))
         w[0, 0, 0] += np.eye(channels)
         return FusionParams(
-            weight=Parameter(f"{prefix}.weight", w),
-            bias=Parameter(f"{prefix}.bias", np.zeros(channels)),
+            weight=Parameter("fusion.weight", w),
+            bias=Parameter("fusion.bias", np.zeros(channels)),
         )
 
 

@@ -11,7 +11,6 @@ the reference in sigmoid space between blocks.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ from .cross_modality import FusionParams
 from .modality import VoxelGrid
 from .numerics import Parameter, Tensor
 from .numerics.ops import _sigmoid
+from .scene.generate import child_rng
 from .scene.types import Box3D
 
 __all__ = [
@@ -136,7 +136,7 @@ class DecoderParams:
     @staticmethod
     def create(config: DecoderConfig, seed: int) -> "DecoderParams":
         c = config.channels
-        rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, zlib.crc32(b"decoder")])
+        rng = child_rng(seed, "decoder")
         query_embed = Parameter("queries.embed",
                                 0.02 * rng.standard_normal((config.num_queries, c)))
         ref_w, ref_b = _linear(rng, "queries.reference", c, 3)
@@ -226,13 +226,13 @@ def deformable_cross_attention(
     bias ``b_f @ value_w + value_b``), so the fused volume is never built.
     Offsets are predicted in normalized coordinates.  One weighted
     ``trilinear_sample`` of the volume mixes each head's K samples with
-    their softmax weights, and that head's slice of the composed projection
-    is applied to the mix: sampling is linear, so this equals fusing and
-    projecting every voxel first and sampling the result.  The composed bias
-    enters scaled by the weight-mixed trilinear mass of the same points (the
-    weighted sample of a ones volume), so samples at or beyond one cell
-    outside the grid contribute neither value, fusion bias nor value bias,
-    as sampling the zero-padded fused volume would give.  Heads are
+    their softmax weights and appends their weight-mixed trilinear mass;
+    that head's slice of the composed projection, with the composed bias as
+    its last row, is applied to the mix: sampling is linear, so this equals
+    fusing and projecting every voxel first and sampling the result.  The
+    bias enters scaled by the mass, so samples at or beyond one cell outside
+    the grid contribute neither value, fusion bias nor value bias, as
+    sampling the zero-padded fused volume would give.  Heads are
     concatenated and a final projection maps back to C channels.  Residual
     and normalization are the caller's responsibility.
     """
@@ -252,17 +252,13 @@ def deformable_cross_attention(
     grid_locations = nm.mul(locations, Tensor(reference_grid_scale((nx, ny, nz))))
     points = nm.reshape(grid_locations, (n * heads, k, 3))
 
-    def mix(vol, channels):  # (n, H, channels): the K samples weighted per head
-        return nm.reshape(nm.trilinear_sample(vol, points, weights), (n, heads, channels))
-
-    mixed = nm.transpose(mix(volume, c), (1, 0, 2))  # (H, n, C)
-    mass = mix(Tensor(np.ones((nx, ny, nz, 1))), 1)  # (n, H, 1)
+    mixed = nm.reshape(nm.trilinear_sample(volume, points, weights), (n, heads, c + 1))
     value_w = nm.matmul(nm.reshape(fusion.weight, (c, c)), params.value_w)
     value_b = nm.affine(fusion.bias, params.value_w, params.value_b)
-    w_heads = nm.transpose(nm.reshape(value_w, (c, heads, dh)), (1, 0, 2))
-    projected = nm.transpose(nm.matmul(mixed, w_heads), (1, 0, 2))  # (n, H, dh)
-    bias = nm.mul(mass, nm.reshape(value_b, (heads, dh)))
-    merged = nm.reshape(nm.add(projected, bias), (n, c))
+    value = nm.concat([value_w, nm.reshape(value_b, (1, c))], axis=0)  # (C + 1, C)
+    w_heads = nm.transpose(nm.reshape(value, (c + 1, heads, dh)), (1, 0, 2))
+    projected = nm.matmul(nm.transpose(mixed, (1, 0, 2)), w_heads)  # (H, n, dh)
+    merged = nm.reshape(nm.transpose(projected, (1, 0, 2)), (n, c))
     return nm.affine(merged, params.out_w, params.out_b)
 
 

@@ -90,11 +90,11 @@ class DepthHeadParams:
     bias: Parameter  # (D,)
 
     @staticmethod
-    def create(rng: np.random.Generator, channels: int, bins: int, prefix: str = "depth"):
+    def create(rng: np.random.Generator, channels: int, bins: int):
         return DepthHeadParams(
-            weight=Parameter(f"{prefix}.weight",
+            weight=Parameter("depth.weight",
                              0.02 * rng.standard_normal((1, 1, 1, channels, bins))),
-            bias=Parameter(f"{prefix}.bias", np.zeros(bins)),
+            bias=Parameter("depth.bias", np.zeros(bins)),
         )
 
 
@@ -109,7 +109,7 @@ class SweepFusionParams:
     fuse_bias: Parameter  # (C,)
 
     @staticmethod
-    def create(rng: np.random.Generator, channels: int, sweeps: int, prefix: str = "sweeps"):
+    def create(rng: np.random.Generator, channels: int, sweeps: int):
         # Identity-on-features start: merging leaves features intact and the
         # fusion averages the sweeps, so a fresh model is sweep-count sane.
         merge = np.zeros((1, 1, 1, channels + 1, channels))
@@ -117,11 +117,11 @@ class SweepFusionParams:
         merge[0, 0, 0, channels] = 0.02 * rng.standard_normal(channels)
         fuse = np.concatenate([np.eye(channels) / sweeps] * sweeps, axis=0)
         return SweepFusionParams(
-            merge_weight=Parameter(f"{prefix}.merge_weight", merge),
-            merge_bias=Parameter(f"{prefix}.merge_bias", np.zeros(channels)),
-            fuse_weight=Parameter(f"{prefix}.fuse_weight",
+            merge_weight=Parameter("sweeps.merge_weight", merge),
+            merge_bias=Parameter("sweeps.merge_bias", np.zeros(channels)),
+            fuse_weight=Parameter("sweeps.fuse_weight",
                                   fuse.reshape(1, 1, 1, sweeps * channels, channels)),
-            fuse_bias=Parameter(f"{prefix}.fuse_bias", np.zeros(channels)),
+            fuse_bias=Parameter("sweeps.fuse_bias", np.zeros(channels)),
         )
 
 
@@ -132,13 +132,13 @@ class MultiScaleHeadParams:
     biases: list[Parameter]
 
     @staticmethod
-    def create(rng: np.random.Generator, channels: int, strides=(1, 2), prefix: str = "heads"):
+    def create(rng: np.random.Generator, channels: int, strides=(1, 2)):
         weights, biases = [], []
         for s in strides:
             w = 0.02 * rng.standard_normal((3, 3, 3, channels, channels))
             w[1, 1, 1] += np.eye(channels)  # near-identity center tap
-            weights.append(Parameter(f"{prefix}.s{s}.weight", w))
-            biases.append(Parameter(f"{prefix}.s{s}.bias", np.zeros(channels)))
+            weights.append(Parameter(f"heads.s{s}.weight", w))
+            biases.append(Parameter(f"heads.s{s}.bias", np.zeros(channels)))
         return MultiScaleHeadParams(strides=tuple(strides), weights=weights, biases=biases)
 
 

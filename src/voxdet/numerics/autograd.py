@@ -45,7 +45,7 @@ class Tensor:
     allocated during backward for nodes that participate in differentiation.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -64,7 +64,6 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
@@ -183,7 +182,6 @@ def record_op(
     out = Tensor(data, requires_grad=requires)
     tape = active_tape()
     if tape is not None and requires:
-        out._parents = tuple(parents)
         out._backward = backward_fn
         tape._record(out)
     return out

@@ -508,15 +508,16 @@ def trilinear_sample(volume, points, weights=None) -> Tensor:
     Differentiable with respect to the volume, the points and the weights.
 
     With ``weights`` (R, K), ``points`` is (R, K, 3) and the output is the
-    (R, C) weighted sum over K, ``sum_k weights[r, k] * sample(points[r, k])``,
-    with no per-point sample kept.
+    (R, C + 1) weighted sum over K, ``sum_k weights[r, k] * sample(points[r, k])``,
+    with no per-point sample kept.  The last column samples a ones channel
+    that is never built: the trilinear mass, the share inside the grid.
 
     The eight corners of every point become one ``interpolation_matrix`` S
     whose row r holds its K points' corners in (point, corner) order, each
     corner weight times the point's weight (an outside corner reads cell 0
-    with weight 0): the output is ``S @ volume`` and the volume gradient
-    ``S^T @ g``.  The point and weight gradients gather each corner's values
-    again instead of keeping them.
+    with weight 0): the output is ``S @ volume``, then ``S @ 1`` when
+    weighted, and the volume gradient ``S^T @ g``.  The point and weight
+    gradients gather each corner's values again instead of keeping them.
     """
     volume = as_tensor(volume)
     points = as_tensor(points)
@@ -560,9 +561,13 @@ def trilinear_sample(volume, points, weights=None) -> Tensor:
 
     cells, matrix_weights = entries([lin for lin, *_ in corners]), entries(scaled)
     out = interpolation_matrix(cells, matrix_weights, data_flat.shape[0]) @ data_flat
+    if weights is not None:  # the ones channel: the row sums of S
+        out = np.concatenate([out, matrix_weights.sum(axis=0)[:, None]], axis=1)
 
     def backward(g):
-        g2 = g.reshape(rows, c)
+        g2, g_mass = g.reshape(rows, -1), 0.0
+        if weights is not None:
+            g2, g_mass = g2[:, :c], g2[:, c:]
         if volume.requires_grad:
             s_t = interpolation_matrix(cells, matrix_weights, data_flat.shape[0],
                                        transpose=True)
@@ -574,7 +579,7 @@ def trilinear_sample(volume, points, weights=None) -> Tensor:
         for (lin, inside, wx, wy, wz, (sx, sy, sz)), w in zip(corners, corner_weights):
             vals = np.take(data_flat, lin, axis=0).reshape(rows, k, c)
             vals *= g2[:, None, :]
-            gv = np.where(inside, vals.sum(axis=2).reshape(-1), 0.0)
+            gv = np.where(inside, (vals.sum(axis=2) + g_mass).reshape(-1), 0.0)
             dw += gv * w
             dp[:, 0] += gv * sx * wy * wz
             dp[:, 1] += gv * wx * sy * wz
@@ -584,7 +589,7 @@ def trilinear_sample(volume, points, weights=None) -> Tensor:
             accumulate_grad(weights, dw.reshape(weights.shape))
         accumulate_grad(points, dp.reshape(points.shape))
 
-    return record_op(out.reshape(out_shape + (c,)), parents, backward)
+    return record_op(out.reshape(out_shape + (-1,)), parents, backward)
 
 
 # ---------------------------------------------------------------------------

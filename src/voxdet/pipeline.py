@@ -11,7 +11,6 @@ not depend on the worker count.
 from __future__ import annotations
 
 import functools
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from .modality import (
 )
 from .numerics import Parameter, Tensor
 from .postprocess import PostprocessConfig, TrackerConfig, TrackerState, greedy_track_step, run_postprocess
+from .scene.generate import child_rng
 from .scene.types import Box3D, Scene
 from .serialize import from_dict, to_dict
 
@@ -106,10 +106,6 @@ class PipelineConfig:
         return from_dict(PipelineConfig, data)
 
 
-def _component_rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, zlib.crc32(name.encode())])
-
-
 @dataclass
 class ModelParams:
     depth_head: DepthHeadParams | None
@@ -144,22 +140,22 @@ def build_model(config: PipelineConfig, seed: int | None = None,
     depth_head = sweep_fusion = heads = encoder_img = encoder_pts = None
     if _needs_camera(config):
         depth_head = DepthHeadParams.create(
-            _component_rng(seed, "depth_head"), c, config.depth.bins
+            child_rng(seed, "depth_head"), c, config.depth.bins
         )
         sweep_fusion = SweepFusionParams.create(
-            _component_rng(seed, "sweep_fusion"), c, n_camera_sweeps
+            child_rng(seed, "sweep_fusion"), c, n_camera_sweeps
         )
         encoder_img = EncoderParams.create(
-            _component_rng(seed, "encoder_img"), c, config.encoder_op, prefix="encoder_img"
+            child_rng(seed, "encoder_img"), c, config.encoder_op, prefix="encoder_img"
         )
     if _needs_lidar(config):
         heads = MultiScaleHeadParams.create(
-            _component_rng(seed, "heads"), c, config.head_strides
+            child_rng(seed, "heads"), c, config.head_strides
         )
         encoder_pts = EncoderParams.create(
-            _component_rng(seed, "encoder_pts"), c, config.encoder_op, prefix="encoder_pts"
+            child_rng(seed, "encoder_pts"), c, config.encoder_op, prefix="encoder_pts"
         )
-    fusion = FusionParams.create(_component_rng(seed, "fusion"), c)
+    fusion = FusionParams.create(child_rng(seed, "fusion"), c)
     decoder = DecoderParams.create(config.decoder, seed)
     return ModelParams(
         depth_head=depth_head,

@@ -36,6 +36,15 @@ class PostprocessConfig:
     nms_radius: float = 1.0  # meters, per class unless overridden
     nms_radius_per_class: dict[int, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.max_detections < 0:
+            raise ValueError(f"max_detections must be >= 0, got {self.max_detections}")
+        radii = {"nms_radius": self.nms_radius,
+                 **{f"nms_radius_per_class.{k}": r for k, r in self.nms_radius_per_class.items()}}
+        for name, radius in radii.items():
+            if not radius > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {radius}")
+
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -74,8 +83,6 @@ def circle_nms(dets: list[Box3D], config: PostprocessConfig) -> list[Box3D]:
     for i in order:
         box = dets[i]
         radius = float(config.nms_radius_per_class.get(box.class_id, config.nms_radius))
-        if radius <= 0:
-            raise ValueError(f"NMS radius for class {box.class_id} must be positive")
         suppressed = False
         for other in kept:
             if other.class_id != box.class_id:

@@ -70,14 +70,16 @@ class SceneConfig:
         return from_dict(SceneConfig, data)
 
 
-def _child_seed(seed: int, *tags) -> list[int]:
+def child_rng(seed: int, *tags) -> np.random.Generator:
+    """The generator of one seeded component: its entropy is the seed's low 32
+    bits, then each tag, a string as its CRC-32 and an int as its low 32 bits."""
     parts = [int(seed) & 0xFFFFFFFF]
     for tag in tags:
         if isinstance(tag, str):
             parts.append(zlib.crc32(tag.encode()))
         else:
             parts.append(int(tag) & 0xFFFFFFFF)
-    return parts
+    return np.random.default_rng(parts)
 
 
 def _f32(arr: np.ndarray) -> np.ndarray:
@@ -269,11 +271,11 @@ def _build_frame(
             pts = sample_points_on_box(
                 box.at_time(t),
                 config.point_density,
-                _child_seed(seed, "points", frame_index, s, b),
+                child_rng(seed, "points", frame_index, s, b),
             )
             pts.time[:] = t32
             clouds.append(pts)
-        grng = np.random.default_rng(_child_seed(seed, "ground", frame_index, s))
+        grng = child_rng(seed, "ground", frame_index, s)
         gxy = grng.uniform(
             -config.ground_extent, config.ground_extent, size=(config.ground_points, 2)
         )
@@ -293,7 +295,7 @@ def _build_frame(
         t = -s * config.sweep_dt
         pose_t = _ego_pose(config, t)
         for c, calib in enumerate(rig):
-            prng = np.random.default_rng(_child_seed(seed, "camera", frame_index, s, c))
+            prng = child_rng(seed, "camera", frame_index, s, c)
             feats = _paint_camera(config, calib, pose_t, pose_0, boxes, t, prng)
             cameras.append(
                 CameraView(
@@ -316,7 +318,7 @@ def _build_frame(
 
 def generate_scene(config: SceneConfig, seed: int, scene_id: str = "scene") -> Scene:
     """Build a deterministic in-memory scene for (config, seed)."""
-    rng = np.random.default_rng(_child_seed(seed, "placement"))
+    rng = child_rng(seed, "placement")
     boxes = _place_boxes(config, rng)
     return _build_frame(config, seed, boxes, scene_id, frame_index=0)
 
@@ -325,7 +327,7 @@ def generate_sequence(
     config: SceneConfig, seed: int, n_frames: int, frame_dt: float = 0.5
 ) -> list[Scene]:
     """Frames of the same objects advanced by their constant velocities."""
-    rng = np.random.default_rng(_child_seed(seed, "placement"))
+    rng = child_rng(seed, "placement")
     boxes = _place_boxes(config, rng)
     return [
         _build_frame(

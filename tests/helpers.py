@@ -305,10 +305,14 @@ def trilinear_sample_oracle(volume: Tensor, points: Tensor) -> Tensor:
 
 
 def weighted_trilinear_sample_oracle(volume: Tensor, points: Tensor, weights: Tensor) -> Tensor:
-    """The weighted sampler as separate nodes: sample all (R, K) points, scale, sum over K."""
+    """The weighted sampler as separate nodes over the explicitly built ``[V | 1]``
+    volume: sample all (R, K) points, scale, sum over K."""
     r, k, _ = points.shape
-    sampled = trilinear_sample_oracle(volume, nm.reshape(points, (r * k, 3)))
-    scaled = nm.mul(nm.reshape(sampled, (r, k, volume.shape[-1])), nm.reshape(weights, (r, k, 1)))
+    ones = Tensor(np.ones(volume.shape[:3] + (1,)))
+    stacked = nm.concat([volume, ones], axis=3)
+    sampled = trilinear_sample_oracle(stacked, nm.reshape(points, (r * k, 3)))
+    scaled = nm.mul(nm.reshape(sampled, (r, k, stacked.shape[-1])),
+                    nm.reshape(weights, (r, k, 1)))
     return nm.tsum(scaled, axis=1)
 
 

@@ -171,6 +171,12 @@ def test_non_canonical_int_key_named(key):
         PipelineConfig.from_dict(data)
 
 
+def test_out_of_range_value_named_with_its_path():
+    data = _with(PipelineConfig().to_dict(), "postprocess.nms_radius_per_class", {"2": -1})
+    with pytest.raises(ValueError, match="postprocess: nms_radius_per_class.2 must be positive"):
+        PipelineConfig.from_dict(data)
+
+
 def test_to_dict_is_plain_json():
     config = PipelineConfig(postprocess=PostprocessConfig(nms_radius_per_class={2: 0.5}))
     data = to_dict(config)

@@ -278,18 +278,23 @@ class TestDecoderBlock:
             assert block.reference_out.data.max() <= 1.0
 
 
-def test_decode_tape_keeps_no_per_point_samples_or_score_matrices():
+def _desk_decode_tape():
     # the desk-scale decoder with 40 queries, so that the (H, n, C) per-head
     # mix cannot take the (H, n, n) shape of a score matrix
     config = DecoderConfig(num_queries=40)
-    n, heads, k, c = config.num_queries, config.num_heads, config.num_points, config.channels
-    spec = VoxelGridSpec((-8.0, 8.0), (-8.0, 8.0), (-2.0, 2.0), (16, 16, 4), c)
-    volume = Tensor(np.random.default_rng(40).standard_normal(spec.counts + (c,)),
+    spec = VoxelGridSpec((-8.0, 8.0), (-8.0, 8.0), (-2.0, 2.0), (16, 16, 4), config.channels)
+    volume = Tensor(np.random.default_rng(40).standard_normal(spec.counts + (spec.channels,)),
                     requires_grad=True)
     params = DecoderParams.create(config, seed=41)
-    fusion = random_fusion(c, np.random.default_rng(42))
+    fusion = random_fusion(spec.channels, np.random.default_rng(42))
     with Tape() as tape:
         decode(params, VoxelGrid(spec=spec, features=volume), fusion)
+    return config, spec, volume, tape
+
+
+def test_decode_tape_keeps_no_per_point_samples_or_score_matrices():
+    config, spec, volume, tape = _desk_decode_tape()
+    n, heads, k, c = config.num_queries, config.num_heads, config.num_points, config.channels
     banned = {(n * heads * k, c), (n, heads, k, c), (heads, n, n)}
     for node in tape._nodes:
         arrays = [node.data] + closure_arrays(node._backward)
@@ -297,6 +302,21 @@ def test_decode_tape_keeps_no_per_point_samples_or_score_matrices():
         # the fusion map acts on the samples: no fused copy of the volume is kept
         assert not [a.shape for a in arrays
                     if a.shape == spec.counts + (c,) and a is not volume.data]
+
+
+def test_decode_samples_each_block_once_and_builds_no_ones_volume():
+    # the bias mass is the weighted sampler's last column, not a second
+    # sampling pass over a constant (X, Y, Z, 1) volume
+    config, spec, _, tape = _desk_decode_tape()
+    samplers = [node for node in tape._nodes
+                if node._backward.__qualname__.startswith("trilinear_sample.")]
+    assert len(samplers) == config.num_blocks
+    assert all(node.shape == (config.num_queries * config.num_heads, config.channels + 1)
+               for node in samplers)
+    ones_shapes = {spec.counts + (1,), (int(np.prod(spec.counts)), 1)}
+    for node in tape._nodes:
+        arrays = [node.data] + closure_arrays(node._backward)
+        assert not [a.shape for a in arrays if a.shape in ones_shapes]
 
 
 def test_decode_matches_decoding_densely_fused_volume(monkeypatch):

@@ -234,7 +234,7 @@ def _weighted_sample_inputs(heads, k, placement, seed):
         far = np.where(side, counts - 1.0 + beyond, -beyond)
         pts = np.where(rng.uniform(size=(rows, k, 1)) < 0.5, far, pts)
     weights = rng.uniform(-0.5, 1.5, size=(rows, k))
-    return vol, pts, weights, rng.standard_normal((rows, 6))
+    return vol, pts, weights, rng.standard_normal((rows, 7))  # 6 channels and the mass
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -244,7 +244,7 @@ def test_weighted_trilinear_matches_sample_mul_sum_oracle(heads, k, placement):
     vol, pts, weights, probe = _weighted_sample_inputs(heads, k, placement, seed=0)
     got = _values_and_grads(nm.trilinear_sample, (vol, pts, weights), probe)
     want = _values_and_grads(weighted_trilinear_sample_oracle, (vol, pts, weights), probe)
-    assert got[0].shape == (5 * heads, 6)
+    assert got[0].shape == (5 * heads, 7)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)

@@ -67,6 +67,21 @@ class TestCircleNMS:
         assert len(kept) == 1
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_detections", -5, "max_detections must be >= 0, got -5"),
+    ("nms_radius", 0.0, "nms_radius must be positive, got 0.0"),
+    ("nms_radius", float("nan"), "nms_radius must be positive, got nan"),
+    ("nms_radius_per_class", {0: 1.0, 2: -1.0}, r"nms_radius_per_class.2 must be positive"),
+])
+def test_config_rejects_bad_field(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        PostprocessConfig(**{field: value})
+
+
+def test_config_accepts_zero_detections():
+    assert filter_predictions([det(0, 0, 0.9)], 0, PostprocessConfig(max_detections=0)) == []
+
+
 class TestTracker:
     CFG = TrackerConfig(score_threshold=0.2, match_distance=2.0, max_age=3)
 
