@@ -1,9 +1,11 @@
 """Modality-specific voxel spaces.
 
-Camera branch: a per-pixel depth head turns image features into a categorical
-depth distribution; every voxel center is projected into each view and filled
-with the pixel feature weighted by its interpolated occupancy probability.
-Sweeps are fused at the space level.  LiDAR branch: points are binned into
+Camera branch: every voxel center is projected into each view once; the
+footprint names the pixels the lift reads.  A per-pixel depth head turns the
+image features of those pixels (or, without a footprint, of every pixel) into
+a categorical depth distribution, and each in-view voxel is filled with its
+pixel feature weighted by its interpolated occupancy probability.  Sweeps are
+fused at the space level.  LiDAR branch: points are binned into
 the grid with hand-crafted per-cell statistics and refined by parallel
 strided heads.  A small convolutional encoder then interacts neighboring
 voxels; its pre-ReLU block-3 activation is exposed as the transfer tap.
@@ -29,6 +31,8 @@ __all__ = [
     "SweepFusionParams",
     "MultiScaleHeadParams",
     "EncoderParams",
+    "LiftFootprint",
+    "lift_footprint",
     "predict_depth_distribution",
     "lift_image_to_voxels",
     "fuse_sweeps_image",
@@ -167,19 +171,87 @@ class EncoderParams:
 # camera branch
 
 
+@dataclass(frozen=True)
+class LiftFootprint:
+    """Where one camera's lift reads its (H, W) image; geometry only.
+
+    ``voxels`` holds the flat indices of the V voxel centers that project
+    inside the image and in front of the perception limit.  Their bilinear
+    corners read the flat pixels ``pixels`` (4, V; ``v * W + u``, 0 where a
+    corner falls outside) with ``weights`` (4, V; 0 outside).  Their depth
+    reads ``bins`` (2, V; the bins below and above, clamped to the end bins)
+    mixed by ``bin_frac`` (V,) toward the upper one.  ``read`` is the sorted
+    set of pixels that an inside corner reads: the only depth-distribution
+    columns the lift uses.
+    """
+
+    image_hw: tuple[int, int]
+    voxels: np.ndarray
+    pixels: np.ndarray
+    weights: np.ndarray
+    bins: np.ndarray
+    bin_frac: np.ndarray
+    read: np.ndarray
+
+
+def lift_footprint(calib, spec: VoxelGridSpec, depth: DepthSpec, image_hw) -> LiftFootprint:
+    """Project every voxel center into one (H, W) camera view.
+
+    A center projecting to (u, v, d) is in view when it lies inside the image
+    (``0 <= u <= W-1``, ``0 <= v <= H-1``) and ``d`` is short of the
+    perception limit.  Its depth interpolates linearly between bin centers;
+    beyond the first/last center it clamps to the end bin.
+    """
+    h, w = (int(n) for n in image_hw)
+    centers = voxel_centers(spec).reshape(-1, 3)
+    u, v, d, valid = project_points(centers, calib)
+    mask = valid & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    mask &= d < depth.depth_limit
+
+    voxels = np.nonzero(mask)[0]
+    um, vm, dm = u[voxels], v[voxels], d[voxels]
+    u0 = np.floor(um).astype(np.int64)
+    v0 = np.floor(vm).astype(np.int64)
+    fu, fv = um - u0, vm - v0
+    td = dm / depth.bin_width - 0.5  # continuous bin coordinate, centers at integers
+    raw = np.floor(td).astype(np.int64)
+    bins = np.clip(np.stack([raw, raw + 1]), 0, depth.bins - 1)
+
+    pixels, weights, inside = [], [], []
+    for dv, du in np.ndindex(2, 2):
+        uu, vv = u0 + du, v0 + dv
+        inside.append((uu >= 0) & (uu < w) & (vv >= 0) & (vv < h))
+        pixels.append(np.where(inside[-1], vv * w + uu, 0))
+        weights.append((fv if dv else 1.0 - fv) * (fu if du else 1.0 - fu) * inside[-1])
+    pixels = np.stack(pixels)
+    seen = np.zeros(h * w, dtype=bool)
+    seen[pixels[np.stack(inside)]] = True
+    return LiftFootprint(image_hw=(h, w), voxels=voxels, pixels=pixels,
+                         weights=np.stack(weights), bins=bins, bin_frac=td - raw,
+                         read=np.flatnonzero(seen))
+
+
 def predict_depth_distribution(
-    features: Tensor, params: DepthHeadParams, depth: DepthSpec
+    features: Tensor, params: DepthHeadParams, depth: DepthSpec, pixels=None
 ) -> Tensor:
     """Per-pixel depth distribution: 1x1 convolution then softmax over bins.
 
-    ``features`` is (H, W, C); the result is (D, H, W) with every pixel
-    column summing to one.
+    ``features`` is (H, W, C).  Without ``pixels`` every pixel column is
+    evaluated and the result is (D, H, W).  With ``pixels``, flat
+    ``v * W + u`` indices such as a :class:`LiftFootprint`'s ``read`` set,
+    only those columns are: the head runs on the gathered (P, 1, 1, C)
+    features and the result is (D, P), column p for ``pixels[p]``.  An empty
+    ``pixels`` gives a constant (D, 0).  Every column sums to one.
     """
     h, w, c = features.shape
-    as_volume = nm.reshape(features, (h, w, 1, c))
-    logits = nm.conv(as_volume, params.weight, params.bias)
-    dist = nm.softmax(nm.reshape(logits, (h, w, depth.bins)), axis=-1)
-    return nm.transpose(dist, (2, 0, 1))
+    rows = nm.reshape(features, (h * w, 1, 1, c))
+    if pixels is not None:
+        if len(pixels) == 0:
+            return Tensor(np.zeros((depth.bins, 0)))
+        rows = nm.getitem(rows, pixels)
+    logits = nm.conv(rows, params.weight, params.bias)
+    dist = nm.transpose(nm.softmax(nm.reshape(logits, (-1, depth.bins)), axis=-1), (1, 0))
+    return dist if pixels is not None else nm.reshape(dist, (depth.bins, h, w))
 
 
 def lift_image_to_voxels(
@@ -188,15 +260,17 @@ def lift_image_to_voxels(
     calib,
     spec: VoxelGridSpec,
     depth: DepthSpec,
+    footprint: LiftFootprint | None = None,
 ) -> Tensor:
     """Fill the voxel grid from one camera view.
 
-    Every voxel center projects to (u, v, d); inside the image and in front
-    of the perception limit, the cell receives the bilinear pixel feature
-    scaled by the occupancy probability read from the depth distribution at
-    (u, v, d).  The depth axis interpolates linearly between bin centers;
-    beyond the first/last center it clamps to the end bin.  All other voxels
-    are zero.  Differentiable with respect to ``features`` and ``depth_dist``.
+    Every voxel center in view (see :func:`lift_footprint`, built from
+    ``calib`` unless ``footprint`` is given) receives the bilinear pixel
+    feature scaled by the occupancy probability read from the depth
+    distribution at its (u, v, d).  All other voxels are zero.
+    ``depth_dist`` is either the full (D, H, W) distribution or the (D, P)
+    columns of the footprint's ``read`` pixels; the lift reads no other
+    column.  Differentiable with respect to ``features`` and ``depth_dist``.
 
     Both reads are ``numerics.interpolation_matrix`` products: the pixel
     feature is P @ features over the four bilinear corners, the occupancy
@@ -205,57 +279,48 @@ def lift_image_to_voxels(
     """
     h, w, c = features.shape
     d_bins = depth.bins
-    if tuple(depth_dist.shape) != (d_bins, h, w):
-        raise ValueError(
-            f"depth distribution shape {depth_dist.shape} != ({d_bins}, {h}, {w})"
-        )
     if spec.channels != c:
         raise ValueError(f"grid channels {spec.channels} != image channels {c}")
+    if footprint is None:
+        footprint = lift_footprint(calib, spec, depth, (h, w))
+    elif footprint.image_hw != (h, w):
+        raise ValueError(f"footprint image {footprint.image_hw} != features ({h}, {w})")
+    read = footprint.read
+    if tuple(depth_dist.shape) == (d_bins, h, w):
+        columns, n_cols = footprint.pixels, h * w
+    elif tuple(depth_dist.shape) == (d_bins, read.size):
+        position = np.zeros(h * w, dtype=np.int64)
+        position[read] = np.arange(read.size)
+        columns, n_cols = position[footprint.pixels], read.size
+    else:
+        raise ValueError(f"depth distribution shape {depth_dist.shape} != "
+                         f"({d_bins}, {h}, {w}) or ({d_bins}, {read.size})")
 
-    centers = voxel_centers(spec).reshape(-1, 3)
-    u, v, d, valid = project_points(centers, calib)
-    mask = valid & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    mask &= d < depth.depth_limit
-
-    idx = np.nonzero(mask)[0]
-    um, vm, dm = u[idx], v[idx], d[idx]
-    u0 = np.floor(um).astype(np.int64)
-    v0 = np.floor(vm).astype(np.int64)
-    fu, fv = um - u0, vm - v0
-    td = dm / depth.bin_width - 0.5  # continuous bin coordinate, centers at integers
-    raw = np.floor(td).astype(np.int64)
-    fb = td - raw
-    b0 = np.clip(raw, 0, d_bins - 1) * (h * w)
-    b1 = np.clip(raw + 1, 0, d_bins - 1) * (h * w)
-
-    pixels, pixel_w, occ_cells, occ_w = [], [], [], []
-    for dv, du in np.ndindex(2, 2):
-        uu, vv = u0 + du, v0 + dv
-        inside = (uu >= 0) & (uu < w) & (vv >= 0) & (vv < h)
-        pix = np.where(inside, vv * w + uu, 0)
-        wgt = (fv if dv else 1.0 - fv) * (fu if du else 1.0 - fu) * inside
-        pixels.append(pix)
-        pixel_w.append(wgt)
-        occ_cells += [b0 + pix, b1 + pix]
+    idx, fb = footprint.voxels, footprint.bin_frac
+    b0, b1 = footprint.bins * n_cols
+    occ_cells, occ_w = [], []
+    for col, wgt in zip(columns, footprint.weights):
+        occ_cells += [b0 + col, b1 + col]
         occ_w += [wgt * (1.0 - fb), wgt * fb]
 
     f_flat = features.data.reshape(h * w, c)
     d_flat = depth_dist.data.reshape(-1)
-    pixel_feat = nm.interpolation_matrix(pixels, pixel_w, h * w) @ f_flat
+    pixel_feat = nm.interpolation_matrix(footprint.pixels, footprint.weights, h * w) @ f_flat
     occupancy = nm.interpolation_matrix(occ_cells, occ_w, d_flat.shape[0]) @ d_flat
 
-    out = np.zeros((centers.shape[0], c))
+    out = np.zeros((math.prod(spec.counts), c))
     out[idx] = occupancy[:, None] * pixel_feat
 
     def backward(g):
         g_flat = g.reshape(-1, c)[idx]
         if features.requires_grad:
-            p_t = nm.interpolation_matrix(pixels, pixel_w, h * w, transpose=True)
+            p_t = nm.interpolation_matrix(footprint.pixels, footprint.weights, h * w,
+                                          transpose=True)
             nm.accumulate_grad(features, (p_t @ (occupancy[:, None] * g_flat)).reshape(h, w, c))
         if depth_dist.requires_grad:
             o_t = nm.interpolation_matrix(occ_cells, occ_w, d_flat.shape[0], transpose=True)
             g_occ = (g_flat * pixel_feat).sum(axis=1)
-            nm.accumulate_grad(depth_dist, (o_t @ g_occ).reshape(d_bins, h, w))
+            nm.accumulate_grad(depth_dist, (o_t @ g_occ).reshape(depth_dist.shape))
 
     result = nm.record_op(out, (features, depth_dist), backward)
     return nm.reshape(result, spec.counts + (c,))

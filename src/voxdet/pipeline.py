@@ -30,6 +30,7 @@ from .modality import (
     SweepFusionParams,
     VoxelGrid,
     fuse_sweeps_image,
+    lift_footprint,
     lift_image_to_voxels,
     multi_scale_heads,
     predict_depth_distribution,
@@ -196,10 +197,12 @@ def _stage(name):
 
 
 def _lift_camera(cam, scene, config, params):
+    # one projection per camera; the depth head runs only on the pixels it reads
     feats = Tensor(cam.features)
-    dist = predict_depth_distribution(feats, params.depth_head, config.depth)
     calib = scene.initial_frame_calibration(cam)
-    return lift_image_to_voxels(feats, dist, calib, config.grid, config.depth)
+    footprint = lift_footprint(calib, config.grid, config.depth, feats.shape[:2])
+    dist = predict_depth_distribution(feats, params.depth_head, config.depth, footprint.read)
+    return lift_image_to_voxels(feats, dist, calib, config.grid, config.depth, footprint)
 
 
 def _camera_branch(scene, config, params, threads):

@@ -28,6 +28,13 @@ __all__ = [
 SCORE_THRESHOLD = 0.2  # tracker ignores detections below this
 
 
+def _check_non_negative(config, fields) -> None:
+    for name in fields:
+        value = getattr(config, name)
+        if not value >= 0:  # NaN fails too
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class PostprocessConfig:
     max_detections: int = 300
@@ -37,8 +44,7 @@ class PostprocessConfig:
     nms_radius_per_class: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.max_detections < 0:
-            raise ValueError(f"max_detections must be >= 0, got {self.max_detections}")
+        _check_non_negative(self, ("max_detections", "xy_range", "z_range"))
         radii = {"nms_radius": self.nms_radius,
                  **{f"nms_radius_per_class.{k}": r for k, r in self.nms_radius_per_class.items()}}
         for name, radius in radii.items():
@@ -51,6 +57,9 @@ class TrackerConfig:
     score_threshold: float = SCORE_THRESHOLD
     match_distance: float = 2.0  # meters, BEV gate
     max_age: int = 3
+
+    def __post_init__(self):
+        _check_non_negative(self, ("match_distance", "max_age"))
 
 
 def _stable_by_score(dets: list[Box3D]) -> list[int]:

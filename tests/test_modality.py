@@ -14,6 +14,7 @@ from voxdet.modality import (
     SweepFusionParams,
     VoxelGrid,
     fuse_sweeps_image,
+    lift_footprint,
     lift_image_to_voxels,
     multi_scale_heads,
     predict_depth_distribution,
@@ -162,6 +163,95 @@ def test_lift_matches_scatter_oracle(seed):
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(df, df_want, rtol=0, atol=1e-12)
     assert np.array_equal(dd, dd_want)
+
+
+def _partial_view(seed):
+    """A camera that sees part of a grid, its features and a full distribution."""
+    rng = np.random.default_rng([seed, 23])
+    spec = VoxelGridSpec((-4.0, 8.0), (-6.0, 6.0), (-1.0, 1.0), (12, 12, 4), 3)
+    depth = DepthSpec(bins=8, depth_limit=10.0)
+    feats = rng.standard_normal((16, 16, 3))
+    dist = np.ascontiguousarray(rng.dirichlet(np.ones(8), size=(16, 16)).transpose(2, 0, 1))
+    return spec, depth, side_camera(), feats, dist, rng
+
+
+class TestLiftFootprint:
+    def test_read_set_is_every_inside_corner(self):
+        h, w = 4, 5
+        spec = VoxelGridSpec((-1.5, 1.5), (-1.5, 1.5), (0.0, 8.0), (3, 3, 5), 3)
+        depth = DepthSpec(bins=4, depth_limit=8.0)
+        calib = _border_camera(w, h)
+        fp = lift_footprint(calib, spec, depth, (h, w))
+        u, v, _, _ = project_points(voxel_centers(spec).reshape(-1, 3), calib)
+        um, vm = u[fp.voxels], v[fp.voxels]
+        assert (um == w - 1).any() and (vm == h - 1).any()
+        want = {int(vv) * w + int(uu)
+                for u_, v_ in zip(um, vm)
+                for vv in (math.floor(v_), math.floor(v_) + 1)
+                for uu in (math.floor(u_), math.floor(u_) + 1)
+                if vv < h and uu < w}
+        assert h * w - 1 in want  # the last column and row
+        assert fp.read.tolist() == sorted(want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_read_columns_lift_like_the_full_distribution(self, seed):
+        spec, depth, calib, feats, dist, rng = _partial_view(seed)
+        fp = lift_footprint(calib, spec, depth, feats.shape[:2])
+        assert 0 < fp.voxels.size < math.prod(spec.counts)
+        assert 0 < fp.read.size < 16 * 16
+        columns = np.ascontiguousarray(dist.reshape(8, -1)[:, fp.read])
+        probe = rng.standard_normal(spec.counts + (3,))
+
+        def read_set_lift(f, d, calib, spec, depth):
+            return lift_image_to_voxels(f, d, calib, spec, depth, fp)
+
+        out, df, dd = _lift_values_and_grads(read_set_lift, feats, columns, calib, spec,
+                                             depth, probe)
+        want, df_want, dd_want = _lift_values_and_grads(lift_image_to_voxels, feats, dist,
+                                                        calib, spec, depth, probe)
+        assert np.abs(out).max() > 0
+        assert np.array_equal(out, want)
+        assert np.array_equal(df, df_want)
+        assert np.array_equal(dd, dd_want.reshape(8, -1)[:, fp.read])
+        unread = np.setdiff1d(np.arange(16 * 16), fp.read)
+        assert not dd_want.reshape(8, -1)[:, unread].any()
+
+    def test_depth_head_on_pixels_matches_full_columns(self):
+        spec, depth, calib, feats, _, rng = _partial_view(4)
+        params = DepthHeadParams.create(rng, 3, depth.bins)
+        fp = lift_footprint(calib, spec, depth, feats.shape[:2])
+        full = predict_depth_distribution(Tensor(feats), params, depth)
+        read = predict_depth_distribution(Tensor(feats), params, depth, fp.read)
+        assert read.shape == (depth.bins, fp.read.size)
+        assert np.array_equal(read.data, full.data.reshape(depth.bins, -1)[:, fp.read])
+
+    def test_camera_seeing_no_voxel_lifts_to_zeros(self):
+        spec = VoxelGridSpec((-6.0, -2.0), (-6.0, -2.0), (-1.0, 1.0), (4, 4, 2), 2)
+        depth = DepthSpec(bins=8, depth_limit=16.0)
+        calib = side_camera()  # looks along +x; the grid sits behind it
+        feats = Tensor(np.ones((16, 16, 2)))
+        params = DepthHeadParams.create(np.random.default_rng(0), 2, depth.bins)
+        fp = lift_footprint(calib, spec, depth, (16, 16))
+        assert fp.voxels.size == fp.read.size == 0
+        with Tape():
+            dist = predict_depth_distribution(feats, params, depth, fp.read)
+            out = lift_image_to_voxels(feats, dist, calib, spec, depth, fp)
+        assert dist.shape == (depth.bins, 0)
+        assert out.shape == spec.counts + (2,)
+        np.testing.assert_array_equal(out.data, 0.0)
+
+    def test_footprint_of_another_image_size_rejected(self):
+        spec, depth, calib, feats, dist, _ = _partial_view(5)
+        fp = lift_footprint(calib, spec, depth, (16, 15))
+        with pytest.raises(ValueError, match="footprint image"):
+            lift_image_to_voxels(Tensor(feats), Tensor(dist), calib, spec, depth, fp)
+
+    def test_distribution_of_other_columns_rejected(self):
+        spec, depth, calib, feats, dist, _ = _partial_view(6)
+        fp = lift_footprint(calib, spec, depth, feats.shape[:2])
+        wrong = Tensor(np.full((depth.bins, fp.read.size + 1), 1.0 / depth.bins))
+        with pytest.raises(ValueError, match="depth distribution shape"):
+            lift_image_to_voxels(Tensor(feats), wrong, calib, spec, depth, fp)
 
 
 class TestSweepFusion:

@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import closure_arrays
 from voxdet import numerics as nm
 from voxdet import pipeline
-from voxdet.modality import fuse_sweeps_image
-from voxdet.numerics import Tape
+from voxdet.modality import (
+    fuse_sweeps_image,
+    lift_footprint,
+    lift_image_to_voxels,
+    predict_depth_distribution,
+)
+from voxdet.numerics import Tape, Tensor
 from voxdet.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -174,6 +181,68 @@ def test_forward_records_no_fusion_conv(config, convs):
         forward_scene(scene, config, params)
     assert len([node for node in tape._nodes
                 if node._backward.__qualname__.startswith("conv.")]) == convs
+
+
+def _full_image_lift(cam, scene, config, params):
+    # the oracle: the depth head on every pixel, then a lift that projects on its own
+    feats = Tensor(cam.features)
+    dist = predict_depth_distribution(feats, params.depth_head, config.depth)
+    return lift_image_to_voxels(feats, dist, scene.initial_frame_calibration(cam),
+                                config.grid, config.depth)
+
+
+class TestReadSetLift:
+    """The pipeline runs the depth head only on the pixels each lift reads."""
+
+    def _branch(self, scene, config):
+        params = build_model(config, n_camera_sweeps=2)
+        with Tape() as tape:
+            vi, _ = pipeline._camera_branch(scene, config, params, threads=1)
+            probe = np.random.default_rng(0).standard_normal(vi.features.shape)
+            loss = nm.tsum(nm.mul(vi.features, Tensor(probe)))
+        nm.backward(tape, loss)
+        head = params.depth_head
+        return vi.features.data, head.weight.grad, head.bias.grad
+
+    def test_matches_full_image_oracle(self, monkeypatch):
+        scene = generate_scene(SceneConfig(n_objects=1, n_cameras=3, channels=32,
+                                           n_camera_sweeps=2, ego_speed=2.0), 8)
+        config = PipelineConfig(use_lidar=False, seed=2)
+        assert len(scene.cameras) == 6
+        for cam in scene.cameras:
+            fp = lift_footprint(scene.initial_frame_calibration(cam), config.grid,
+                                config.depth, cam.features.shape[:2])
+            assert 0 < fp.voxels.size < math.prod(config.grid.counts)
+            assert 0 < fp.read.size < cam.features[..., 0].size
+        out, dw, db = self._branch(scene, config)
+        monkeypatch.setattr(pipeline, "_lift_camera", _full_image_lift)
+        want, dw_want, db_want = self._branch(scene, config)
+        assert np.array_equal(out, want)
+        assert np.abs(dw_want).max() > 0 and np.abs(db_want).max() > 0
+        # the gradient sums run over fewer pixels, so their last bits may differ
+        np.testing.assert_allclose(dw, dw_want, rtol=0, atol=1e-16)
+        np.testing.assert_allclose(db, db_want, rtol=0, atol=1e-16)
+
+    def test_depth_head_evaluates_only_the_read_set(self, monkeypatch):
+        scene = generate_scene(SceneConfig(n_objects=1, n_cameras=1, image_height=96,
+                                           image_width=128, channels=32), 7)
+        config = PipelineConfig()
+        assert config.grid.counts == (16, 16, 4)
+        params = build_model(config)
+        [cam] = scene.cameras
+        rows = []
+        conv = nm.conv
+
+        def counting_conv(volume, *args, **kwargs):
+            rows.append(math.prod(volume.shape[:3]))
+            return conv(volume, *args, **kwargs)
+
+        monkeypatch.setattr(nm, "conv", counting_conv)
+        pipeline._lift_camera(cam, scene, config, params)
+        fp = lift_footprint(scene.initial_frame_calibration(cam), config.grid, config.depth,
+                            (96, 128))
+        assert rows == [fp.read.size]
+        assert 0 < fp.read.size < 96 * 128 // 8
 
 
 def test_fused_kt_teacher_is_dense_fusion_off_the_tape():

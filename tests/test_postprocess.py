@@ -72,10 +72,24 @@ class TestCircleNMS:
     ("nms_radius", 0.0, "nms_radius must be positive, got 0.0"),
     ("nms_radius", float("nan"), "nms_radius must be positive, got nan"),
     ("nms_radius_per_class", {0: 1.0, 2: -1.0}, r"nms_radius_per_class.2 must be positive"),
+    ("xy_range", -1.0, "xy_range must be >= 0, got -1.0"),
+    ("xy_range", float("nan"), "xy_range must be >= 0, got nan"),
+    ("z_range", -0.5, "z_range must be >= 0, got -0.5"),
+    ("z_range", float("nan"), "z_range must be >= 0, got nan"),
 ])
 def test_config_rejects_bad_field(field, value, message):
     with pytest.raises(ValueError, match=message):
         PostprocessConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("match_distance", -2.0, "match_distance must be >= 0, got -2.0"),
+    ("match_distance", float("nan"), "match_distance must be >= 0, got nan"),
+    ("max_age", -1, "max_age must be >= 0, got -1"),
+])
+def test_tracker_config_rejects_bad_field(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrackerConfig(**{field: value})
 
 
 def test_config_accepts_zero_detections():
