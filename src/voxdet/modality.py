@@ -4,11 +4,13 @@ Camera branch: every voxel center is projected into each view once; the
 footprint names the pixels the lift reads.  A per-pixel depth head turns the
 image features of those pixels (or, without a footprint, of every pixel) into
 a categorical depth distribution, and each in-view voxel is filled with its
-pixel feature weighted by its interpolated occupancy probability.  Sweeps are
-fused at the space level.  LiDAR branch: points are binned into
-the grid with hand-crafted per-cell statistics and refined by parallel
-strided heads.  A small convolutional encoder then interacts neighboring
-voxels; its pre-ReLU block-3 activation is exposed as the transfer tap.
+pixel feature weighted by its interpolated occupancy probability; every other
+voxel is zero.  Sweeps are fused at the space level by one affine map with the
+time offsets folded into its bias, run only on the voxels some camera lifts.
+LiDAR branch: points are binned into the grid with hand-crafted per-cell
+statistics and refined by parallel strided heads.  A small convolutional
+encoder then interacts neighboring voxels; its pre-ReLU block-3 activation is
+exposed as the transfer tap.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ class DepthHeadParams:
 class SweepFusionParams:
     # A shared 1x1x1 merge of each sweep and its time offset, then a 1x1x1
     # fuse across sweeps.  With no nonlinearity between them they are stored
-    # apart but applied as one composed linear map by one conv.
+    # apart but applied as one composed linear map, with the offset rows
+    # folded into its bias (see ``fuse_sweeps_image``).
     merge_weight: Parameter  # (1, 1, 1, C + 1, C), shared across sweeps
     merge_bias: Parameter  # (C,)
     fuse_weight: Parameter  # (1, 1, 1, n * C, C)
@@ -308,37 +311,42 @@ def lift_image_to_voxels(
     pixel_feat = nm.interpolation_matrix(footprint.pixels, footprint.weights, h * w) @ f_flat
     occupancy = nm.interpolation_matrix(occ_cells, occ_w, d_flat.shape[0]) @ d_flat
 
-    out = np.zeros((math.prod(spec.counts), c))
-    out[idx] = occupancy[:, None] * pixel_feat
-
     def backward(g):
-        g_flat = g.reshape(-1, c)[idx]
         if features.requires_grad:
             p_t = nm.interpolation_matrix(footprint.pixels, footprint.weights, h * w,
                                           transpose=True)
-            nm.accumulate_grad(features, (p_t @ (occupancy[:, None] * g_flat)).reshape(h, w, c))
+            nm.accumulate_grad(features, (p_t @ (occupancy[:, None] * g)).reshape(h, w, c))
         if depth_dist.requires_grad:
             o_t = nm.interpolation_matrix(occ_cells, occ_w, d_flat.shape[0], transpose=True)
-            g_occ = (g_flat * pixel_feat).sum(axis=1)
+            g_occ = (g * pixel_feat).sum(axis=1)
             nm.accumulate_grad(depth_dist, (o_t @ g_occ).reshape(depth_dist.shape))
 
-    result = nm.record_op(out, (features, depth_dist), backward)
-    return nm.reshape(result, spec.counts + (c,))
+    # the V lifted rows are checked; placing them on the zero grid is a copy
+    lifted = nm.record_op(occupancy[:, None] * pixel_feat, (features, depth_dist), backward)
+    return nm.place_rows(lifted, idx, np.zeros(c), spec.counts + (c,))
 
 
 def fuse_sweeps_image(
     spaces: list[Tensor],
     time_offsets: list[float],
     params: SweepFusionParams,
+    voxels: np.ndarray | None = None,
 ) -> Tensor:
     """Space-level temporal fusion of per-sweep image voxel grids.
 
-    Each sweep gets its scalar time offset appended as an extra channel, is
-    merged back to C channels by a shared 1x1x1 map, and the merged sweeps
-    are fused to C by a 1x1x1 map across sweeps.  Merge and fuse are linear,
-    so they are composed into one map applied by one conv over the n
-    offset-extended sweeps: sweep ``s`` gets the (C+1, C) weight
-    ``merge @ fuse_s`` and the bias is ``fuse_bias + merge_bias @ sum_s fuse_s``.
+    Each sweep gets its scalar time offset as an extra channel, is merged
+    back to C channels by a shared 1x1x1 map, and the merged sweeps are
+    fused to C by a 1x1x1 map across sweeps.  Merge and fuse are linear, so
+    they are composed into one map: sweep ``s`` gets the (C+1, C) weight
+    ``W_s = merge @ fuse_s``.  The offset channel is constant, so its row
+    folds into the bias, ``b' = fuse_bias + merge_bias @ sum_s fuse_s +
+    sum_s t_s * W_s[C]``, and the map is one ``affine`` of the sweeps' C
+    feature channels, side by side, through the n stacked ``W_s[:C]``.
+
+    ``voxels``, the sorted flat indices of the voxels outside which every
+    space is zero, restricts that ``affine`` to their rows; every other
+    voxel of the output is ``b'``, and the spaces get gradient on those rows
+    only.  Without ``voxels`` every voxel is a row.
     """
     if not spaces:
         raise ValueError("fuse_sweeps_image needs at least one sweep")
@@ -361,15 +369,35 @@ def fuse_sweeps_image(
         if got != want:
             raise ValueError(f"SweepFusionParams.{field} must be {want} for {n} sweep(s) "
                              f"of {c} channels, got {got}")
+    n_voxels = math.prod(shape[:-1])
+    if voxels is not None:
+        voxels = np.asarray(voxels)
+        if voxels.ndim != 1 or not np.issubdtype(voxels.dtype, np.integer):
+            raise ValueError(f"voxels must be a 1-D integer array, got {voxels.dtype} "
+                             f"{voxels.shape}")
+        steps = np.diff(voxels)
+        if np.any(steps < 0):
+            raise ValueError("voxels must be sorted")
+        if np.any(steps == 0):
+            raise ValueError("voxels must not repeat an index")
+        if voxels.size and (voxels[0] < 0 or voxels[-1] >= n_voxels):
+            raise ValueError(f"voxels must lie in [0, {n_voxels}), got "
+                             f"[{voxels[0]}, {voxels[-1]}]")
 
     fuse = nm.reshape(params.fuse_weight, (n, c, c))
     # (1, 1, 1, C+1, C) @ (n, C, C) broadcasts to one composed weight per sweep
-    weight = nm.reshape(nm.matmul(params.merge_weight, fuse), (1, 1, 1, n * (c + 1), c))
-    bias = nm.affine(params.merge_bias, nm.tsum(fuse, axis=0), params.fuse_bias)
-    extended = []
-    for space, offset in zip(spaces, time_offsets):
-        extended += [space, Tensor(np.full(shape[:3] + (1,), float(offset)))]
-    return nm.conv(nm.concat(extended, axis=3), weight, bias)
+    composed = nm.reshape(nm.matmul(params.merge_weight, fuse), (n, c + 1, c))
+    weight = nm.reshape(nm.getitem(composed, (slice(None), slice(c))), (n * c, c))
+    bias = nm.affine(Tensor(time_offsets),
+                     nm.getitem(composed, (slice(None), c)),
+                     nm.affine(params.merge_bias, nm.tsum(fuse, axis=0), params.fuse_bias))
+    rows = [nm.reshape(space, (n_voxels, c)) for space in spaces]
+    if voxels is not None:
+        rows = [nm.getitem(r, voxels) for r in rows]
+    fused = nm.affine(rows[0] if n == 1 else nm.concat(rows, axis=1), weight, bias)
+    if voxels is None:
+        return nm.reshape(fused, shape)
+    return nm.place_rows(fused, voxels, bias, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,19 @@ class Tensor:
 
     ``data`` is always a C-contiguous float64 ndarray.  ``grad`` is lazily
     allocated during backward for nodes that participate in differentiation.
+    ``data`` must be finite; ``checked`` skips that check for values already
+    known to be finite.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, *, checked: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        if arr.size < _SUM_FIRST_SIZE:
+        if checked:
+            finite = True
+        elif arr.size < _SUM_FIRST_SIZE:
             finite = np.isfinite(arr).all()
         else:
             # any NaN or inf makes the sum non-finite; finite values can overflow
@@ -171,15 +175,19 @@ def record_op(
     data: np.ndarray,
     parents: Sequence[Tensor],
     backward_fn: Callable[[np.ndarray], None],
+    checked: bool = False,
 ) -> Tensor:
     """Create the output node of a primitive and register it on the active tape.
 
     ``backward_fn`` receives the output gradient and must accumulate into the
     parents via :func:`accumulate_grad`.  Recording only happens when a tape
-    is active and at least one parent requires gradients.
+    is active and at least one parent requires gradients.  ``checked`` skips
+    the finiteness check: for ops whose values are copies of their parents'
+    values, which were checked when those tensors were built, or that the
+    caller has checked itself.
     """
     requires = any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires)
+    out = Tensor(data, requires_grad=requires, checked=checked)
     tape = active_tape()
     if tape is not None and requires:
         out._backward = backward_fn

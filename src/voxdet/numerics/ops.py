@@ -19,7 +19,7 @@ from .autograd import Tensor, accumulate_grad, as_tensor, record_op
 __all__ = [
     "add", "sub", "mul", "neg", "scale", "exp", "log", "relu", "sigmoid",
     "softplus", "absolute", "square", "matmul", "reshape", "transpose",
-    "concat", "getitem", "tsum", "tmean", "softmax", "attention", "affine", "conv",
+    "concat", "getitem", "place_rows", "tsum", "tmean", "softmax", "attention", "affine", "conv",
     "interpolation_matrix", "trilinear_sample", "layer_norm", "nn_upsample3d",
     "inverse_sigmoid",
 ]
@@ -194,7 +194,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     def backward(g):
         accumulate_grad(a, g.reshape(in_shape))
 
-    return record_op(a.data.reshape(shape), (a,), backward)
+    return record_op(a.data.reshape(shape), (a,), backward, checked=True)
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
@@ -205,7 +205,7 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     def backward(g):
         accumulate_grad(a, np.ascontiguousarray(g.transpose(inverse)))
 
-    return record_op(np.ascontiguousarray(a.data.transpose(axes)), (a,), backward)
+    return record_op(np.ascontiguousarray(a.data.transpose(axes)), (a,), backward, checked=True)
 
 
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
@@ -221,7 +221,8 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
             idx[axis] = slice(lo, hi)
             accumulate_grad(p, g[tuple(idx)])
 
-    return record_op(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
+    return record_op(np.concatenate([p.data for p in parts], axis=axis), parts, backward,
+                     checked=True)
 
 
 def getitem(a, index) -> Tensor:
@@ -234,7 +235,46 @@ def getitem(a, index) -> Tensor:
         np.add.at(full, index, g)
         accumulate_grad(a, full)
 
-    return record_op(np.ascontiguousarray(a.data[index]), (a,), backward)
+    return record_op(np.ascontiguousarray(a.data[index]), (a,), backward, checked=True)
+
+
+def place_rows(rows, index, fill, shape) -> Tensor:
+    """An array of ``shape`` whose flat rows ``index`` hold ``rows``, every other row ``fill``.
+
+    ``shape`` ends in C and its flat rows are the (N, C) view, N the product
+    of the leading axes; ``index`` holds distinct rows in [0, N), ``rows`` is
+    (len(index), C) and ``fill`` (C,).  Backward sends ``g[index]`` to
+    ``rows`` and the sum of every other row of ``g`` to ``fill``.
+    """
+    rows, fill = as_tensor(rows), as_tensor(fill)
+    shape = tuple(shape)
+    n, c = int(np.prod(shape[:-1])), shape[-1]
+    index = np.asarray(index)
+    if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"place_rows index must be a 1-D integer array, got {index.dtype} "
+                         f"{index.shape}")
+    if rows.shape != (index.size, c) or fill.shape != (c,):
+        raise ValueError(f"place_rows needs ({index.size}, {c}) rows and ({c},) fill, "
+                         f"got {rows.shape} and {fill.shape}")
+    if index.size and (index.min() < 0 or index.max() >= n):
+        raise ValueError(f"place_rows index must lie in [0, {n})")
+    other = np.ones(n, dtype=bool)
+    other[index] = False
+    if np.count_nonzero(other) != n - index.size:
+        raise ValueError("place_rows index must hold distinct rows")
+    out = np.zeros((n, c))  # its pages stay unmapped until written
+    if fill.data.view(np.int64).any():  # some bit set: not all +0.0
+        out[...] = fill.data
+    out[index] = rows.data
+
+    def backward(g):
+        g2 = g.reshape(n, c)
+        if rows.requires_grad:
+            accumulate_grad(rows, g2[index])
+        if fill.requires_grad:
+            accumulate_grad(fill, g2.sum(axis=0, where=other[:, None]))
+
+    return record_op(out.reshape(shape), (rows, fill), backward, checked=True)
 
 
 # ---------------------------------------------------------------------------

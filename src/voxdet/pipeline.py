@@ -5,7 +5,9 @@ Model parameters are created from per-component child seeds, so a fused run
 and a LiDAR-only run with the same seed share bit-identical LiDAR, fusion,
 and decoder weights.  Per-camera lifting may run on a thread pool during
 inference; contributions are reduced in a fixed camera order, so results do
-not depend on the worker count.
+not depend on the worker count.  Sweep fusion runs only on the voxels that
+some camera lifts (the union of the cameras' footprints); every other voxel
+of the camera space is the fusion bias.
 """
 
 from __future__ import annotations
@@ -197,12 +199,14 @@ def _stage(name):
 
 
 def _lift_camera(cam, scene, config, params):
-    # one projection per camera; the depth head runs only on the pixels it reads
+    # one projection per camera; the depth head runs only on the pixels it
+    # reads, and the lifted space is zero outside the returned voxels
     feats = Tensor(cam.features)
     calib = scene.initial_frame_calibration(cam)
     footprint = lift_footprint(calib, config.grid, config.depth, feats.shape[:2])
     dist = predict_depth_distribution(feats, params.depth_head, config.depth, footprint.read)
-    return lift_image_to_voxels(feats, dist, calib, config.grid, config.depth, footprint)
+    space = lift_image_to_voxels(feats, dist, calib, config.grid, config.depth, footprint)
+    return space, footprint.voxels
 
 
 def _camera_branch(scene, config, params, threads):
@@ -217,11 +221,13 @@ def _camera_branch(scene, config, params, threads):
     offsets = scene.sweep_offsets
     # scene camera order within a sweep keeps the sum independent of the pool
     per_sweep = [
-        functools.reduce(nm.add, [v for v, cam in zip(lifted, scene.cameras)
+        functools.reduce(nm.add, [v for (v, _), cam in zip(lifted, scene.cameras)
                                   if cam.time_offset == t])
         for t in offsets
     ]
-    fused = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion)
+    # sweep fusion runs on the voxels some camera lifts; the rest hold its bias
+    seen = np.unique(np.concatenate([voxels for _, voxels in lifted]))
+    fused = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion, seen)
     grid = VoxelGrid(spec=config.grid, features=fused)
     return voxel_encoder(grid, params.encoder_img)
 

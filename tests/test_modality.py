@@ -5,6 +5,8 @@ import pytest
 
 from helpers import voxel_center
 from voxdet import numerics as nm
+from voxdet import pipeline
+from voxdet.decoder import DecoderConfig
 from voxdet.geometry import CameraCalibration, VoxelGridSpec
 from voxdet.modality import (
     DepthHeadParams,
@@ -25,7 +27,7 @@ from voxdet.geometry import project_points, voxel_centers
 from voxdet.numerics import Parameter, Tape, Tensor, backward
 from voxdet.numerics.gradcheck import central_difference, max_relative_error
 from voxdet.verification import GRAD_EPS, GRAD_TOLERANCE, PROBE_SCALE
-from voxdet.scene.types import PointCloud
+from voxdet.scene.types import CameraView, PointCloud, Scene
 
 from helpers import (
     fuse_sweeps_image_oracle,
@@ -321,6 +323,19 @@ class TestSweepFusion:
         with pytest.raises(ValueError, match=rf"time_offsets\[{index}\] must be finite"):
             fuse_sweeps_image([x, x], offsets, self._identity_params(3, 2))
 
+    @pytest.mark.parametrize("voxels, match", [
+        (np.array([[0, 1]]), "1-D integer array"),
+        (np.array([0.0, 1.0]), "1-D integer array"),
+        (np.array([3, 1, 5]), "sorted"),
+        (np.array([1, 1, 2]), "repeat"),
+        (np.array([-1, 2]), r"\[0, 8\)"),
+        (np.array([2, 8]), r"\[0, 8\)"),
+    ], ids=["two-dimensional", "float", "unsorted", "duplicate", "negative", "past-the-end"])
+    def test_malformed_voxels_rejected(self, voxels, match):
+        x = Tensor(np.ones((2, 2, 2, 3)))
+        with pytest.raises(ValueError, match=rf"voxels must .*{match}"):
+            fuse_sweeps_image([x, x], [0.0, -0.5], self._identity_params(3, 2), voxels)
+
 
 OFFSETS = (0.0, -0.5, -1.0)
 
@@ -356,6 +371,71 @@ def test_composed_fusion_matches_separate_maps(n):
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
     for g, w in zip(grads, want_grads):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fusion_on_the_lifted_voxels_matches_every_voxel(n):
+    # spaces that are zero outside a random voxel set, fused on that set's rows
+    # and on every voxel
+    rng = np.random.default_rng([n, 52])
+    c, grid, n_voxels = 4, (5, 4, 3), 60
+    voxels = np.sort(rng.choice(n_voxels, size=23, replace=False))
+    inside = np.zeros(n_voxels, dtype=bool)
+    inside[voxels] = True
+    params = _random_fusion_params(c, n, rng)
+    data = [np.where(inside[:, None], rng.standard_normal((n_voxels, c)), 0.0)
+            .reshape(grid + (c,)) for _ in range(n)]
+    probe = Tensor(rng.standard_normal(grid + (c,)))
+
+    def run(rows):
+        spaces = [Tensor(d, requires_grad=True) for d in data]
+        for p in nm.parameters_of(params):
+            p.reset_gradient()
+        with Tape() as tape:
+            out = fuse_sweeps_image(spaces, list(OFFSETS[:n]), params, rows)
+            loss = nm.tsum(nm.mul(out, probe))
+        backward(tape, loss)
+        return (out.data, [s.grad.reshape(n_voxels, c) for s in spaces],
+                [p.grad.copy() for p in nm.parameters_of(params)])
+
+    out, space_grads, param_grads = run(voxels)
+    want, want_space_grads, want_param_grads = run(None)
+    assert np.array_equal(out, want)
+    for g, w in zip(space_grads, want_space_grads):
+        assert np.array_equal(g[inside], w[inside])
+        assert not g[~inside].any()  # the spaces get gradient on the voxel rows only
+    # the bias gradient sums the voxel rows and the others apart, and the
+    # weight gradient runs over fewer (zero) rows, so the last bits may differ
+    for g, w in zip(param_grads, want_param_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
+
+
+def test_camera_only_scene_seeing_no_voxel_is_the_folded_bias():
+    rng = np.random.default_rng(53)
+    c = 4
+    spec = VoxelGridSpec((-6.0, -2.0), (-6.0, -2.0), (-1.0, 1.0), (4, 4, 2), c)
+    config = pipeline.PipelineConfig(grid=spec, depth=DepthSpec(8, 16.0), use_lidar=False,
+                                     encoder_op="none", decoder=DecoderConfig(channels=c))
+    # both cameras look along +x, give or take 0.3 rad; the grid sits behind them
+    cameras = [CameraView(f"cam{s}", side_camera(yaw=0.3 * s),
+                          rng.standard_normal((16, 16, c)), offset)
+               for s, offset in enumerate(OFFSETS[:2])]
+    scene = Scene(scene_id="away", seed=0, cameras=cameras, cloud=PointCloud.empty())
+    params = pipeline.build_model(config, n_camera_sweeps=2)
+    fusion = params.sweep_fusion
+    fusion.merge_bias.data[...] = rng.standard_normal(c)
+    fusion.fuse_bias.data[...] = rng.standard_normal(c)
+    for cam in cameras:
+        assert lift_footprint(cam.calibration, spec, config.depth, (16, 16)).voxels.size == 0
+
+    vi, _ = pipeline._camera_branch(scene, config, params, threads=1)
+    merge = fusion.merge_weight.data[0, 0, 0]
+    fuse = fusion.fuse_weight.data[0, 0, 0].reshape(2, c, c)
+    want = fusion.fuse_bias.data + fusion.merge_bias.data @ fuse.sum(axis=0)
+    want = want + sum(t * (merge[c] @ f) for t, f in zip(OFFSETS[:2], fuse))
+    assert np.abs(want).max() > 0
+    np.testing.assert_allclose(vi.features.data, np.broadcast_to(want, spec.counts + (c,)),
+                               rtol=0, atol=1e-15)
 
 
 def test_fusion_gradients_match_central_differences():

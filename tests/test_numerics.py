@@ -366,6 +366,74 @@ class TestAffine:
         assert len(tape._nodes) == 1
 
 
+class TestPlaceRows:
+    SHAPE = (3, 2, 2, 4)  # 12 rows of 4 channels
+
+    def _inputs(self, index, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((len(index), 4)), rng.standard_normal(4)
+
+    def test_forward(self):
+        index = np.array([0, 5, 6, 11])
+        rows, fill = self._inputs(index)
+        out = nm.place_rows(Tensor(rows), index, Tensor(fill), self.SHAPE)
+        assert out.shape == self.SHAPE
+        flat = out.data.reshape(12, 4)
+        assert np.array_equal(flat[index], rows)
+        assert np.array_equal(flat[np.setdiff1d(np.arange(12), index)], np.tile(fill, (8, 1)))
+
+    @pytest.mark.parametrize("index", [[2, 7, 8], [9, 1, 4]])
+    def test_gradients_match_central_differences(self, index):
+        rows, fill = self._inputs(index, seed=1)
+        probe = Tensor(np.random.default_rng(2).standard_normal(self.SHAPE))
+
+        def readout(r, f):
+            return nm.tsum(nm.mul(nm.square(nm.place_rows(r, index, f, self.SHAPE)), probe))
+
+        assert grad_check(lambda r: readout(r, Tensor(fill)), rows) < 1e-6
+        assert grad_check(lambda f: readout(Tensor(rows), f), fill) < 1e-6
+
+    def test_gradient_routes_rows_and_the_rest(self):
+        index = np.array([1, 3, 10])
+        rows, fill = self._inputs(index, seed=3)
+        probe = np.random.default_rng(4).standard_normal(self.SHAPE)
+        _, g_rows, g_fill = _values_and_grads(
+            lambda r, f: nm.place_rows(r, index, f, self.SHAPE), (rows, fill), probe)
+        flat = probe.reshape(12, 4)
+        assert np.array_equal(g_rows, flat[index])
+        np.testing.assert_allclose(g_fill, np.delete(flat, index, axis=0).sum(axis=0),
+                                   rtol=0, atol=1e-14)
+
+    def test_empty_index_is_all_fill(self):
+        rows, fill = self._inputs([])
+        probe = np.random.default_rng(5).standard_normal(self.SHAPE)
+        out, g_rows, g_fill = _values_and_grads(
+            lambda r, f: nm.place_rows(r, np.arange(0), f, self.SHAPE), (rows, fill), probe)
+        assert np.array_equal(out, np.broadcast_to(fill, self.SHAPE))
+        assert g_rows.shape == (0, 4)
+        np.testing.assert_allclose(g_fill, probe.reshape(12, 4).sum(axis=0), rtol=0, atol=1e-14)
+
+    def test_index_covering_every_row_is_the_rows(self):
+        index = np.arange(12)
+        rows, fill = self._inputs(index)
+        probe = np.random.default_rng(6).standard_normal(self.SHAPE)
+        out, g_rows, g_fill = _values_and_grads(
+            lambda r, f: nm.place_rows(r, index, f, self.SHAPE), (rows, fill), probe)
+        assert np.array_equal(out, rows.reshape(self.SHAPE))
+        assert np.array_equal(g_rows, probe.reshape(12, 4))
+        assert np.array_equal(g_fill, np.zeros(4))
+
+    @pytest.mark.parametrize("index, match", [
+        (np.array([[1, 2]]), "1-D integer"), (np.array([1.0, 2.0]), "1-D integer"),
+        (np.array([3, 3]), "distinct"), (np.array([-1, 2]), r"\[0, 12\)"),
+        (np.array([2, 12]), r"\[0, 12\)"),
+    ])
+    def test_malformed_index_rejected(self, index, match):
+        rows = Tensor(np.zeros((index.shape[-1], 4)))
+        with pytest.raises(ValueError, match=match):
+            nm.place_rows(rows, index, Tensor(np.zeros(4)), self.SHAPE)
+
+
 class TestBackward:
     def test_sum_gradient_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)

@@ -138,7 +138,7 @@ class TestSweepEquivalence:
                                    single.vu.features.data, rtol=0, atol=1e-12)
 
 
-def test_sweep_fusion_tape_keeps_one_conv_and_no_merged_sweeps(monkeypatch):
+def test_sweep_fusion_tape_runs_one_affine_on_the_lifted_voxels(monkeypatch):
     # a 2-sweep desk-scale camera forward; the nodes sweep fusion records
     # are the ones added to the tape while fuse_sweeps_image runs
     scene = generate_scene(SceneConfig(n_objects=1, channels=32, n_camera_sweeps=2), 13)
@@ -146,32 +146,36 @@ def test_sweep_fusion_tape_keeps_one_conv_and_no_merged_sweeps(monkeypatch):
     params = build_model(config, n_camera_sweeps=2)
     spans = []
 
-    def traced(spaces, offsets, fusion_params):
+    def traced(spaces, offsets, fusion_params, voxels):
         start = len(tape._nodes)
-        out = fuse_sweeps_image(spaces, offsets, fusion_params)
-        spans.append((start, len(tape._nodes), out))
+        out = fuse_sweeps_image(spaces, offsets, fusion_params, voxels)
+        spans.append((start, len(tape._nodes), out, spaces, voxels))
         return out
 
     monkeypatch.setattr(pipeline, "fuse_sweeps_image", traced)
     with Tape() as tape:
         forward_scene(scene, config, params)
-    [(start, stop, out)] = spans
+    [(start, stop, out, spaces, voxels)] = spans
     nodes = tape._nodes[start:stop]
-    grid, c = config.grid.counts, config.grid.channels
-    convs = [node for node in nodes if node._backward.__qualname__.startswith("conv.")
-             and node.shape[:3] == grid]
-    assert len(convs) == 1 and convs[0] is out
+    n_voxels, c = math.prod(config.grid.counts), config.grid.channels
+    assert 0 < voxels.size < n_voxels
+    ops = [node._backward.__qualname__.split(".")[0] for node in nodes]
+    assert "conv" not in ops
+    assert [node.shape for node, op in zip(nodes, ops)
+            if op == "affine" and node.ndim == 2] == [(voxels.size, c)]
+    # no grid-shaped values (one row per voxel) but the output and views of the spaces
     for node in nodes:
         arrays = [node.data] + closure_arrays(node._backward)
-        assert not [a.shape for a in arrays if a.shape == grid + (2 * c,)]
-        assert not [a.shape for a in arrays if a.shape == grid + (c,) and a is not out.data]
+        assert not [a.shape for a in arrays if a.dtype == np.float64 and a is not out.data
+                    and (a.shape[:3] == config.grid.counts or a.shape[:1] == (n_voxels,))
+                    and not any(np.shares_memory(a, s.data) for s in spaces)]
 
 
 @pytest.mark.parametrize("config, convs", [
     # two multi-scale heads and three encoder conv3d blocks
     (PipelineConfig(use_camera=False), 5),
-    # the depth head on the one camera and the sweep fusion
-    (PipelineConfig(use_lidar=False, encoder_op="none"), 2),
+    # the depth head on the one camera; sweep fusion is an affine on its rows
+    (PipelineConfig(use_lidar=False, encoder_op="none"), 1),
 ])
 def test_forward_records_no_fusion_conv(config, convs):
     # the fusion map acts on the decoder's samples, so no conv runs over the summed spaces
@@ -184,11 +188,13 @@ def test_forward_records_no_fusion_conv(config, convs):
 
 
 def _full_image_lift(cam, scene, config, params):
-    # the oracle: the depth head on every pixel, then a lift that projects on its own
+    # the oracle: the depth head on every pixel, then a lift that projects on
+    # its own, and sweep fusion on every voxel
     feats = Tensor(cam.features)
     dist = predict_depth_distribution(feats, params.depth_head, config.depth)
-    return lift_image_to_voxels(feats, dist, scene.initial_frame_calibration(cam),
-                                config.grid, config.depth)
+    space = lift_image_to_voxels(feats, dist, scene.initial_frame_calibration(cam),
+                                 config.grid, config.depth)
+    return space, np.arange(math.prod(config.grid.counts))
 
 
 class TestReadSetLift:
@@ -296,6 +302,18 @@ class TestErrors:
         with pytest.raises(PipelineError) as err:
             run_detection(no_cams, config)
         assert err.value.stage == "camera"
+
+    def test_non_finite_parameter_raises_in_the_camera_stage(self):
+        # the reshape of the fuse weight copies the NaN without a check;
+        # the composing matmul is arithmetic and checks
+        scene = small_scene(23)
+        config = PipelineConfig(use_lidar=False)
+        params = build_model(config)
+        params.sweep_fusion.fuse_weight.data[0, 0, 0, 1, 2] = np.nan
+        with pytest.raises(PipelineError) as err:
+            forward_scene(scene, config, params)
+        assert err.value.stage == "camera"
+        assert isinstance(err.value.cause, nm.NumericsError)
 
     def test_channel_mismatch_rejected(self):
         from voxdet.decoder import DecoderConfig
