@@ -55,7 +55,7 @@ class DecoderConfig:
     def __post_init__(self):
         if self.num_queries < 1 or self.num_blocks < 1 or self.num_points < 1:
             raise ValueError("query/block/point counts must be >= 1")
-        for name in ("num_heads", "ffn_dim"):
+        for name in ("num_heads", "ffn_dim", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.channels % self.num_heads != 0:

@@ -4,9 +4,11 @@ Camera branch: every voxel center is projected into each view once; the
 footprint names the pixels the lift reads.  A per-pixel depth head turns the
 image features of those pixels (or, without a footprint, of every pixel) into
 a categorical depth distribution, and each in-view voxel is filled with its
-pixel feature weighted by its interpolated occupancy probability; every other
-voxel is zero.  Sweeps are fused at the space level by one affine map with the
-time offsets folded into its bias, run only on the voxels some camera lifts.
+pixel feature weighted by its interpolated occupancy probability.  Given its
+footprint, a lift returns only those (V, C) rows; without one it returns the
+dense grid, zero at every other voxel.  Sweeps are fused at the space level by
+one affine map with the time offsets folded into its bias, run on tables of
+the rows some camera lifts; the fusion places its output into the grid once.
 LiDAR branch: points are binned into the grid with hand-crafted per-cell
 statistics and refined by parallel strided heads.  A small convolutional
 encoder then interacts neighboring voxels; its pre-ReLU block-3 activation is
@@ -56,8 +58,9 @@ class DepthSpec:
     def __post_init__(self):
         if self.bins < 1:
             raise ValueError("bins must be >= 1")
-        if self.depth_limit <= 0:
-            raise ValueError("depth_limit must be positive")
+        # NaN fails every ``d < depth_limit`` and +inf makes every bin infinitely wide
+        if not (math.isfinite(self.depth_limit) and self.depth_limit > 0):
+            raise ValueError(f"depth_limit must be finite and positive, got {self.depth_limit}")
 
     @property
     def bin_width(self) -> float:
@@ -265,15 +268,17 @@ def lift_image_to_voxels(
     depth: DepthSpec,
     footprint: LiftFootprint | None = None,
 ) -> Tensor:
-    """Fill the voxel grid from one camera view.
+    """Lift one camera view into the voxel grid.
 
-    Every voxel center in view (see :func:`lift_footprint`, built from
-    ``calib`` unless ``footprint`` is given) receives the bilinear pixel
-    feature scaled by the occupancy probability read from the depth
-    distribution at its (u, v, d).  All other voxels are zero.
-    ``depth_dist`` is either the full (D, H, W) distribution or the (D, P)
-    columns of the footprint's ``read`` pixels; the lift reads no other
-    column.  Differentiable with respect to ``features`` and ``depth_dist``.
+    Every voxel center in view (see :func:`lift_footprint`) receives the
+    bilinear pixel feature scaled by the occupancy probability read from the
+    depth distribution at its (u, v, d).  With a ``footprint`` the result is
+    the (V, C) lifted rows, row i for voxel ``footprint.voxels[i]``.  Without
+    one, the footprint is built from ``calib`` and the result is the dense
+    (X, Y, Z, C) grid: those rows placed on zeros.  ``depth_dist`` is either
+    the full (D, H, W) distribution or the (D, P) columns of the footprint's
+    ``read`` pixels; the lift reads no other column.  Differentiable with
+    respect to ``features`` and ``depth_dist``.
 
     Both reads are ``numerics.interpolation_matrix`` products: the pixel
     feature is P @ features over the four bilinear corners, the occupancy
@@ -285,8 +290,10 @@ def lift_image_to_voxels(
     if spec.channels != c:
         raise ValueError(f"grid channels {spec.channels} != image channels {c}")
     if footprint is None:
-        footprint = lift_footprint(calib, spec, depth, (h, w))
-    elif footprint.image_hw != (h, w):
+        fp = lift_footprint(calib, spec, depth, (h, w))
+        rows = lift_image_to_voxels(features, depth_dist, calib, spec, depth, fp)
+        return nm.place_rows(rows, fp.voxels, np.zeros(c), spec.counts + (c,))
+    if footprint.image_hw != (h, w):
         raise ValueError(f"footprint image {footprint.image_hw} != features ({h}, {w})")
     read = footprint.read
     if tuple(depth_dist.shape) == (d_bins, h, w):
@@ -299,7 +306,7 @@ def lift_image_to_voxels(
         raise ValueError(f"depth distribution shape {depth_dist.shape} != "
                          f"({d_bins}, {h}, {w}) or ({d_bins}, {read.size})")
 
-    idx, fb = footprint.voxels, footprint.bin_frac
+    fb = footprint.bin_frac
     b0, b1 = footprint.bins * n_cols
     occ_cells, occ_w = [], []
     for col, wgt in zip(columns, footprint.weights):
@@ -321,9 +328,7 @@ def lift_image_to_voxels(
             g_occ = (g * pixel_feat).sum(axis=1)
             nm.accumulate_grad(depth_dist, (o_t @ g_occ).reshape(depth_dist.shape))
 
-    # the V lifted rows are checked; placing them on the zero grid is a copy
-    lifted = nm.record_op(occupancy[:, None] * pixel_feat, (features, depth_dist), backward)
-    return nm.place_rows(lifted, idx, np.zeros(c), spec.counts + (c,))
+    return nm.record_op(occupancy[:, None] * pixel_feat, (features, depth_dist), backward)
 
 
 def fuse_sweeps_image(
@@ -331,8 +336,9 @@ def fuse_sweeps_image(
     time_offsets: list[float],
     params: SweepFusionParams,
     voxels: np.ndarray | None = None,
+    shape: tuple[int, ...] | None = None,
 ) -> Tensor:
-    """Space-level temporal fusion of per-sweep image voxel grids.
+    """Space-level temporal fusion of per-sweep image voxel spaces.
 
     Each sweep gets its scalar time offset as an extra channel, is merged
     back to C channels by a shared 1x1x1 map, and the merged sweeps are
@@ -343,10 +349,11 @@ def fuse_sweeps_image(
     sum_s t_s * W_s[C]``, and the map is one ``affine`` of the sweeps' C
     feature channels, side by side, through the n stacked ``W_s[:C]``.
 
-    ``voxels``, the sorted flat indices of the voxels outside which every
-    space is zero, restricts that ``affine`` to their rows; every other
-    voxel of the output is ``b'``, and the spaces get gradient on those rows
-    only.  Without ``voxels`` every voxel is a row.
+    Without ``voxels`` each space is an (X, Y, Z, C) grid and every voxel is
+    a row.  With ``voxels``, the sorted flat indices of the voxels outside
+    which every space is zero, each space is its (len(voxels), C) table of
+    those rows and ``shape`` is the (X, Y, Z, C) output: the ``affine`` runs
+    on the tables, and every other voxel of the output is ``b'``.
     """
     if not spaces:
         raise ValueError("fuse_sweeps_image needs at least one sweep")
@@ -357,10 +364,14 @@ def fuse_sweeps_image(
             raise ValueError(f"time_offsets[{i}] must be finite, got {offset}")
     if abs(time_offsets[0]) > 1e-12:
         raise ValueError(f"initial sweep offset must be 0, got {time_offsets[0]}")
-    shape = tuple(spaces[0].shape)
-    for s in spaces[1:]:
-        if tuple(s.shape) != shape:
-            raise ValueError(f"sweep grids disagree in shape: {s.shape} vs {shape}")
+    if voxels is None:
+        shape = tuple(spaces[0].shape)
+        for s in spaces[1:]:
+            if tuple(s.shape) != shape:
+                raise ValueError(f"sweep grids disagree in shape: {s.shape} vs {shape}")
+    elif shape is None:
+        raise ValueError("shape: the (X, Y, Z, C) output shape is required with voxels")
+    shape = tuple(shape)
     n, c = len(spaces), shape[-1]
     expected = {"merge_weight": (1, 1, 1, c + 1, c), "merge_bias": (c,),
                 "fuse_weight": (1, 1, 1, n * c, c), "fuse_bias": (c,)}
@@ -383,6 +394,10 @@ def fuse_sweeps_image(
         if voxels.size and (voxels[0] < 0 or voxels[-1] >= n_voxels):
             raise ValueError(f"voxels must lie in [0, {n_voxels}), got "
                              f"[{voxels[0]}, {voxels[-1]}]")
+        for i, s in enumerate(spaces):
+            if tuple(s.shape) != (voxels.size, c):
+                raise ValueError(f"spaces[{i}] must be ({voxels.size}, {c}) rows of the "
+                                 f"voxels, got {s.shape}")
 
     fuse = nm.reshape(params.fuse_weight, (n, c, c))
     # (1, 1, 1, C+1, C) @ (n, C, C) broadcasts to one composed weight per sweep
@@ -391,9 +406,7 @@ def fuse_sweeps_image(
     bias = nm.affine(Tensor(time_offsets),
                      nm.getitem(composed, (slice(None), c)),
                      nm.affine(params.merge_bias, nm.tsum(fuse, axis=0), params.fuse_bias))
-    rows = [nm.reshape(space, (n_voxels, c)) for space in spaces]
-    if voxels is not None:
-        rows = [nm.getitem(r, voxels) for r in rows]
+    rows = spaces if voxels is not None else [nm.reshape(s, (n_voxels, c)) for s in spaces]
     fused = nm.affine(rows[0] if n == 1 else nm.concat(rows, axis=1), weight, bias)
     if voxels is None:
         return nm.reshape(fused, shape)

@@ -381,41 +381,58 @@ def softmax(logits, axis: int) -> Tensor:
 def attention(q, k, v, scale: float) -> Tensor:
     """Scaled dot-product attention ``softmax(q k^T * scale) v`` as one tape node.
 
-    ``q``, ``k`` and ``v`` are (H, n, dh); so is the output.  The forward pass
-    runs the same ``matmul``, ``scale`` and max-shifted ``softmax`` arithmetic
-    as the composite but keeps only each row's max and sum, not the (H, n, n)
-    probabilities; backward recomputes them from q and k.
+    ``q``, ``k`` and ``v`` are (H, n, dh); so is the output.  The heads run one
+    at a time through one (n, n) buffer: each gets the same ``matmul``,
+    ``scale`` and max-shifted ``softmax`` arithmetic as the composite, and its
+    slice of the output is the buffer times ``v[h]``.  Only each row's max and
+    sum, (H, n, 1), are kept; backward recomputes one head's probabilities at
+    a time from q and k.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ValueError(f"attention expects equal (H, n, dh) q, k, v, "
                          f"got {q.shape}, {k.shape}, {v.shape}")
     scale = float(scale)
+    heads, n, _ = q.shape
     k_t = np.ascontiguousarray(k.data.transpose(0, 2, 1))
+    row_max = np.empty((heads, n, 1))
+    row_sum = np.empty((heads, n, 1))
 
-    def logits():
-        return (q.data @ k_t) * scale
+    def probs(h, buf, fit=False):
+        # head h's probabilities into buf; ``fit`` first sets its row max and sum
+        np.matmul(q.data[h], k_t[h], out=buf)
+        buf *= scale
+        if fit:
+            np.max(buf, axis=-1, keepdims=True, out=row_max[h])
+        buf -= row_max[h]
+        np.exp(buf, out=buf)
+        if fit:
+            np.sum(buf, axis=-1, keepdims=True, out=row_sum[h])
+        buf /= row_sum[h]
+        return buf
 
-    probs = logits()
-    row_max = probs.max(axis=-1, keepdims=True)
-    probs -= row_max
-    np.exp(probs, out=probs)
-    row_sum = probs.sum(axis=-1, keepdims=True)
-    probs /= row_sum
-    out_data = probs @ v.data
+    buf = np.empty((n, n))
+    out_data = np.empty(q.shape)
+    for h in range(heads):
+        np.matmul(probs(h, buf, fit=True), v.data[h], out=out_data[h])
 
     def backward(g):
-        probs = logits()
-        probs -= row_max
-        np.exp(probs, out=probs)
-        probs /= row_sum
-        accumulate_grad(v, probs.transpose(0, 2, 1) @ g)
-        d_logits = g @ v.data.transpose(0, 2, 1)
-        d_logits -= (d_logits * probs).sum(axis=-1, keepdims=True)
-        d_logits *= probs
-        d_logits *= scale
-        accumulate_grad(q, d_logits @ k.data)
-        accumulate_grad(k, d_logits.transpose(0, 2, 1) @ q.data)
+        gq, gk, gv = (np.empty(q.shape) for _ in range(3))
+        p, d_logits, prod = (np.empty((n, n)) for _ in range(3))
+        for h in range(heads):
+            probs(h, p)
+            np.matmul(p.T, g[h], out=gv[h])
+            np.matmul(g[h], v.data[h].T, out=d_logits)
+            np.multiply(d_logits, p, out=prod)
+            d_logits -= prod.sum(axis=-1, keepdims=True)
+            d_logits *= p
+            d_logits *= scale
+            np.matmul(d_logits, k.data[h], out=gq[h])
+            np.matmul(d_logits.T, q.data[h], out=gk[h])
+        del p, d_logits, prod  # before the gradients are copied into q, k and v
+        accumulate_grad(v, gv)
+        accumulate_grad(q, gq)
+        accumulate_grad(k, gk)
 
     return record_op(out_data, (q, k, v), backward)
 

@@ -5,9 +5,11 @@ Model parameters are created from per-component child seeds, so a fused run
 and a LiDAR-only run with the same seed share bit-identical LiDAR, fusion,
 and decoder weights.  Per-camera lifting may run on a thread pool during
 inference; contributions are reduced in a fixed camera order, so results do
-not depend on the worker count.  Sweep fusion runs only on the voxels that
-some camera lifts (the union of the cameras' footprints); every other voxel
-of the camera space is the fusion bias.
+not depend on the worker count.  The camera branch stays on rows until sweep
+fusion places its output: each lift returns the rows of the voxels its camera
+sees, those rows are put onto the union of the cameras' voxels and summed per
+sweep, and sweep fusion runs on that union; every other voxel of the camera
+space is the fusion bias.
 """
 
 from __future__ import annotations
@@ -200,13 +202,13 @@ def _stage(name):
 
 def _lift_camera(cam, scene, config, params):
     # one projection per camera; the depth head runs only on the pixels it
-    # reads, and the lifted space is zero outside the returned voxels
+    # reads, and the lift returns the rows of the voxels it fills
     feats = Tensor(cam.features)
     calib = scene.initial_frame_calibration(cam)
     footprint = lift_footprint(calib, config.grid, config.depth, feats.shape[:2])
     dist = predict_depth_distribution(feats, params.depth_head, config.depth, footprint.read)
-    space = lift_image_to_voxels(feats, dist, calib, config.grid, config.depth, footprint)
-    return space, footprint.voxels
+    rows = lift_image_to_voxels(feats, dist, calib, config.grid, config.depth, footprint)
+    return rows, footprint.voxels
 
 
 def _camera_branch(scene, config, params, threads):
@@ -218,16 +220,26 @@ def _camera_branch(scene, config, params, threads):
             lifted = list(pool.map(lift, scene.cameras))
     else:
         lifted = [lift(cam) for cam in scene.cameras]
+    # every camera's rows go onto the union of the lifted voxels, unless they
+    # already cover it; sweep fusion runs on those rows and the rest of the
+    # grid holds its bias
+    seen = np.unique(np.concatenate([voxels for _, voxels in lifted]))
+    c = config.grid.channels
+
+    def on_seen(rows, voxels):
+        if voxels.size == seen.size:
+            return rows
+        return nm.place_rows(rows, np.searchsorted(seen, voxels), np.zeros(c), (seen.size, c))
+
     offsets = scene.sweep_offsets
     # scene camera order within a sweep keeps the sum independent of the pool
     per_sweep = [
-        functools.reduce(nm.add, [v for (v, _), cam in zip(lifted, scene.cameras)
+        functools.reduce(nm.add, [on_seen(*pair) for pair, cam in zip(lifted, scene.cameras)
                                   if cam.time_offset == t])
         for t in offsets
     ]
-    # sweep fusion runs on the voxels some camera lifts; the rest hold its bias
-    seen = np.unique(np.concatenate([voxels for _, voxels in lifted]))
-    fused = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion, seen)
+    fused = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion, seen,
+                              config.grid.counts + (c,))
     grid = VoxelGrid(spec=config.grid, features=fused)
     return voxel_encoder(grid, params.encoder_img)
 

@@ -42,7 +42,8 @@ def small_volume(seed=0):
 
 
 @pytest.mark.parametrize("field, value", [("num_heads", 0), ("num_heads", -4),
-                                          ("ffn_dim", 0), ("ffn_dim", -3)])
+                                          ("ffn_dim", 0), ("ffn_dim", -3),
+                                          ("channels", 0), ("channels", -8)])
 def test_config_rejects_sizes_below_one(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
         DecoderConfig(**{field: value})

@@ -37,6 +37,17 @@ from helpers import (
 )
 
 
+@pytest.mark.parametrize("limit", [math.nan, math.inf], ids=["nan", "inf"])
+def test_depth_spec_rejects_a_non_finite_limit(limit):
+    # NaN would lift nothing (every d < nan is false); +inf would read depth bin 0 everywhere
+    with pytest.raises(ValueError, match="depth_limit must be finite and positive"):
+        DepthSpec(bins=8, depth_limit=limit)
+    data = pipeline.PipelineConfig().to_dict()
+    data["depth"]["depth_limit"] = limit
+    with pytest.raises(ValueError, match="^depth: depth_limit must be finite and positive"):
+        pipeline.PipelineConfig.from_dict(data)
+
+
 class TestDepthDistribution:
     def _params(self, c, d, weight=None, bias=None):
         w = np.zeros((1, 1, 1, c, d)) if weight is None else weight
@@ -197,6 +208,8 @@ class TestLiftFootprint:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_read_columns_lift_like_the_full_distribution(self, seed):
+        # with a footprint the lift returns the rows of its voxels; without one,
+        # the dense grid
         spec, depth, calib, feats, dist, rng = _partial_view(seed)
         fp = lift_footprint(calib, spec, depth, feats.shape[:2])
         assert 0 < fp.voxels.size < math.prod(spec.counts)
@@ -208,11 +221,13 @@ class TestLiftFootprint:
             return lift_image_to_voxels(f, d, calib, spec, depth, fp)
 
         out, df, dd = _lift_values_and_grads(read_set_lift, feats, columns, calib, spec,
-                                             depth, probe)
+                                             depth, probe.reshape(-1, 3)[fp.voxels])
         want, df_want, dd_want = _lift_values_and_grads(lift_image_to_voxels, feats, dist,
                                                         calib, spec, depth, probe)
-        assert np.abs(out).max() > 0
-        assert np.array_equal(out, want)
+        want = want.reshape(-1, 3)
+        assert out.shape == (fp.voxels.size, 3) and np.abs(out).max() > 0
+        assert np.array_equal(out, want[fp.voxels])
+        assert not np.delete(want, fp.voxels, axis=0).any()
         assert np.array_equal(df, df_want)
         assert np.array_equal(dd, dd_want.reshape(8, -1)[:, fp.read])
         unread = np.setdiff1d(np.arange(16 * 16), fp.read)
@@ -239,8 +254,11 @@ class TestLiftFootprint:
             dist = predict_depth_distribution(feats, params, depth, fp.read)
             out = lift_image_to_voxels(feats, dist, calib, spec, depth, fp)
         assert dist.shape == (depth.bins, 0)
-        assert out.shape == spec.counts + (2,)
-        np.testing.assert_array_equal(out.data, 0.0)
+        assert out.shape == (0, 2)
+        grid = lift_image_to_voxels(feats, Tensor(np.full((depth.bins, 16, 16), 0.125)),
+                                    calib, spec, depth)
+        assert grid.shape == spec.counts + (2,)
+        np.testing.assert_array_equal(grid.data, 0.0)
 
     def test_footprint_of_another_image_size_rejected(self):
         spec, depth, calib, feats, dist, _ = _partial_view(5)
@@ -332,9 +350,24 @@ class TestSweepFusion:
         (np.array([2, 8]), r"\[0, 8\)"),
     ], ids=["two-dimensional", "float", "unsorted", "duplicate", "negative", "past-the-end"])
     def test_malformed_voxels_rejected(self, voxels, match):
-        x = Tensor(np.ones((2, 2, 2, 3)))
+        x = Tensor(np.ones((voxels.size, 3)))
         with pytest.raises(ValueError, match=rf"voxels must .*{match}"):
-            fuse_sweeps_image([x, x], [0.0, -0.5], self._identity_params(3, 2), voxels)
+            fuse_sweeps_image([x, x], [0.0, -0.5], self._identity_params(3, 2), voxels,
+                              (2, 2, 2, 3))
+
+    @pytest.mark.parametrize("rows", [(2, 3), (4, 3), (3, 2), (2, 2, 2, 3)])
+    def test_row_table_of_another_shape_names_the_sweep(self, rows):
+        # three voxels of a (2, 2, 2, 3) grid: each sweep is a (3, 3) table
+        good, bad = Tensor(np.ones((3, 3))), Tensor(np.ones(rows))
+        with pytest.raises(ValueError, match=r"spaces\[1\] must be \(3, 3\) rows"):
+            fuse_sweeps_image([good, bad], [0.0, -0.5], self._identity_params(3, 2),
+                              np.array([1, 4, 6]), (2, 2, 2, 3))
+
+    def test_voxels_without_shape_rejected(self):
+        x = Tensor(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="shape: the .* output shape is required"):
+            fuse_sweeps_image([x, x], [0.0, -0.5], self._identity_params(3, 2),
+                              np.array([1, 4, 6]))
 
 
 OFFSETS = (0.0, -0.5, -1.0)
@@ -375,8 +408,8 @@ def test_composed_fusion_matches_separate_maps(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fusion_on_the_lifted_voxels_matches_every_voxel(n):
-    # spaces that are zero outside a random voxel set, fused on that set's rows
-    # and on every voxel
+    # spaces that are zero outside a random voxel set, fused as tables of that
+    # set's rows and as grids of every voxel
     rng = np.random.default_rng([n, 52])
     c, grid, n_voxels = 4, (5, 4, 3), 60
     voxels = np.sort(rng.choice(n_voxels, size=23, replace=False))
@@ -384,26 +417,29 @@ def test_fusion_on_the_lifted_voxels_matches_every_voxel(n):
     inside[voxels] = True
     params = _random_fusion_params(c, n, rng)
     data = [np.where(inside[:, None], rng.standard_normal((n_voxels, c)), 0.0)
-            .reshape(grid + (c,)) for _ in range(n)]
+            for _ in range(n)]
     probe = Tensor(rng.standard_normal(grid + (c,)))
 
     def run(rows):
-        spaces = [Tensor(d, requires_grad=True) for d in data]
+        if rows is None:
+            spaces, shape = [Tensor(d.reshape(grid + (c,)), requires_grad=True)
+                             for d in data], None
+        else:
+            spaces, shape = [Tensor(d[rows], requires_grad=True) for d in data], grid + (c,)
         for p in nm.parameters_of(params):
             p.reset_gradient()
         with Tape() as tape:
-            out = fuse_sweeps_image(spaces, list(OFFSETS[:n]), params, rows)
+            out = fuse_sweeps_image(spaces, list(OFFSETS[:n]), params, rows, shape)
             loss = nm.tsum(nm.mul(out, probe))
         backward(tape, loss)
-        return (out.data, [s.grad.reshape(n_voxels, c) for s in spaces],
+        return (out.data, [s.grad.reshape(-1, c) for s in spaces],
                 [p.grad.copy() for p in nm.parameters_of(params)])
 
     out, space_grads, param_grads = run(voxels)
     want, want_space_grads, want_param_grads = run(None)
     assert np.array_equal(out, want)
     for g, w in zip(space_grads, want_space_grads):
-        assert np.array_equal(g[inside], w[inside])
-        assert not g[~inside].any()  # the spaces get gradient on the voxel rows only
+        assert np.array_equal(g, w[inside])
     # the bias gradient sums the voxel rows and the others apart, and the
     # weight gradient runs over fewer (zero) rows, so the last bits may differ
     for g, w in zip(param_grads, want_param_grads):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from voxdet import numerics as nm
 from voxdet.numerics import NumericsError, Parameter, Tape, Tensor, backward, grad_check
 
-from helpers import attention_oracle, trilinear_sample_oracle, weighted_trilinear_sample_oracle
+from helpers import (
+    attention_oracle,
+    closure_arrays,
+    trilinear_sample_oracle,
+    weighted_trilinear_sample_oracle,
+)
 
 
 class TestSoftmax:
@@ -262,19 +269,22 @@ def test_weighted_trilinear_rejects_mismatched_weights():
         nm.trilinear_sample(vol, Tensor(np.zeros((3, 0, 3))), Tensor(np.ones((3, 0))))
 
 
-def _attention_inputs(n, seed, hot_rows=()):
+def _attention_inputs(n, seed, hot_rows=(), heads=2):
     """(H, n, dh) q, k, v; ``hot_rows`` of q give logits around 700 against every key."""
     rng = np.random.default_rng([n, seed])
-    q, k, v = (rng.standard_normal((2, n, 4)) for _ in range(3))
-    k[..., 0] = 1.0 + 0.01 * rng.standard_normal((2, n))
+    q, k, v = (rng.standard_normal((heads, n, 4)) for _ in range(3))
+    k[..., 0] = 1.0 + 0.01 * rng.standard_normal((heads, n))
     for row in hot_rows:
         q[:, row, 0] = 1400.0  # times scale 0.5 times k[..., 0] near 1
-    return q, k, v, rng.standard_normal((2, n, 4))
+    return q, k, v, rng.standard_normal((heads, n, 4))
 
 
-@pytest.mark.parametrize("n", [1, 7, 300])
-def test_attention_matches_five_node_oracle(n):
-    q, k, v, probe = _attention_inputs(n, seed=1, hot_rows=range(0, n, 3))
+@pytest.mark.parametrize("n, heads", [
+    pytest.param(1, 2, id="1"), pytest.param(7, 2, id="7"), pytest.param(300, 2, id="300"),
+    pytest.param(40, 8, id="40-heads8"),
+])
+def test_attention_matches_five_node_oracle(n, heads):
+    q, k, v, probe = _attention_inputs(n, seed=1, hot_rows=range(0, n, 3), heads=heads)
     got = _values_and_grads(lambda *a: nm.attention(*a, 0.5), (q, k, v), probe)
     want = _values_and_grads(lambda *a: attention_oracle(*a, 0.5), (q, k, v), probe)
     for g, w in zip(got, want):
@@ -298,8 +308,34 @@ def test_attention_is_one_node_keeping_no_score_matrix():
     with Tape() as tape:
         out = nm.attention(*leaves, 0.5)
     assert len(tape._nodes) == 1 and out.shape == (2, 7, 4)
-    kept = [c.cell_contents for c in out._backward.__closure__]
-    assert all(getattr(x, "shape", None) != (2, 7, 7) for x in kept)
+    kept = [a.shape for a in closure_arrays(out._backward)]
+    assert kept and not [shape for shape in kept if shape[-2:] == (7, 7)]
+
+
+def test_attention_peak_memory_is_one_head_of_scores():
+    # H = 8 score matrices of 300 x 300 float64 would take H * n^2 * 8 bytes;
+    # forward and backward each stay under half of that
+    heads, n, dh = 8, 300, 32
+    rng = np.random.default_rng(4)
+    leaves = [Tensor(rng.standard_normal((heads, n, dh)), requires_grad=True)
+              for _ in range(3)]
+    g = rng.standard_normal((heads, n, dh))
+    budget = heads * n * n * 8 // 2
+    tracemalloc.start()
+    try:
+        with Tape():
+            out = nm.attention(*leaves, 0.5)
+        _, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        out._backward(g)
+        _, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < budget
+    # the gradients handed to q, k and v are the backward's output, not its workspace
+    grads = sum(leaf.grad.nbytes for leaf in leaves)
+    assert backward_peak - start - grads < budget
 
 
 def test_attention_rejects_mismatched_shapes():

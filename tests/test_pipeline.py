@@ -139,36 +139,37 @@ class TestSweepEquivalence:
 
 
 def test_sweep_fusion_tape_runs_one_affine_on_the_lifted_voxels(monkeypatch):
-    # a 2-sweep desk-scale camera forward; the nodes sweep fusion records
-    # are the ones added to the tape while fuse_sweeps_image runs
-    scene = generate_scene(SceneConfig(n_objects=1, channels=32, n_camera_sweeps=2), 13)
-    config = PipelineConfig(use_lidar=False, seed=5)
+    # the whole camera branch of a 2-sweep, 2-camera desk-scale forward: the
+    # lifts, the placements onto the union of their voxels, the sweep sums
+    # and sweep fusion stay on rows until sweep fusion places its output
+    scene = generate_scene(SceneConfig(n_objects=1, n_cameras=2, channels=32,
+                                       n_camera_sweeps=2), 13)
+    config = PipelineConfig(use_lidar=False, encoder_op="none", seed=5)
     params = build_model(config, n_camera_sweeps=2)
-    spans = []
+    calls = []
 
-    def traced(spaces, offsets, fusion_params, voxels):
-        start = len(tape._nodes)
-        out = fuse_sweeps_image(spaces, offsets, fusion_params, voxels)
-        spans.append((start, len(tape._nodes), out, spaces, voxels))
-        return out
+    def traced(spaces, offsets, fusion_params, voxels, shape):
+        calls.append(voxels)
+        return fuse_sweeps_image(spaces, offsets, fusion_params, voxels, shape)
 
     monkeypatch.setattr(pipeline, "fuse_sweeps_image", traced)
     with Tape() as tape:
-        forward_scene(scene, config, params)
-    [(start, stop, out, spaces, voxels)] = spans
-    nodes = tape._nodes[start:stop]
+        vi, _ = pipeline._camera_branch(scene, config, params, threads=1)
+    [voxels] = calls
+    out = vi.features.data
     n_voxels, c = math.prod(config.grid.counts), config.grid.channels
-    assert 0 < voxels.size < n_voxels
-    ops = [node._backward.__qualname__.split(".")[0] for node in nodes]
-    assert "conv" not in ops
-    assert [node.shape for node, op in zip(nodes, ops)
+    assert 0 < voxels.size < n_voxels and out.shape == config.grid.counts + (c,)
+    ops = [node._backward.__qualname__.split(".")[0] for node in tape._nodes]
+    assert ops.count("conv") == len(scene.cameras) == 4  # the depth heads
+    # each camera's rows onto the union, then the fused rows into the grid
+    assert ops.count("place_rows") == len(scene.cameras) + 1
+    assert [node.shape for node, op in zip(tape._nodes, ops)
             if op == "affine" and node.ndim == 2] == [(voxels.size, c)]
-    # no grid-shaped values (one row per voxel) but the output and views of the spaces
-    for node in nodes:
+    # no grid-shaped values (one row per voxel) but the output
+    for node in tape._nodes:
         arrays = [node.data] + closure_arrays(node._backward)
-        assert not [a.shape for a in arrays if a.dtype == np.float64 and a is not out.data
-                    and (a.shape[:3] == config.grid.counts or a.shape[:1] == (n_voxels,))
-                    and not any(np.shares_memory(a, s.data) for s in spaces)]
+        assert not [a.shape for a in arrays if a.dtype == np.float64 and a is not out
+                    and (a.shape[:3] == config.grid.counts or a.shape[:1] == (n_voxels,))]
 
 
 @pytest.mark.parametrize("config, convs", [
@@ -189,12 +190,14 @@ def test_forward_records_no_fusion_conv(config, convs):
 
 def _full_image_lift(cam, scene, config, params):
     # the oracle: the depth head on every pixel, then a lift that projects on
-    # its own, and sweep fusion on every voxel
+    # its own and returns the dense grid, so every voxel is a row and sweep
+    # fusion runs on every voxel
     feats = Tensor(cam.features)
     dist = predict_depth_distribution(feats, params.depth_head, config.depth)
     space = lift_image_to_voxels(feats, dist, scene.initial_frame_calibration(cam),
                                  config.grid, config.depth)
-    return space, np.arange(math.prod(config.grid.counts))
+    n_voxels = math.prod(config.grid.counts)
+    return nm.reshape(space, (n_voxels, config.grid.channels)), np.arange(n_voxels)
 
 
 class TestReadSetLift:
@@ -211,15 +214,23 @@ class TestReadSetLift:
         return vi.features.data, head.weight.grad, head.bias.grad
 
     def test_matches_full_image_oracle(self, monkeypatch):
+        # wide views: the cameras of a sweep share voxels, and together they
+        # still miss part of the grid, so every camera's rows are placed onto
+        # the union of the lifted voxels and overlapping rows are summed
         scene = generate_scene(SceneConfig(n_objects=1, n_cameras=3, channels=32,
-                                           n_camera_sweeps=2, ego_speed=2.0), 8)
+                                           n_camera_sweeps=2, ego_speed=2.0, focal=8.0), 8)
         config = PipelineConfig(use_lidar=False, seed=2)
         assert len(scene.cameras) == 6
-        for cam in scene.cameras:
-            fp = lift_footprint(scene.initial_frame_calibration(cam), config.grid,
-                                config.depth, cam.features.shape[:2])
-            assert 0 < fp.voxels.size < math.prod(config.grid.counts)
+        footprints = [lift_footprint(scene.initial_frame_calibration(cam), config.grid,
+                                     config.depth, cam.features.shape[:2])
+                      for cam in scene.cameras]
+        union = np.unique(np.concatenate([fp.voxels for fp in footprints]))
+        assert union.size < math.prod(config.grid.counts)
+        for cam, fp in zip(scene.cameras, footprints):
+            assert 0 < fp.voxels.size < union.size
             assert 0 < fp.read.size < cam.features[..., 0].size
+        for sweep in (footprints[:3], footprints[3:]):
+            assert np.intersect1d(sweep[0].voxels, sweep[1].voxels).size > 0
         out, dw, db = self._branch(scene, config)
         monkeypatch.setattr(pipeline, "_lift_camera", _full_image_lift)
         want, dw_want, db_want = self._branch(scene, config)
