@@ -38,6 +38,7 @@ from .verification import GRAD_TOLERANCE, gradient_suite
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
+THREADS_HELP = "accepted and checked (>= 1); changes nothing, each forward runs on one thread"
 
 
 def _load_json(path, what: str) -> dict:
@@ -83,7 +84,7 @@ def _cmd_generate(args) -> int:
 def _cmd_detect(args) -> int:
     config = _load_pipeline_config(args.config, args.seed)
     scene = read_scene(args.scene)
-    result = run_detection(scene, config, threads=args.threads)
+    result = run_detection(scene, config)
     out = Path(args.out)
     write_boxes_jsonl(out / "detections.jsonl", [result.detections])
     run_info = config.to_dict()
@@ -97,8 +98,7 @@ def _cmd_track(args) -> int:
     config = _load_pipeline_config(args.config, args.seed)
     seq = _load_json(Path(args.sequence) / "sequence.json", "sequence")
     scenes = [read_scene(Path(args.sequence) / name) for name in seq["frames"]]
-    states = run_sequence(scenes, config, frame_dt=float(seq.get("frame_dt", 0.5)),
-                          threads=args.threads)
+    states = run_sequence(scenes, config, frame_dt=float(seq.get("frame_dt", 0.5)))
     out = Path(args.out)
     write_tracks_jsonl(out / "tracks.jsonl", states)
     n_tracks = states[-1].next_id if states else 0
@@ -145,8 +145,7 @@ def _cmd_microfit(args) -> int:
     scene = read_scene(args.scene)
     try:
         result = micro_fit(scene, config, steps=args.steps,
-                           learning_rate=args.learning_rate, seed=config.seed,
-                           threads=args.threads)
+                           learning_rate=args.learning_rate, seed=config.seed)
     except TrainingDivergenceError as exc:
         print(f"micro-fit diverged at step {exc.step}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("track", help="run detection + tracking over a sequence")
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("eval", help="score detections against ground truth")
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--learning-rate", type=float, default=0.02)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--min-reduction", type=float, default=0.9)
     p.add_argument("--max-center-cells", type=float, default=0.5)
     p.set_defaults(func=_cmd_microfit)

@@ -111,6 +111,8 @@ class VoxelGridSpec:
 
     def __post_init__(self):
         for name, (lo, hi) in zip("xyz", (self.x_range, self.y_range, self.z_range)):
+            if not np.isfinite([lo, hi]).all():
+                raise ValueError(f"{name}_range must be finite, got ({lo}, {hi})")
             if not hi > lo:
                 raise ValueError(f"{name}_range must satisfy max > min, got ({lo}, {hi})")
         if any(c < 1 for c in self.counts):

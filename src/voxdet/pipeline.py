@@ -3,11 +3,9 @@ postprocess, for single-modality and fused settings.
 
 Model parameters are created from per-component child seeds, so a fused run
 and a LiDAR-only run with the same seed share bit-identical LiDAR, fusion,
-and decoder weights.  Per-camera lifting may run on a thread pool during
-inference; contributions are reduced in a fixed camera order, so results do
-not depend on the worker count.  The camera branch stays on rows until sweep
-fusion places its output: each lift returns the rows of the voxels its camera
-sees, those rows are put onto the union of the cameras' voxels and summed per
+and decoder weights.  The camera branch stays on rows until sweep fusion
+places its output: each lift returns the rows of the voxels its camera sees,
+those rows are put onto the union of the cameras' voxels and summed per
 sweep, and sweep fusion runs on that union; every other voxel of the camera
 space is the fusion bias.
 """
@@ -15,7 +13,6 @@ space is the fusion bias.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -211,15 +208,8 @@ def _lift_camera(cam, scene, config, params):
     return rows, footprint.voxels
 
 
-def _camera_branch(scene, config, params, threads):
-    def lift(cam):
-        return _lift_camera(cam, scene, config, params)
-
-    if threads > 1 and nm.active_tape() is None and len(scene.cameras) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lifted = list(pool.map(lift, scene.cameras))
-    else:
-        lifted = [lift(cam) for cam in scene.cameras]
+def _camera_branch(scene, config, params):
+    lifted = [_lift_camera(cam, scene, config, params) for cam in scene.cameras]
     # every camera's rows go onto the union of the lifted voxels, unless they
     # already cover it; sweep fusion runs on those rows and the rest of the
     # grid holds its bias
@@ -232,7 +222,6 @@ def _camera_branch(scene, config, params, threads):
         return nm.place_rows(rows, np.searchsorted(seen, voxels), np.zeros(c), (seen.size, c))
 
     offsets = scene.sweep_offsets
-    # scene camera order within a sweep keeps the sum independent of the pool
     per_sweep = [
         functools.reduce(nm.add, [on_seen(*pair) for pair, cam in zip(lifted, scene.cameras)
                                   if cam.time_offset == t])
@@ -244,9 +233,7 @@ def _camera_branch(scene, config, params, threads):
     return voxel_encoder(grid, params.encoder_img)
 
 
-def forward_scene(
-    scene: Scene, config: PipelineConfig, params: ModelParams, threads: int = 1
-) -> ForwardResult:
+def forward_scene(scene: Scene, config: PipelineConfig, params: ModelParams) -> ForwardResult:
     """Run lifting/voxelization, encoders, fusion, and the decoder."""
     vi = vp = None
     student = teacher = None
@@ -254,7 +241,7 @@ def forward_scene(
         if not scene.cameras:
             raise PipelineError("camera", ValueError("scene has no cameras"))
         with _stage("camera"):
-            vi, img_tap = _camera_branch(scene, config, params, threads)
+            vi, img_tap = _camera_branch(scene, config, params)
             student = img_tap
     if _needs_lidar(config):
         with _stage("lidar"):
@@ -288,10 +275,14 @@ def run_detection(
     params: ModelParams | None = None,
     threads: int = 1,
 ) -> DetectionResult:
-    """Full inference: forward pass plus range filter and circle NMS."""
+    """Full inference: forward pass plus range filter and circle NMS.
+
+    ``threads`` is accepted and changes nothing: every forward runs on the
+    calling thread.
+    """
     if params is None:
         params = build_model(config, n_camera_sweeps=len(scene.sweep_offsets) or 1)
-    fw = forward_scene(scene, config, params, threads=threads)
+    fw = forward_scene(scene, config, params)
     with _stage("postprocess"):
         detections = run_postprocess(fw.decode.detections, config)
     return DetectionResult(detections=detections, raw=fw)
@@ -302,7 +293,6 @@ def run_sequence(
     config: PipelineConfig,
     params: ModelParams | None = None,
     frame_dt: float = 0.5,
-    threads: int = 1,
 ) -> list[TrackerState]:
     """Detect every frame and chain the greedy tracker; frames must be time-ordered."""
     if params is None and scenes:
@@ -310,7 +300,7 @@ def run_sequence(
     state = TrackerState()
     states = []
     for scene in scenes:
-        result = run_detection(scene, config, params, threads=threads)
+        result = run_detection(scene, config, params)
         with _stage("tracking"):
             state = greedy_track_step(state, result.detections, frame_dt, config.tracker)
         states.append(state)

@@ -148,8 +148,8 @@ def greedy_track_step(
     spawn new ids; unmatched tracks coast along their velocity and are
     dropped once their age reaches ``max_age``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     candidates = [d for d in dets if d.score >= config.score_threshold]
 
     predictions = [t.predicted_center(dt) for t in state.tracks]

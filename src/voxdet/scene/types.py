@@ -35,6 +35,10 @@ class Box3D:
     score: float = 1.0
 
     def __post_init__(self):
+        for name, values in (("center", self.center), ("size", self.size),
+                             ("yaw", (self.yaw,)), ("velocity", self.velocity)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"box {name} must be finite, got {getattr(self, name)}")
         if any(s <= 0 for s in self.size):
             raise ValueError(f"box size must be positive, got {self.size}")
         if not 0.0 <= self.score <= 1.0:

@@ -211,7 +211,7 @@ class MicroFitResult:
         return 0.0 if first == 0 else 1.0 - self.history[-1].total / first
 
 
-def compute_scene_loss(scene, config, params, threads: int = 1):
+def compute_scene_loss(scene, config, params):
     """Forward the pipeline on a scene and assemble the full objective.
 
     Returns (total tensor, LossBreakdown, forward result).  Must run under an
@@ -220,7 +220,7 @@ def compute_scene_loss(scene, config, params, threads: int = 1):
     from .cross_modality import knowledge_transfer_loss
     from .pipeline import forward_scene
 
-    fw = forward_scene(scene, config, params, threads=threads)
+    fw = forward_scene(scene, config, params)
     spec = config.grid
     assignments = [
         hungarian_match(cost_matrix(block, scene.boxes, spec))
@@ -251,7 +251,6 @@ def micro_fit(
     steps: int,
     learning_rate: float,
     seed: int,
-    threads: int = 1,
 ) -> MicroFitResult:
     """Fit the model to one small scene with deterministic momentum gradient descent.
 
@@ -279,8 +278,7 @@ def micro_fit(
         optimizer.reset_gradients()
         try:
             with nm.Tape() as tape:
-                total, breakdown, _ = compute_scene_loss(scene, config, params,
-                                                         threads=threads)
+                total, breakdown, _ = compute_scene_loss(scene, config, params)
             history.append(breakdown)
             nm.backward(tape, total)
         except Exception as exc:
@@ -289,7 +287,7 @@ def micro_fit(
             raise TrainingDivergenceError(step, f"step {step}: {exc}") from exc
         optimizer.step()
     try:
-        total, breakdown, fw = compute_scene_loss(scene, config, params, threads=threads)
+        total, breakdown, fw = compute_scene_loss(scene, config, params)
     except Exception as exc:
         if not diverged(exc):
             raise

@@ -156,3 +156,8 @@ class TestValidation:
     def test_degenerate_range(self):
         with pytest.raises(ValueError):
             VoxelGridSpec((1.0, 1.0), (0.0, 1.0), (0.0, 1.0), (1, 1, 1), 1)
+
+    @pytest.mark.parametrize("bound", [-np.inf, np.inf, np.nan])
+    def test_non_finite_range_names_axis(self, bound):
+        with pytest.raises(ValueError, match="y_range must be finite"):
+            VoxelGridSpec((0.0, 1.0), (bound, 8.0), (0.0, 1.0), (1, 1, 1), 1)

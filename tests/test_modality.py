@@ -464,7 +464,7 @@ def test_camera_only_scene_seeing_no_voxel_is_the_folded_bias():
     for cam in cameras:
         assert lift_footprint(cam.calibration, spec, config.depth, (16, 16)).voxels.size == 0
 
-    vi, _ = pipeline._camera_branch(scene, config, params, threads=1)
+    vi, _ = pipeline._camera_branch(scene, config, params)
     merge = fusion.merge_weight.data[0, 0, 0]
     fuse = fusion.fuse_weight.data[0, 0, 0].reshape(2, c, c)
     want = fusion.fuse_bias.data + fusion.merge_bias.data @ fuse.sum(axis=0)

@@ -154,7 +154,7 @@ def test_sweep_fusion_tape_runs_one_affine_on_the_lifted_voxels(monkeypatch):
 
     monkeypatch.setattr(pipeline, "fuse_sweeps_image", traced)
     with Tape() as tape:
-        vi, _ = pipeline._camera_branch(scene, config, params, threads=1)
+        vi, _ = pipeline._camera_branch(scene, config, params)
     [voxels] = calls
     out = vi.features.data
     n_voxels, c = math.prod(config.grid.counts), config.grid.channels
@@ -206,7 +206,7 @@ class TestReadSetLift:
     def _branch(self, scene, config):
         params = build_model(config, n_camera_sweeps=2)
         with Tape() as tape:
-            vi, _ = pipeline._camera_branch(scene, config, params, threads=1)
+            vi, _ = pipeline._camera_branch(scene, config, params)
             probe = np.random.default_rng(0).standard_normal(vi.features.shape)
             loss = nm.tsum(nm.mul(vi.features, Tensor(probe)))
         nm.backward(tape, loss)

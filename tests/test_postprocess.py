@@ -158,5 +158,6 @@ class TestTracker:
         assert all(len(ids) == 1 for ids in seen_ids)  # zero identity switches
 
     def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            greedy_track_step(TrackerState(), [], 0.0, self.CFG)
+        for dt in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                greedy_track_step(TrackerState(), [], dt, self.CFG)

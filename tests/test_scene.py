@@ -227,11 +227,27 @@ class TestSceneIO:
         scene = generate_scene(SceneConfig(n_objects=2, channels=8), 2)
         write_scene(scene, tmp_path / "scene")
         manifest = tmp_path / "scene" / "manifest.json"
-        data = json.loads(manifest.read_text())
+        original = manifest.read_text()
+        data = json.loads(original)
         del data["boxes"][1]["size"]
         manifest.write_text(json.dumps(data))
         with pytest.raises(SceneIOError, match=r"boxes\[1\]\.size"):
             read_scene(tmp_path / "scene")
+        data = json.loads(original)
+        data["boxes"][1]["center"][0] = float("nan")  # json writes and reads NaN
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(SceneIOError, match=r"boxes\[1\]: box center must be finite"):
+            read_scene(tmp_path / "scene")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("center", (0.0, math.nan, 0.0)), ("size", (1.0, math.inf, 1.0)),
+    ("yaw", math.nan), ("velocity", (-math.inf, 0.0)),
+])
+def test_non_finite_box_field_named(field, value):
+    kwargs = dict(center=(0.0, 0.0, 0.0), size=(1.0, 1.0, 1.0), yaw=0.0)
+    with pytest.raises(ValueError, match=f"box {field} must be finite"):
+        Box3D(**{**kwargs, field: value})
 
 
 def _drop(key):

@@ -74,6 +74,7 @@ class TestBoxesJsonlErrors:
         (lambda rec: rec.update(centre=[0.0, 0.0, 0.0]), "centre"),
         (lambda rec: rec.update(score=1.5), "score"),
         (lambda rec: rec.update(frame=0.5), "frame: expected int, found 0.5"),
+        (lambda rec: rec.update(center=[float("inf"), 0.0, 0.0]), "center must be finite"),
     ])
     def test_malformed_record_names_line_and_field(self, tmp_path, edit, field):
         path = tmp_path / "boxes.jsonl"
