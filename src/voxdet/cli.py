@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,15 +20,17 @@ import numpy as np
 
 from .decoder import decode_boxes
 from .metrics import evaluate
-from .numerics import set_gradient_corruption
 from .pipeline import PipelineConfig, PipelineError, run_detection, run_sequence
 from .scene.generate import SceneConfig, SceneGenerationError, generate_sequence
 from .scene.io import SceneIOError, read_scene, write_scene
+from .scene.types import SequenceManifest
 from .serialize import (
     atomic_write,
     from_dict,
+    load_json,
     read_boxes_jsonl,
     read_metrics_json,
+    to_dict,
     write_boxes_jsonl,
     write_metrics_json,
     write_tracks_jsonl,
@@ -41,26 +44,25 @@ EXIT_CHECK_FAILED = 2
 THREADS_HELP = "accepted and checked (>= 1); changes nothing, each forward runs on one thread"
 
 
-def _load_json(path, what: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise SceneIOError(f"{what}: missing file {p}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{what}: invalid JSON ({exc})") from exc
+# flag -> (check, what it must be); main() runs them before any file is written
+FLAG_CHECKS = {
+    **dict.fromkeys(("points", "threads", "frames"), (lambda v: v >= 1, ">= 1")),
+    **dict.fromkeys(("learning_rate", "frame_dt"),
+                    (lambda v: math.isfinite(v) and v > 0, "finite and > 0")),
+    **dict.fromkeys(("min_reduction", "max_center_cells", "threshold"),
+                    (math.isfinite, "finite")),
+}
 
 
 def _load_pipeline_config(path, seed_override) -> PipelineConfig:
-    config = PipelineConfig.from_dict(_load_json(path, "config"))
+    config = PipelineConfig.from_dict(load_json(path))
     if seed_override is not None:
         config.seed = int(seed_override)
     return config
 
 
 def _cmd_generate(args) -> int:
-    data = _load_json(args.config, "scene config")
-    config = SceneConfig.from_dict(data)
+    config = SceneConfig.from_dict(load_json(args.config))
     seed = args.seed if args.seed is not None else 0
     frames = generate_sequence(config, seed, args.frames, args.frame_dt)
     out = Path(args.out)
@@ -70,13 +72,8 @@ def _cmd_generate(args) -> int:
         write_scene(frame, frame_dir)
         frame_dirs.append(frame_dir.name)
     write_boxes_jsonl(out / "gt.jsonl", [frame.boxes for frame in frames])
-    atomic_write(
-        out / "sequence.json",
-        json.dumps(
-            {"frames": frame_dirs, "frame_dt": args.frame_dt, "seed": seed},
-            indent=1,
-        ),
-    )
+    manifest = SequenceManifest(frames=frame_dirs, frame_dt=args.frame_dt, seed=seed)
+    atomic_write(out / "sequence.json", json.dumps(to_dict(manifest), indent=1))
     print(f"wrote {len(frames)} frame(s) under {out}")
     return EXIT_OK
 
@@ -96,9 +93,10 @@ def _cmd_detect(args) -> int:
 
 def _cmd_track(args) -> int:
     config = _load_pipeline_config(args.config, args.seed)
-    seq = _load_json(Path(args.sequence) / "sequence.json", "sequence")
-    scenes = [read_scene(Path(args.sequence) / name) for name in seq["frames"]]
-    states = run_sequence(scenes, config, frame_dt=float(seq.get("frame_dt", 0.5)))
+    seq = from_dict(SequenceManifest, load_json(Path(args.sequence) / "sequence.json"),
+                    "sequence.json")
+    scenes = [read_scene(Path(args.sequence) / name) for name in seq.frames]
+    states = run_sequence(scenes, config, frame_dt=seq.frame_dt)
     out = Path(args.out)
     write_tracks_jsonl(out / "tracks.jsonl", states)
     n_tracks = states[-1].next_id if states else 0
@@ -120,13 +118,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.corrupt:
-        set_gradient_corruption(1e-3)
-    try:
-        results = gradient_suite(seed=args.seed if args.seed is not None else 0,
-                                 points=args.points)
-    finally:
-        set_gradient_corruption(0.0)
+    results = gradient_suite(seed=args.seed if args.seed is not None else 0,
+                             points=args.points)
     failed = False
     lines = []
     for r in results:
@@ -200,8 +193,8 @@ def _cmd_report(args) -> int:
     for run_dir in args.inputs:
         run = Path(run_dir)
         where = f"{run.name}/config.json"
-        echo = _load_json(run / "config.json", where)
-        if not isinstance(echo, dict) or "sweeps" not in echo:
+        echo = load_json(run / "config.json")
+        if "sweeps" not in echo:
             raise ValueError(f"missing field {where + '.sweeps'!r}")
         sweeps = int(echo.pop("sweeps"))
         config = from_dict(PipelineConfig, echo, where)
@@ -271,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=10, help="evaluation points per check")
     p.add_argument("--threshold", type=float, default=GRAD_TOLERANCE)
     p.add_argument("--out", default=None, help="optional report path")
-    p.add_argument("--corrupt", action="store_true",
-                   help="test hook: corrupt analytic gradients to force failure")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("microfit", help="fit a small scene and check convergence")
@@ -298,10 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("points", "threads", "frames"):
+    for flag, (ok, want) in FLAG_CHECKS.items():
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            print(f"error: --{flag} must be >= 1, got {value}", file=sys.stderr)
+        if value is not None and not ok(value):
+            print(f"error: --{flag.replace('_', '-')} must be {want}, got {value}",
+                  file=sys.stderr)
             return EXIT_VALIDATION
     try:
         return args.func(args)

@@ -7,8 +7,9 @@ a categorical depth distribution, and each in-view voxel is filled with its
 pixel feature weighted by its interpolated occupancy probability.  Given its
 footprint, a lift returns only those (V, C) rows; without one it returns the
 dense grid, zero at every other voxel.  Sweeps are fused at the space level by
-one affine map with the time offsets folded into its bias, run on tables of
-the rows some camera lifts; the fusion places its output into the grid once.
+one affine map with the time offsets folded into its bias, run on (V, C)
+tables of the rows some camera lifts; it returns the fused rows and the bias,
+and the pipeline places them into the grid.
 LiDAR branch: points are binned into the grid with hand-crafted per-cell
 statistics and refined by parallel strided heads.  A small convolutional
 encoder then interacts neighboring voxels; its pre-ReLU block-3 activation is
@@ -335,11 +336,10 @@ def fuse_sweeps_image(
     spaces: list[Tensor],
     time_offsets: list[float],
     params: SweepFusionParams,
-    voxels: np.ndarray | None = None,
-    shape: tuple[int, ...] | None = None,
-) -> Tensor:
-    """Space-level temporal fusion of per-sweep image voxel spaces.
+) -> tuple[Tensor, Tensor]:
+    """Space-level temporal fusion of per-sweep image voxel rows.
 
+    Each space is the (V, C) table of one sweep's rows for the same V voxels.
     Each sweep gets its scalar time offset as an extra channel, is merged
     back to C channels by a shared 1x1x1 map, and the merged sweeps are
     fused to C by a 1x1x1 map across sweeps.  Merge and fuse are linear, so
@@ -349,11 +349,8 @@ def fuse_sweeps_image(
     sum_s t_s * W_s[C]``, and the map is one ``affine`` of the sweeps' C
     feature channels, side by side, through the n stacked ``W_s[:C]``.
 
-    Without ``voxels`` each space is an (X, Y, Z, C) grid and every voxel is
-    a row.  With ``voxels``, the sorted flat indices of the voxels outside
-    which every space is zero, each space is its (len(voxels), C) table of
-    those rows and ``shape`` is the (X, Y, Z, C) output: the ``affine`` runs
-    on the tables, and every other voxel of the output is ``b'``.
+    Returns the fused (V, C) rows and ``b'``, the fused value of a voxel
+    that is zero in every sweep; placing the rows in a grid is the caller's.
     """
     if not spaces:
         raise ValueError("fuse_sweeps_image needs at least one sweep")
@@ -364,14 +361,12 @@ def fuse_sweeps_image(
             raise ValueError(f"time_offsets[{i}] must be finite, got {offset}")
     if abs(time_offsets[0]) > 1e-12:
         raise ValueError(f"initial sweep offset must be 0, got {time_offsets[0]}")
-    if voxels is None:
-        shape = tuple(spaces[0].shape)
-        for s in spaces[1:]:
-            if tuple(s.shape) != shape:
-                raise ValueError(f"sweep grids disagree in shape: {s.shape} vs {shape}")
-    elif shape is None:
-        raise ValueError("shape: the (X, Y, Z, C) output shape is required with voxels")
-    shape = tuple(shape)
+    shape = tuple(spaces[0].shape)
+    if len(shape) != 2:
+        raise ValueError(f"spaces[0] must be a (V, C) row table, got {shape}")
+    for i, s in enumerate(spaces[1:], start=1):
+        if tuple(s.shape) != shape:
+            raise ValueError(f"spaces[{i}] must be {shape} rows of the voxels, got {s.shape}")
     n, c = len(spaces), shape[-1]
     expected = {"merge_weight": (1, 1, 1, c + 1, c), "merge_bias": (c,),
                 "fuse_weight": (1, 1, 1, n * c, c), "fuse_bias": (c,)}
@@ -380,24 +375,6 @@ def fuse_sweeps_image(
         if got != want:
             raise ValueError(f"SweepFusionParams.{field} must be {want} for {n} sweep(s) "
                              f"of {c} channels, got {got}")
-    n_voxels = math.prod(shape[:-1])
-    if voxels is not None:
-        voxels = np.asarray(voxels)
-        if voxels.ndim != 1 or not np.issubdtype(voxels.dtype, np.integer):
-            raise ValueError(f"voxels must be a 1-D integer array, got {voxels.dtype} "
-                             f"{voxels.shape}")
-        steps = np.diff(voxels)
-        if np.any(steps < 0):
-            raise ValueError("voxels must be sorted")
-        if np.any(steps == 0):
-            raise ValueError("voxels must not repeat an index")
-        if voxels.size and (voxels[0] < 0 or voxels[-1] >= n_voxels):
-            raise ValueError(f"voxels must lie in [0, {n_voxels}), got "
-                             f"[{voxels[0]}, {voxels[-1]}]")
-        for i, s in enumerate(spaces):
-            if tuple(s.shape) != (voxels.size, c):
-                raise ValueError(f"spaces[{i}] must be ({voxels.size}, {c}) rows of the "
-                                 f"voxels, got {s.shape}")
 
     fuse = nm.reshape(params.fuse_weight, (n, c, c))
     # (1, 1, 1, C+1, C) @ (n, C, C) broadcasts to one composed weight per sweep
@@ -406,11 +383,8 @@ def fuse_sweeps_image(
     bias = nm.affine(Tensor(time_offsets),
                      nm.getitem(composed, (slice(None), c)),
                      nm.affine(params.merge_bias, nm.tsum(fuse, axis=0), params.fuse_bias))
-    rows = spaces if voxels is not None else [nm.reshape(s, (n_voxels, c)) for s in spaces]
-    fused = nm.affine(rows[0] if n == 1 else nm.concat(rows, axis=1), weight, bias)
-    if voxels is None:
-        return nm.reshape(fused, shape)
-    return nm.place_rows(fused, voxels, bias, shape)
+    rows = nm.affine(spaces[0] if n == 1 else nm.concat(spaces, axis=1), weight, bias)
+    return rows, bias
 
 
 # ---------------------------------------------------------------------------

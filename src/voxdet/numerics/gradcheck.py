@@ -8,18 +8,7 @@ import numpy as np
 
 from .autograd import Tape, Tensor, backward
 
-__all__ = [
-    "grad_check", "set_gradient_corruption", "central_difference", "max_relative_error",
-]
-
-# Test hook: when non-zero, max_relative_error perturbs the analytic gradient by
-# this amount before comparing, to prove the failure path fires end to end.
-_CORRUPTION = 0.0
-
-
-def set_gradient_corruption(amount: float) -> None:
-    global _CORRUPTION
-    _CORRUPTION = float(amount)
+__all__ = ["grad_check", "central_difference", "max_relative_error"]
 
 
 def grad_check(function: Callable[[Tensor], Tensor], point, eps: float = 1e-5) -> float:
@@ -66,12 +55,7 @@ def central_difference(
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Max per-coordinate relative error, with a 1e-8 denominator floor.
-
-    The corruption test hook is applied to ``analytic`` here.
-    """
-    if _CORRUPTION:
-        analytic = analytic + _CORRUPTION
+    """Max per-coordinate relative error, with a 1e-8 denominator floor."""
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     rel = np.abs(analytic - numeric) / denom
     return float(rel.max()) if rel.size else 0.0

@@ -3,11 +3,12 @@ postprocess, for single-modality and fused settings.
 
 Model parameters are created from per-component child seeds, so a fused run
 and a LiDAR-only run with the same seed share bit-identical LiDAR, fusion,
-and decoder weights.  The camera branch stays on rows until sweep fusion
-places its output: each lift returns the rows of the voxels its camera sees,
+and decoder weights.  The camera branch stays on rows until it places the
+camera space once: each lift returns the rows of the voxels its camera sees,
 those rows are put onto the union of the cameras' voxels and summed per
-sweep, and sweep fusion runs on that union; every other voxel of the camera
-space is the fusion bias.
+sweep, sweep fusion runs on that union's rows, and ``_camera_branch`` places
+the fused rows into the grid; every other voxel of the camera space is the
+fusion bias.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def _camera_branch(scene, config, params):
     lifted = [_lift_camera(cam, scene, config, params) for cam in scene.cameras]
     # every camera's rows go onto the union of the lifted voxels, unless they
     # already cover it; sweep fusion runs on those rows and the rest of the
-    # grid holds its bias
+    # grid holds its bias.  ``seen`` is sorted, as ``searchsorted`` needs.
     seen = np.unique(np.concatenate([voxels for _, voxels in lifted]))
     c = config.grid.channels
 
@@ -227,9 +228,9 @@ def _camera_branch(scene, config, params):
                                   if cam.time_offset == t])
         for t in offsets
     ]
-    fused = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion, seen,
-                              config.grid.counts + (c,))
-    grid = VoxelGrid(spec=config.grid, features=fused)
+    rows, bias = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion)
+    grid = VoxelGrid(spec=config.grid,
+                     features=nm.place_rows(rows, seen, bias, config.grid.counts + (c,)))
     return voxel_encoder(grid, params.encoder_img)
 
 

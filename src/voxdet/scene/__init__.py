@@ -16,6 +16,7 @@ from .types import (
     PointCloud,
     Scene,
     SceneManifest,
+    SequenceManifest,
     bev_boxes_overlap,
     normalize_yaw,
 )
@@ -24,6 +25,6 @@ __all__ = [
     "SceneConfig", "SceneGenerationError", "camera_rig", "generate_scene",
     "generate_sequence", "rasterize_footprint", "sample_points_on_box",
     "FORMAT_VERSION", "SceneIOError", "read_scene", "write_scene", "Box3D",
-    "CameraView", "PointCloud", "Scene", "SceneManifest", "bev_boxes_overlap",
-    "normalize_yaw",
+    "CameraView", "PointCloud", "Scene", "SceneManifest", "SequenceManifest",
+    "bev_boxes_overlap", "normalize_yaw",
 ]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..geometry import CameraCalibration, EgoPose
-from ..serialize import atomic_write, from_dict, to_dict
+from ..serialize import atomic_write, from_dict, load_json, to_dict
 from .types import CameraRecord, CameraView, PointCloud, PoseRecord, Scene, SceneManifest
 
 __all__ = ["SceneIOError", "FORMAT_VERSION", "write_scene", "read_scene"]
@@ -103,13 +103,10 @@ def write_scene(scene: Scene, path) -> SceneManifest:
 def read_scene(path) -> Scene:
     """Load a scene directory, validating shapes against the manifest."""
     root = Path(path)
-    mpath = root / "manifest.json"
-    if not mpath.is_file():
-        raise SceneIOError(f"manifest: missing file {mpath}")
     try:
-        raw = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise SceneIOError(f"manifest: invalid JSON ({exc})") from exc
+        raw = load_json(root / "manifest.json")
+    except (IOError, ValueError) as exc:
+        raise SceneIOError(f"manifest: {exc}") from exc
 
     version = raw.get("format_version")
     if version != FORMAT_VERSION:

@@ -11,7 +11,7 @@ from ..geometry import CameraCalibration, EgoPose, align_to_initial
 
 __all__ = [
     "Box3D", "PointCloud", "CameraView", "Scene", "CameraRecord", "PoseRecord", "SceneManifest",
-    "normalize_yaw",
+    "SequenceManifest", "normalize_yaw",
 ]
 
 
@@ -172,6 +172,19 @@ class SceneManifest:
     ego_poses: list[PoseRecord]
     boxes: list[Box3D]
     format_version: int = 1
+
+
+@dataclass
+class SequenceManifest:
+    """Declared contents of a sequence directory: its frame directories in time order."""
+
+    frames: list[str]
+    frame_dt: float  # seconds between frames
+    seed: int
+
+    def __post_init__(self):
+        if not (math.isfinite(self.frame_dt) and self.frame_dt > 0):
+            raise ValueError(f"frame_dt must be finite and > 0, got {self.frame_dt}")
 
 
 @dataclass

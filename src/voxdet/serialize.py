@@ -36,6 +36,7 @@ __all__ = [
     "write_tracks_jsonl",
     "write_metrics_json",
     "read_metrics_json",
+    "load_json",
 ]
 
 METRICS_SCHEMA_VERSION = 1
@@ -216,13 +217,34 @@ def write_metrics_json(path, report: MetricsReport) -> None:
 
 
 def read_metrics_json(path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise IOError(f"missing metrics file {path}")
-    data = json.loads(path.read_text())
+    """A ``metrics.json`` payload; a wrong schema or a missing field raises ``ValueError``."""
+    data = load_json(path)
     version = data.get("schema_version")
     if version != METRICS_SCHEMA_VERSION:
         raise ValueError(
             f"metrics schema_version: expected {METRICS_SCHEMA_VERSION}, found {version!r}"
         )
+    for key in ("map", "nds", "tp_errors"):
+        if key not in data:
+            raise ValueError(f"{path}: missing field {key!r}")
+    if not isinstance(data["tp_errors"], dict):
+        raise ValueError(f"{path}: tp_errors must be an object, found {data['tp_errors']!r}")
+    return data
+
+
+def load_json(path) -> dict:
+    """The JSON object in file ``path``.
+
+    A missing file raises ``IOError``; invalid JSON, or JSON that is not an
+    object, raises ``ValueError`` naming the path.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise IOError(f"missing file {path}")
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, found {type(data).__name__}")
     return data

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from voxdet.cli import main
+from voxdet.numerics import ops
 from voxdet.geometry import VoxelGridSpec
 from voxdet.pipeline import PipelineConfig
 from voxdet.scene import SceneConfig
@@ -126,6 +127,27 @@ class TestReport:
         assert f"run/config.json.{field}'" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("metrics, message", [
+        ([1, 2], "run/metrics.json: expected a JSON object, found list"),
+        ("{not json", "run/metrics.json: invalid JSON"),
+        ({"schema_version": 1, "nds": 0.1, "tp_errors": {}},
+         "run/metrics.json: missing field 'map'"),
+        ({"schema_version": 1, "map": 0.1, "tp_errors": {}},
+         "run/metrics.json: missing field 'nds'"),
+        ({"schema_version": 1, "map": 0.1, "nds": 0.1},
+         "run/metrics.json: missing field 'tp_errors'"),
+        ({"schema_version": 1, "map": 0.1, "nds": 0.1, "tp_errors": [0.5]},
+         "run/metrics.json: tp_errors must be an object"),
+    ], ids=["list", "invalid", "no-map", "no-nds", "no-tp-errors", "tp-errors-list"])
+    def test_malformed_metrics_named(self, tmp_path, capsys, metrics, message):
+        _write_run(tmp_path / "run", {**self.CONFIG.to_dict(), "sweeps": 2})
+        path = tmp_path / "run" / "metrics.json"
+        path.write_text(metrics if isinstance(metrics, str) else json.dumps(metrics))
+        assert main(["report", "--inputs", str(tmp_path / "run"),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestTrack:
     def test_track_outputs_jsonl(self, tmp_path, scene_config_path, pipeline_config_path):
@@ -136,6 +158,28 @@ class TestTrack:
         assert main(["track", "--sequence", str(seq), "--config",
                      str(pipeline_config_path), "--out", str(out)]) == 0
         assert (out / "tracks.jsonl").is_file()
+        assert json.loads((seq / "sequence.json").read_text()) == {
+            "frames": ["frame_000", "frame_001", "frame_002"], "frame_dt": 0.5, "seed": 5}
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"frame_dt": 0.5, "seed": 0}, "missing field 'sequence.json.frames'"),
+        (["frame_000"], "expected a JSON object, found list"),
+        ({"frames": [], "frame_dt": True, "seed": 0},
+         "sequence.json.frame_dt: expected float"),
+        ({"frames": [], "frame_dt": 0.0, "seed": 0}, "frame_dt must be finite and > 0"),
+        ({"frames": [], "frame_dt": 0.5}, "missing field 'sequence.json.seed'"),
+    ], ids=["no-frames", "list", "bool-dt", "zero-dt", "no-seed"])
+    def test_malformed_sequence_named(self, tmp_path, capsys, pipeline_config_path,
+                                      payload, message):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        (seq / "sequence.json").write_text(json.dumps(payload))
+        out = tmp_path / "trk"
+        assert main(["track", "--sequence", str(seq), "--config",
+                     str(pipeline_config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "sequence.json" in err and message in err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -144,8 +188,12 @@ class TestGradcheckCommand:
                      "--out", str(tmp_path / "grad.txt")]) == 0
         assert "PASS" in (tmp_path / "grad.txt").read_text()
 
-    def test_corrupted_gradients_fail(self):
-        assert main(["gradcheck", "--seed", "0", "--points", "1", "--corrupt"]) == 2
+    def test_corrupted_gradients_fail(self, monkeypatch):
+        # a backward that is off by 1e-3 in every gradient it hands out is caught
+        accumulate = ops.accumulate_grad
+        monkeypatch.setattr(ops, "accumulate_grad",
+                            lambda node, grad: accumulate(node, grad + 1e-3))
+        assert main(["gradcheck", "--seed", "0", "--points", "1"]) == 2
 
     def test_suite_rejects_zero_points(self):
         with pytest.raises(ValueError, match="points"):
@@ -164,6 +212,34 @@ class TestGradcheckCommand:
 def test_count_flags_below_one_rejected(capsys, argv, flag):
     assert main(argv) == 1
     assert flag in capsys.readouterr().err
+
+
+FIT = ["microfit", "--scene", "s", "--config", "c", "--out", "o"]
+
+
+@pytest.mark.parametrize("argv", [
+    FIT + ["--min-reduction", "nan"],
+    FIT + ["--max-center-cells", "nan"],
+    FIT + ["--max-center-cells", "inf"],
+    FIT + ["--learning-rate", "nan"],
+    FIT + ["--learning-rate", "0"],
+    FIT + ["--learning-rate", "-0.02"],
+    ["gradcheck", "--threshold", "nan"],
+    ["gradcheck", "--threshold", "inf"],
+    ["generate", "--config", "c", "--out", "o", "--frame-dt", "0"],
+    ["generate", "--config", "c", "--out", "o", "--frame-dt", "-1"],
+    ["generate", "--config", "c", "--out", "o", "--frame-dt", "nan"],
+], ids=lambda argv: "=".join(argv[-2:]))
+def test_float_flags_fail_closed(capsys, argv):
+    assert main(argv) == 1
+    assert f"{argv[-2]} must be" in capsys.readouterr().err
+
+
+def test_bad_frame_dt_writes_nothing(tmp_path, scene_config_path):
+    out = tmp_path / "seq"
+    assert main(["generate", "--config", str(scene_config_path), "--out", str(out),
+                 "--frame-dt", "0"]) == 1
+    assert not out.exists()
 
 
 class TestMicrofitCommand:

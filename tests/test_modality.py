@@ -287,36 +287,40 @@ class TestSweepFusion:
         )
 
     def test_single_sweep_identity(self):
-        x = Tensor(np.random.default_rng(6).standard_normal((3, 3, 2, 4)))
-        out = fuse_sweeps_image([x], [0.0], self._identity_params(4, 1))
+        x = Tensor(np.random.default_rng(6).standard_normal((18, 4)))
+        out, _ = fuse_sweeps_image([x], [0.0], self._identity_params(4, 1))
         np.testing.assert_allclose(out.data, x.data, rtol=0, atol=1e-12)
 
     def test_two_identical_sweeps_average(self):
-        x = Tensor(np.random.default_rng(7).standard_normal((3, 3, 2, 4)))
+        x = Tensor(np.random.default_rng(7).standard_normal((18, 4)))
         params = self._identity_params(4, 2)
         params.merge_weight.data[0, 0, 0, 4] = 0.0  # ignore the offset channel
-        out = fuse_sweeps_image([x, x], [0.0, -0.5], params)
+        out, _ = fuse_sweeps_image([x, x], [0.0, -0.5], params)
         np.testing.assert_allclose(out.data, x.data, rtol=0, atol=1e-12)
 
     def test_zero_fuse_weights(self):
-        x = Tensor(np.ones((2, 2, 2, 3)))
+        x = Tensor(np.ones((8, 3)))
         params = self._identity_params(3, 1)
         params.fuse_weight.data[...] = 0.0
-        out = fuse_sweeps_image([x], [0.0], params)
+        out, bias = fuse_sweeps_image([x], [0.0], params)
         np.testing.assert_array_equal(out.data, 0.0)
+        np.testing.assert_array_equal(bias.data, 0.0)
 
     def test_nonzero_initial_offset_rejected(self):
-        x = Tensor(np.ones((2, 2, 2, 3)))
+        x = Tensor(np.ones((8, 3)))
         with pytest.raises(ValueError):
             fuse_sweeps_image([x], [-0.5], self._identity_params(3, 1))
 
     def test_shape_mismatch_rejected(self):
         params = self._identity_params(3, 2)
-        with pytest.raises(ValueError):
-            fuse_sweeps_image(
-                [Tensor(np.ones((2, 2, 2, 3))), Tensor(np.ones((2, 2, 1, 3)))],
-                [0.0, -0.5], params,
-            )
+        with pytest.raises(ValueError, match=r"spaces\[1\] must be \(8, 3\) rows"):
+            fuse_sweeps_image([Tensor(np.ones((8, 3))), Tensor(np.ones((4, 3)))],
+                              [0.0, -0.5], params)
+
+    def test_grid_rejected(self):
+        x = Tensor(np.ones((2, 2, 2, 3)))
+        with pytest.raises(ValueError, match=r"spaces\[0\] must be a \(V, C\) row table"):
+            fuse_sweeps_image([x, x], [0.0, -0.5], self._identity_params(3, 2))
 
     @pytest.mark.parametrize("field, shape", [
         ("merge_weight", (1, 1, 1, 3, 3)),
@@ -329,7 +333,7 @@ class TestSweepFusion:
     def test_malformed_params_name_the_field(self, field, shape):
         params = self._identity_params(3, 2)
         setattr(params, field, Parameter(field, np.zeros(shape)))
-        x = Tensor(np.ones((2, 2, 2, 3)))
+        x = Tensor(np.ones((8, 3)))
         with pytest.raises(ValueError, match=rf"SweepFusionParams\.{field} must be"):
             fuse_sweeps_image([x, x], [0.0, -0.5], params)
 
@@ -337,37 +341,16 @@ class TestSweepFusion:
         ([math.nan, -0.5], 0), ([0.0, math.inf], 1), ([0.0, -math.inf], 1),
     ])
     def test_non_finite_offset_names_its_index(self, offsets, index):
-        x = Tensor(np.ones((2, 2, 2, 3)))
+        x = Tensor(np.ones((8, 3)))
         with pytest.raises(ValueError, match=rf"time_offsets\[{index}\] must be finite"):
             fuse_sweeps_image([x, x], offsets, self._identity_params(3, 2))
 
-    @pytest.mark.parametrize("voxels, match", [
-        (np.array([[0, 1]]), "1-D integer array"),
-        (np.array([0.0, 1.0]), "1-D integer array"),
-        (np.array([3, 1, 5]), "sorted"),
-        (np.array([1, 1, 2]), "repeat"),
-        (np.array([-1, 2]), r"\[0, 8\)"),
-        (np.array([2, 8]), r"\[0, 8\)"),
-    ], ids=["two-dimensional", "float", "unsorted", "duplicate", "negative", "past-the-end"])
-    def test_malformed_voxels_rejected(self, voxels, match):
-        x = Tensor(np.ones((voxels.size, 3)))
-        with pytest.raises(ValueError, match=rf"voxels must .*{match}"):
-            fuse_sweeps_image([x, x], [0.0, -0.5], self._identity_params(3, 2), voxels,
-                              (2, 2, 2, 3))
-
     @pytest.mark.parametrize("rows", [(2, 3), (4, 3), (3, 2), (2, 2, 2, 3)])
     def test_row_table_of_another_shape_names_the_sweep(self, rows):
-        # three voxels of a (2, 2, 2, 3) grid: each sweep is a (3, 3) table
+        # each sweep is a (3, 3) table: three voxels of three channels
         good, bad = Tensor(np.ones((3, 3))), Tensor(np.ones(rows))
         with pytest.raises(ValueError, match=r"spaces\[1\] must be \(3, 3\) rows"):
-            fuse_sweeps_image([good, bad], [0.0, -0.5], self._identity_params(3, 2),
-                              np.array([1, 4, 6]), (2, 2, 2, 3))
-
-    def test_voxels_without_shape_rejected(self):
-        x = Tensor(np.ones((3, 3)))
-        with pytest.raises(ValueError, match="shape: the .* output shape is required"):
-            fuse_sweeps_image([x, x], [0.0, -0.5], self._identity_params(3, 2),
-                              np.array([1, 4, 6]))
+            fuse_sweeps_image([good, bad], [0.0, -0.5], self._identity_params(3, 2))
 
 
 OFFSETS = (0.0, -0.5, -1.0)
@@ -396,9 +379,17 @@ def _fusion_values_and_grads(fuse, n, seed=50):
     return out.data, grads
 
 
+def _fuse_grid_rows(spaces, offsets, params):
+    # the row-table fusion on every voxel of the oracle's grids, reshaped back
+    shape = tuple(spaces[0].shape)
+    tables = [nm.reshape(s, (math.prod(shape[:-1]), shape[-1])) for s in spaces]
+    rows, _ = fuse_sweeps_image(tables, offsets, params)
+    return nm.reshape(rows, shape)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_composed_fusion_matches_separate_maps(n):
-    out, grads = _fusion_values_and_grads(fuse_sweeps_image, n)
+    out, grads = _fusion_values_and_grads(_fuse_grid_rows, n)
     want, want_grads = _fusion_values_and_grads(fuse_sweeps_image_oracle, n)
     assert len(grads) == n + 4 and all(g is not None for g in grads)
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
@@ -409,7 +400,7 @@ def test_composed_fusion_matches_separate_maps(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fusion_on_the_lifted_voxels_matches_every_voxel(n):
     # spaces that are zero outside a random voxel set, fused as tables of that
-    # set's rows and as grids of every voxel
+    # set's rows placed on the bias, and as tables of every voxel
     rng = np.random.default_rng([n, 52])
     c, grid, n_voxels = 4, (5, 4, 3), 60
     voxels = np.sort(rng.choice(n_voxels, size=23, replace=False))
@@ -420,19 +411,20 @@ def test_fusion_on_the_lifted_voxels_matches_every_voxel(n):
             for _ in range(n)]
     probe = Tensor(rng.standard_normal(grid + (c,)))
 
-    def run(rows):
-        if rows is None:
-            spaces, shape = [Tensor(d.reshape(grid + (c,)), requires_grad=True)
-                             for d in data], None
-        else:
-            spaces, shape = [Tensor(d[rows], requires_grad=True) for d in data], grid + (c,)
+    def run(subset):
+        spaces = [Tensor(d if subset is None else d[subset], requires_grad=True)
+                  for d in data]
         for p in nm.parameters_of(params):
             p.reset_gradient()
         with Tape() as tape:
-            out = fuse_sweeps_image(spaces, list(OFFSETS[:n]), params, rows, shape)
+            rows, bias = fuse_sweeps_image(spaces, list(OFFSETS[:n]), params)
+            if subset is None:
+                out = nm.reshape(rows, grid + (c,))
+            else:
+                out = nm.place_rows(rows, subset, bias, grid + (c,))
             loss = nm.tsum(nm.mul(out, probe))
         backward(tape, loss)
-        return (out.data, [s.grad.reshape(-1, c) for s in spaces],
+        return (out.data, [s.grad for s in spaces],
                 [p.grad.copy() for p in nm.parameters_of(params)])
 
     out, space_grads, param_grads = run(voxels)
@@ -478,12 +470,12 @@ def test_fusion_gradients_match_central_differences():
     rng = np.random.default_rng(51)
     c, n = 3, 2
     params = _random_fusion_params(c, n, rng)
-    spaces = [Tensor(rng.standard_normal((2, 2, 2, c)), requires_grad=s == 1) for s in range(n)]
-    probe = Tensor(PROBE_SCALE * rng.choice([-1.0, 1.0], size=(2, 2, 2, c)))
+    spaces = [Tensor(rng.standard_normal((8, c)), requires_grad=s == 1) for s in range(n)]
+    probe = Tensor(PROBE_SCALE * rng.choice([-1.0, 1.0], size=(8, c)))
 
     def readout():
-        out = fuse_sweeps_image(spaces, list(OFFSETS[:n]), params)
-        return nm.tsum(nm.mul(nm.square(out), probe))
+        rows, _ = fuse_sweeps_image(spaces, list(OFFSETS[:n]), params)
+        return nm.tsum(nm.mul(nm.square(rows), probe))
 
     with Tape() as tape:
         loss = readout()

@@ -148,23 +148,23 @@ def test_sweep_fusion_tape_runs_one_affine_on_the_lifted_voxels(monkeypatch):
     params = build_model(config, n_camera_sweeps=2)
     calls = []
 
-    def traced(spaces, offsets, fusion_params, voxels, shape):
-        calls.append(voxels)
-        return fuse_sweeps_image(spaces, offsets, fusion_params, voxels, shape)
+    def traced(spaces, offsets, fusion_params):
+        calls.append(spaces[0].shape[0])
+        return fuse_sweeps_image(spaces, offsets, fusion_params)
 
     monkeypatch.setattr(pipeline, "fuse_sweeps_image", traced)
     with Tape() as tape:
         vi, _ = pipeline._camera_branch(scene, config, params)
-    [voxels] = calls
+    [n_lifted] = calls
     out = vi.features.data
     n_voxels, c = math.prod(config.grid.counts), config.grid.channels
-    assert 0 < voxels.size < n_voxels and out.shape == config.grid.counts + (c,)
+    assert 0 < n_lifted < n_voxels and out.shape == config.grid.counts + (c,)
     ops = [node._backward.__qualname__.split(".")[0] for node in tape._nodes]
     assert ops.count("conv") == len(scene.cameras) == 4  # the depth heads
     # each camera's rows onto the union, then the fused rows into the grid
     assert ops.count("place_rows") == len(scene.cameras) + 1
     assert [node.shape for node, op in zip(tape._nodes, ops)
-            if op == "affine" and node.ndim == 2] == [(voxels.size, c)]
+            if op == "affine" and node.ndim == 2] == [(n_lifted, c)]
     # no grid-shaped values (one row per voxel) but the output
     for node in tape._nodes:
         arrays = [node.data] + closure_arrays(node._backward)

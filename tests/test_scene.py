@@ -206,6 +206,21 @@ class TestSceneIO:
         with pytest.raises(SceneIOError, match="format_version"):
             read_scene(tmp_path / "scene")
 
+    @pytest.mark.parametrize("text, match", [
+        ("[1, 2]", "manifest: .*expected a JSON object, found list"),
+        ("{", "manifest: .*invalid JSON"),
+    ], ids=["list", "invalid"])
+    def test_manifest_not_an_object_named(self, tmp_path, text, match):
+        scene = generate_scene(SceneConfig(n_objects=1, channels=8), 2)
+        write_scene(scene, tmp_path / "scene")
+        (tmp_path / "scene" / "manifest.json").write_text(text)
+        with pytest.raises(SceneIOError, match=match):
+            read_scene(tmp_path / "scene")
+
+    def test_missing_manifest_named(self, tmp_path):
+        with pytest.raises(SceneIOError, match="manifest: missing file"):
+            read_scene(tmp_path / "scene")
+
     def test_missing_file_named(self, tmp_path):
         scene = generate_scene(SceneConfig(n_objects=1, channels=8), 2)
         write_scene(scene, tmp_path / "scene")

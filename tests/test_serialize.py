@@ -6,6 +6,7 @@ import pytest
 from voxdet.metrics import MetricsReport
 from voxdet.scene.types import Box3D
 from voxdet.serialize import (
+    load_json,
     read_boxes_jsonl,
     read_metrics_json,
     write_boxes_jsonl,
@@ -61,6 +62,10 @@ class TestMetricsJson:
         assert data["map"] == 0.5
         assert data["nds"] == 0.6
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IOError, match="missing file"):
+            read_metrics_json(tmp_path / "metrics.json")
+
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps({"schema_version": 2, "map": 0.0}))
@@ -86,3 +91,25 @@ class TestBoxesJsonlErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IOError, match=rf"boxes\.jsonl:2: .*{field}"):
             read_boxes_jsonl(path)
+
+
+class TestLoadJson:
+    def test_object_loaded(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text('{"x": [1, 2]}')
+        assert load_json(path) == {"x": [1, 2]}
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IOError, match="missing file .*none.json"):
+            load_json(tmp_path / "none.json")
+
+    @pytest.mark.parametrize("text, match", [
+        ("{not json", "invalid JSON"),
+        ("[1, 2]", "expected a JSON object, found list"),
+        ("3.5", "expected a JSON object, found float"),
+    ])
+    def test_bad_payload_names_the_path(self, tmp_path, text, match):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"a\.json: {match}"):
+            load_json(path)
