@@ -26,6 +26,7 @@ from .scene.io import SceneIOError, read_scene, write_scene
 from .scene.types import SequenceManifest
 from .serialize import (
     atomic_write,
+    decode_value,
     from_dict,
     load_json,
     read_boxes_jsonl,
@@ -196,7 +197,9 @@ def _cmd_report(args) -> int:
         echo = load_json(run / "config.json")
         if "sweeps" not in echo:
             raise ValueError(f"missing field {where + '.sweeps'!r}")
-        sweeps = int(echo.pop("sweeps"))
+        sweeps = decode_value(int, echo.pop("sweeps"), f"{where}.sweeps")
+        if sweeps < 1:
+            raise ValueError(f"{where}.sweeps: must be >= 1, found {sweeps}")
         config = from_dict(PipelineConfig, echo, where)
         grid = config.grid
         metrics = read_metrics_json(run / "metrics.json")

@@ -285,7 +285,6 @@ class BlockPrediction:
 
 @dataclass
 class DecodeResult:
-    detections: list[Box3D]
     blocks: list[BlockPrediction]
 
     @property
@@ -390,7 +389,8 @@ def decode(params: DecoderParams, grid: VoxelGrid, fusion: FusionParams) -> Deco
 
     ``grid`` holds the summed modality spaces; each block's cross-attention
     applies ``fusion``'s per-voxel map to its samples, which equals decoding
-    the densely fused volume.
+    the densely fused volume.  Boxes are the caller's: :func:`decode_boxes`
+    of the last block.
     """
     queries = params.query_embed
     references = initial_references(params)
@@ -400,5 +400,4 @@ def decode(params: DecoderParams, grid: VoxelGrid, fusion: FusionParams) -> Deco
             queries, references, grid.features, block, params.head, params.config, fusion
         )
         blocks.append(pred)
-    detections = decode_boxes(blocks[-1], grid.spec)
-    return DecodeResult(detections=detections, blocks=blocks)
+    return DecodeResult(blocks=blocks)

@@ -24,7 +24,7 @@ DISTANCE_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TP_THRESHOLD = 2.0
 MIN_RECALL = 0.1
 MIN_PRECISION = 0.1
-TP_KEYS = ("ate", "ase", "aoe", "ave", "aae")
+TP_KEYS = ("ate", "ase", "aoe", "ave", "aae")  # aae is 0 on a match: boxes carry no attributes
 
 
 @dataclass(frozen=True)
@@ -140,11 +140,12 @@ def evaluate(
         ]
         aps = []
         for threshold in DISTANCE_THRESHOLDS:
-            tp_flags, _ = _match_class(dets, gts, threshold)
+            tp_flags, found = _match_class(dets, gts, threshold)
             aps.append(_average_precision(tp_flags, len(gts)))
+            if threshold == TP_THRESHOLD:
+                matches = found
         per_class_ap[class_id] = float(np.mean(aps))
 
-        _, matches = _match_class(dets, gts, TP_THRESHOLD)
         if matches:
             tp_sums["ate"] += float(np.mean([_bev_distance(d, g) for d, g in matches]))
             tp_sums["ase"] += float(np.mean([1.0 - _size_iou(d, g) for d, g in matches]))
@@ -157,7 +158,6 @@ def evaluate(
                     ]
                 )
             )
-            tp_sums["aae"] += 0.0  # no attributes in this artifact
         else:
             for key in TP_KEYS:  # worst case when a class never matches
                 tp_sums[key] += 1.0

@@ -180,24 +180,25 @@ class EncoderParams:
 
 @dataclass(frozen=True)
 class LiftFootprint:
-    """Where one camera's lift reads its (H, W) image; geometry only.
+    """One camera's lift geometry on its (H, W) image: the entries of both reads.
 
     ``voxels`` holds the flat indices of the V voxel centers that project
-    inside the image and in front of the perception limit.  Their bilinear
-    corners read the flat pixels ``pixels`` (4, V; ``v * W + u``, 0 where a
-    corner falls outside) with ``weights`` (4, V; 0 outside).  Their depth
-    reads ``bins`` (2, V; the bins below and above, clamped to the end bins)
-    mixed by ``bin_frac`` (V,) toward the upper one.  ``read`` is the sorted
-    set of pixels that an inside corner reads: the only depth-distribution
-    columns the lift uses.
+    inside the image and in front of the perception limit; ``read`` the P
+    sorted pixels an inside corner reads, the only depth columns the lift
+    uses.  The pixel read takes bilinear corners ``pixels`` (4, V; flat
+    ``v * W + u``, 0 outside the image) with ``weights`` (4, V; 0 outside).
+    The occupancy read takes ``occupancy_cells`` (8, V; ``bin * P + column``
+    in the (D, P) read columns) with ``occupancy_weights`` (8, V): per
+    corner, the bins below and above the depth, clamped to the end bins,
+    weighted ``w * (1 - fb)`` and ``w * fb`` by its fraction ``fb`` upward.
     """
 
     image_hw: tuple[int, int]
     voxels: np.ndarray
     pixels: np.ndarray
     weights: np.ndarray
-    bins: np.ndarray
-    bin_frac: np.ndarray
+    occupancy_cells: np.ndarray
+    occupancy_weights: np.ndarray
     read: np.ndarray
 
 
@@ -222,6 +223,7 @@ def lift_footprint(calib, spec: VoxelGridSpec, depth: DepthSpec, image_hw) -> Li
     fu, fv = um - u0, vm - v0
     td = dm / depth.bin_width - 0.5  # continuous bin coordinate, centers at integers
     raw = np.floor(td).astype(np.int64)
+    fb = td - raw
     bins = np.clip(np.stack([raw, raw + 1]), 0, depth.bins - 1)
 
     pixels, weights, inside = [], [], []
@@ -230,12 +232,17 @@ def lift_footprint(calib, spec: VoxelGridSpec, depth: DepthSpec, image_hw) -> Li
         inside.append((uu >= 0) & (uu < w) & (vv >= 0) & (vv < h))
         pixels.append(np.where(inside[-1], vv * w + uu, 0))
         weights.append((fv if dv else 1.0 - fv) * (fu if du else 1.0 - fu) * inside[-1])
-    pixels = np.stack(pixels)
+    pixels, weights = np.stack(pixels), np.stack(weights)
     seen = np.zeros(h * w, dtype=bool)
     seen[pixels[np.stack(inside)]] = True
-    return LiftFootprint(image_hw=(h, w), voxels=voxels, pixels=pixels,
-                         weights=np.stack(weights), bins=bins, bin_frac=td - raw,
-                         read=np.flatnonzero(seen))
+    read = np.flatnonzero(seen)
+    # an outside corner reads pixel 0 with weight 0, so column 0 serves it
+    columns = np.searchsorted(read, pixels)
+    occupancy_cells = (bins[None] * read.size + columns[:, None]).reshape(8, voxels.size)
+    occupancy_weights = (weights[:, None] * np.stack([1.0 - fb, fb])).reshape(8, voxels.size)
+    return LiftFootprint(image_hw=(h, w), voxels=voxels, pixels=pixels, weights=weights,
+                         occupancy_cells=occupancy_cells, occupancy_weights=occupancy_weights,
+                         read=read)
 
 
 def predict_depth_distribution(
@@ -273,61 +280,48 @@ def lift_image_to_voxels(
 
     Every voxel center in view (see :func:`lift_footprint`) receives the
     bilinear pixel feature scaled by the occupancy probability read from the
-    depth distribution at its (u, v, d).  With a ``footprint`` the result is
-    the (V, C) lifted rows, row i for voxel ``footprint.voxels[i]``.  Without
-    one, the footprint is built from ``calib`` and the result is the dense
-    (X, Y, Z, C) grid: those rows placed on zeros.  ``depth_dist`` is either
-    the full (D, H, W) distribution or the (D, P) columns of the footprint's
-    ``read`` pixels; the lift reads no other column.  Differentiable with
-    respect to ``features`` and ``depth_dist``.
+    depth distribution at its (u, v, d).  With a ``footprint``,
+    ``depth_dist`` is the (D, P) columns of its ``read`` pixels and the
+    result is the (V, C) lifted rows, row i for voxel ``footprint.voxels[i]``.
+    Without one, ``depth_dist`` is the full (D, H, W) distribution: the
+    footprint is built from ``calib``, its ``read`` columns are gathered and
+    lifted, and the result is the dense (X, Y, Z, C) grid, those rows placed
+    on zeros.  Differentiable with respect to ``features`` and ``depth_dist``.
 
-    Both reads are ``numerics.interpolation_matrix`` products: the pixel
-    feature is P @ features over the four bilinear corners, the occupancy
-    O @ depth_dist over eight (corner, depth bin) entries weighted
-    ``w*(1-fb)`` and ``w*fb``; the gradients are P^T and O^T products.
+    Both reads are ``numerics.interpolation_matrix`` products of the
+    footprint's entries: the pixel feature P @ features and the occupancy
+    O @ depth_dist; the gradients are P^T and O^T products.
     """
     h, w, c = features.shape
-    d_bins = depth.bins
     if spec.channels != c:
         raise ValueError(f"grid channels {spec.channels} != image channels {c}")
     if footprint is None:
+        if tuple(depth_dist.shape) != (depth.bins, h, w):
+            raise ValueError(f"depth distribution shape {depth_dist.shape} != {(depth.bins, h, w)}")
         fp = lift_footprint(calib, spec, depth, (h, w))
-        rows = lift_image_to_voxels(features, depth_dist, calib, spec, depth, fp)
+        columns = nm.getitem(nm.reshape(depth_dist, (depth.bins, h * w)), (slice(None), fp.read))
+        rows = lift_image_to_voxels(features, columns, calib, spec, depth, fp)
         return nm.place_rows(rows, fp.voxels, np.zeros(c), spec.counts + (c,))
     if footprint.image_hw != (h, w):
         raise ValueError(f"footprint image {footprint.image_hw} != features ({h}, {w})")
-    read = footprint.read
-    if tuple(depth_dist.shape) == (d_bins, h, w):
-        columns, n_cols = footprint.pixels, h * w
-    elif tuple(depth_dist.shape) == (d_bins, read.size):
-        position = np.zeros(h * w, dtype=np.int64)
-        position[read] = np.arange(read.size)
-        columns, n_cols = position[footprint.pixels], read.size
-    else:
-        raise ValueError(f"depth distribution shape {depth_dist.shape} != "
-                         f"({d_bins}, {h}, {w}) or ({d_bins}, {read.size})")
-
-    fb = footprint.bin_frac
-    b0, b1 = footprint.bins * n_cols
-    occ_cells, occ_w = [], []
-    for col, wgt in zip(columns, footprint.weights):
-        occ_cells += [b0 + col, b1 + col]
-        occ_w += [wgt * (1.0 - fb), wgt * fb]
-
-    f_flat = features.data.reshape(h * w, c)
+    want = (depth.bins, footprint.read.size)
+    if tuple(depth_dist.shape) != want:
+        raise ValueError(f"depth distribution shape {depth_dist.shape} != {want}, the read columns")
+    pixel_entries = footprint.pixels, footprint.weights
+    occupancy_entries = footprint.occupancy_cells, footprint.occupancy_weights
     d_flat = depth_dist.data.reshape(-1)
-    pixel_feat = nm.interpolation_matrix(footprint.pixels, footprint.weights, h * w) @ f_flat
-    occupancy = nm.interpolation_matrix(occ_cells, occ_w, d_flat.shape[0]) @ d_flat
+
+    pixel_feat = nm.interpolation_matrix(*pixel_entries, h * w) @ features.data.reshape(h * w, c)
+    occupancy = nm.interpolation_matrix(*occupancy_entries, d_flat.size) @ d_flat
 
     def backward(g):
         if features.requires_grad:
-            p_t = nm.interpolation_matrix(footprint.pixels, footprint.weights, h * w,
-                                          transpose=True)
+            p_t = nm.interpolation_matrix(*pixel_entries, h * w, transpose=True)
             nm.accumulate_grad(features, (p_t @ (occupancy[:, None] * g)).reshape(h, w, c))
         if depth_dist.requires_grad:
-            o_t = nm.interpolation_matrix(occ_cells, occ_w, d_flat.shape[0], transpose=True)
+            o_t = nm.interpolation_matrix(*occupancy_entries, d_flat.size, transpose=True)
             g_occ = (g * pixel_feat).sum(axis=1)
-            nm.accumulate_grad(depth_dist, (o_t @ g_occ).reshape(depth_dist.shape))
+            nm.accumulate_grad(depth_dist, (o_t @ g_occ).reshape(want))
 
     return nm.record_op(occupancy[:, None] * pixel_feat, (features, depth_dist), backward)
 

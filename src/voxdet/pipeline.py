@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics as nm
 from .cross_modality import FusionParams, modality_switch_fuse
-from .decoder import DecodeResult, DecoderConfig, DecoderParams, decode
+from .decoder import DecodeResult, DecoderConfig, DecoderParams, decode, decode_boxes
 from .geometry import VoxelGridSpec
 from .modality import (
     DepthHeadParams,
@@ -276,7 +276,7 @@ def run_detection(
     params: ModelParams | None = None,
     threads: int = 1,
 ) -> DetectionResult:
-    """Full inference: forward pass plus range filter and circle NMS.
+    """Full inference: forward pass, the last block's boxes, range filter and circle NMS.
 
     ``threads`` is accepted and changes nothing: every forward runs on the
     calling thread.
@@ -285,7 +285,7 @@ def run_detection(
         params = build_model(config, n_camera_sweeps=len(scene.sweep_offsets) or 1)
     fw = forward_scene(scene, config, params)
     with _stage("postprocess"):
-        detections = run_postprocess(fw.decode.detections, config)
+        detections = run_postprocess(decode_boxes(fw.decode.blocks[-1], config.grid), config)
     return DetectionResult(detections=detections, raw=fw)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "atomic_write",
     "to_dict",
     "from_dict",
+    "decode_value",
     "write_boxes_jsonl",
     "read_boxes_jsonl",
     "write_tracks_jsonl",
@@ -80,7 +81,7 @@ def from_dict(cls, data, path: str = ""):
         if name not in data:
             raise ValueError(f"missing field {_join(path, name)!r}")
     kwargs = {
-        name: _decode(tp, data[name], _join(path, name)) for name, tp in types.items()
+        name: decode_value(tp, data[name], _join(path, name)) for name, tp in types.items()
     }
     try:
         return cls(**kwargs)
@@ -101,7 +102,8 @@ def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
 
-def _decode(tp, value, path: str):
+def decode_value(tp, value, path: str):
+    """``value`` decoded as annotation ``tp``; a mismatch raises ``ValueError`` naming ``path``."""
     if dataclasses.is_dataclass(tp):
         return from_dict(tp, value, path)
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
@@ -116,7 +118,7 @@ def _decode(tp, value, path: str):
         else:
             args = (args[0],) * len(value)
         return origin(
-            _decode(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value))
+            decode_value(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value))
         )
     if origin is dict:
         if not isinstance(value, dict):
@@ -125,7 +127,7 @@ def _decode(tp, value, path: str):
             return dict(value)
         kt, vt = args
         return {
-            _decode_key(kt, k, _join(path, k)): _decode(vt, v, _join(path, k))
+            _decode_key(kt, k, _join(path, k)): decode_value(vt, v, _join(path, k))
             for k, v in value.items()
         }
     if tp in _SCALARS:
@@ -153,7 +155,7 @@ def _decode_key(tp, key, path: str):
         except ValueError:
             pass
         raise ValueError(f"{path}: expected int, found {key!r}")
-    return _decode(tp, key, path)
+    return decode_value(tp, key, path)
 
 
 def _jsonl(records) -> str:
@@ -189,7 +191,7 @@ def read_boxes_jsonl(path) -> list[list[Box3D]]:
         try:
             if not isinstance(rec, dict) or "frame" not in rec:
                 raise ValueError("missing field 'frame'")
-            frame = _decode(int, rec.pop("frame"), "frame")
+            frame = decode_value(int, rec.pop("frame"), "frame")
             rec.pop("id", None)
             box = from_dict(Box3D, rec)
         except (TypeError, ValueError) as exc:
@@ -217,18 +219,18 @@ def write_metrics_json(path, report: MetricsReport) -> None:
 
 
 def read_metrics_json(path) -> dict:
-    """A ``metrics.json`` payload; a wrong schema or a missing field raises ``ValueError``."""
+    """A ``metrics.json`` payload; a wrong schema, or a missing or mistyped ``map``,
+    ``nds`` or ``tp_errors``, raises ``ValueError`` naming the field."""
     data = load_json(path)
     version = data.get("schema_version")
     if version != METRICS_SCHEMA_VERSION:
         raise ValueError(
             f"metrics schema_version: expected {METRICS_SCHEMA_VERSION}, found {version!r}"
         )
-    for key in ("map", "nds", "tp_errors"):
+    for key, tp in (("map", float), ("nds", float), ("tp_errors", dict[str, float])):
         if key not in data:
             raise ValueError(f"{path}: missing field {key!r}")
-    if not isinstance(data["tp_errors"], dict):
-        raise ValueError(f"{path}: tp_errors must be an object, found {data['tp_errors']!r}")
+        data[key] = decode_value(tp, data[key], _join(str(path), key))
     return data
 
 

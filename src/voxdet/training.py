@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import numerics as nm
-from .decoder import BlockPrediction, box_vectors, encode_boxes, reference_grid_scale
+from .decoder import BlockPrediction, box_vectors, decode_boxes, encode_boxes, reference_grid_scale
 from .geometry import VoxelGridSpec
 from .numerics import Parameter, Tensor
 from .scene.types import Box3D
@@ -288,13 +288,13 @@ def micro_fit(
         optimizer.step()
     try:
         total, breakdown, fw = compute_scene_loss(scene, config, params)
+        boxes = decode_boxes(fw.decode.blocks[-1], config.grid)
     except Exception as exc:
         if not diverged(exc):
             raise
         raise TrainingDivergenceError(steps, f"final evaluation: {exc}") from exc
     history.append(breakdown)
-    detections = run_postprocess(fw.decode.detections, config)
-    return MicroFitResult(history=history, detections=detections,
+    return MicroFitResult(history=history, detections=run_postprocess(boxes, config),
                           final_blocks=fw.decode.blocks)
 
 

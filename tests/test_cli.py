@@ -127,6 +127,17 @@ class TestReport:
         assert f"run/config.json.{field}'" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("sweeps, message", [
+        (True, "expected int, found True"), (2.7, "expected int, found 2.7"),
+        ("two", "expected int, found 'two'"), (0, "must be >= 1, found 0"),
+    ], ids=["bool", "fraction", "string", "zero"])
+    def test_malformed_sweeps_named(self, tmp_path, capsys, sweeps, message):
+        _write_run(tmp_path / "run", {**self.CONFIG.to_dict(), "sweeps": sweeps})
+        assert main(["report", "--inputs", str(tmp_path / "run"),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert f"run/config.json.sweeps: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("metrics, message", [
         ([1, 2], "run/metrics.json: expected a JSON object, found list"),
         ("{not json", "run/metrics.json: invalid JSON"),
@@ -137,8 +148,15 @@ class TestReport:
         ({"schema_version": 1, "map": 0.1, "nds": 0.1},
          "run/metrics.json: missing field 'tp_errors'"),
         ({"schema_version": 1, "map": 0.1, "nds": 0.1, "tp_errors": [0.5]},
-         "run/metrics.json: tp_errors must be an object"),
-    ], ids=["list", "invalid", "no-map", "no-nds", "no-tp-errors", "tp-errors-list"])
+         "run/metrics.json.tp_errors: expected an object, found [0.5]"),
+        ({"schema_version": 1, "map": "0.1", "nds": 0.1, "tp_errors": {}},
+         "run/metrics.json.map: expected float, found '0.1'"),
+        ({"schema_version": 1, "map": 0.1, "nds": True, "tp_errors": {}},
+         "run/metrics.json.nds: expected float, found True"),
+        ({"schema_version": 1, "map": 0.1, "nds": 0.1, "tp_errors": {"ate": None}},
+         "run/metrics.json.tp_errors.ate: expected float, found None"),
+    ], ids=["list", "invalid", "no-map", "no-nds", "no-tp-errors", "tp-errors-list",
+            "map-string", "nds-bool", "tp-error-null"])
     def test_malformed_metrics_named(self, tmp_path, capsys, metrics, message):
         _write_run(tmp_path / "run", {**self.CONFIG.to_dict(), "sweeps": 2})
         path = tmp_path / "run" / "metrics.json"

@@ -269,7 +269,7 @@ class TestDecoderBlock:
         params = DecoderParams.create(CONFIG, seed=21)
         result = decode(params, small_volume(), FUSION)
         assert len(result.blocks) == CONFIG.num_blocks
-        assert len(result.detections) == CONFIG.num_queries
+        assert len(decode_boxes(result.blocks[-1], SPEC)) == CONFIG.num_queries
 
     def test_references_stay_in_unit_cube(self):
         params = DecoderParams.create(CONFIG, seed=22)

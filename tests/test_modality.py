@@ -233,6 +233,29 @@ class TestLiftFootprint:
         unread = np.setdiff1d(np.arange(16 * 16), fp.read)
         assert not dd_want.reshape(8, -1)[:, unread].any()
 
+    def test_occupancy_entries_match_the_oracle(self):
+        # camera frame = ego frame, x, y in {-3, 0, 3} and depths 2..8: every
+        # pixel and depth fraction is a multiple of 1/8 (the first depth clamps),
+        # and the values of 1/256, so every sum is exact in any order and the
+        # entries must give the oracle's occupancy bit for bit
+        h, w = 5, 5
+        spec = VoxelGridSpec((-4.5, 4.5), (-4.5, 4.5), (1.0, 9.0), (3, 3, 4), 1)
+        depth = DepthSpec(bins=2, depth_limit=16.0)
+        k = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
+        calib = CameraCalibration(intrinsics=k, extrinsic=np.eye(4))
+        dist = np.random.default_rng(29).integers(0, 256, (depth.bins, h, w)) / 256.0
+        fp = lift_footprint(calib, spec, depth, (h, w))
+        assert fp.voxels.size == math.prod(spec.counts)
+        assert fp.occupancy_cells.shape == fp.occupancy_weights.shape == (8, fp.voxels.size)
+        columns = dist.reshape(depth.bins, -1)[:, fp.read].ravel()
+        occupancy = np.zeros(math.prod(spec.counts))
+        for cells, weights in zip(fp.occupancy_cells, fp.occupancy_weights):
+            occupancy[fp.voxels] += weights * columns[cells]
+        # unit features make the oracle's pixel feature exactly 1
+        want = lift_oracle(np.ones((h, w, 1)), dist, calib, spec, depth).ravel()
+        assert np.unique(want).size > 8
+        assert np.array_equal(occupancy, want)
+
     def test_depth_head_on_pixels_matches_full_columns(self):
         spec, depth, calib, feats, _, rng = _partial_view(4)
         params = DepthHeadParams.create(rng, 3, depth.bins)
@@ -272,6 +295,13 @@ class TestLiftFootprint:
         wrong = Tensor(np.full((depth.bins, fp.read.size + 1), 1.0 / depth.bins))
         with pytest.raises(ValueError, match="depth distribution shape"):
             lift_image_to_voxels(Tensor(feats), wrong, calib, spec, depth, fp)
+
+    def test_every_pixel_distribution_with_a_footprint_rejected(self):
+        # with a footprint the lift takes only the (D, P) read columns
+        spec, depth, calib, feats, dist, _ = _partial_view(6)
+        fp = lift_footprint(calib, spec, depth, feats.shape[:2])
+        with pytest.raises(ValueError, match=r"depth distribution shape \(8, 16, 16\)"):
+            lift_image_to_voxels(Tensor(feats), Tensor(dist), calib, spec, depth, fp)
 
 
 class TestSweepFusion:
