@@ -33,8 +33,6 @@ __all__ = [
     "apply_to_voxel_grid",
     "transform_scene",
     "gt_sample",
-    "save_object_database",
-    "load_object_database",
 ]
 
 _SNAP_TOL = 1e-12  # snap near-integer matrix entries (exact flips / 90-degree turns)
@@ -205,41 +203,3 @@ def gt_sample(
         boxes=boxes,
     )
 
-
-def save_object_database(
-    objects: list[tuple[Box3D, PointCloud]], path
-) -> None:
-    """Persist (box, points) pairs, one scene-format directory per object."""
-    from .scene.io import write_scene
-
-    from pathlib import Path
-
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    for i, (box, points) in enumerate(objects):
-        obj = Scene(
-            scene_id=f"object_{i:04d}",
-            seed=0,
-            cameras=[],
-            cloud=points,
-            ego_poses=[EgoPose(np.eye(4), timestamp=0.0)],
-            boxes=[box],
-        )
-        write_scene(obj, root / f"object_{i:04d}")
-
-
-def load_object_database(path) -> list[tuple[Box3D, PointCloud]]:
-    from .scene.io import read_scene
-
-    from pathlib import Path
-
-    root = Path(path)
-    out = []
-    for child in sorted(p for p in root.iterdir() if p.is_dir()):
-        obj = read_scene(child)
-        if len(obj.boxes) != 1:
-            raise ValueError(f"object entry {child.name} must hold exactly one box")
-        out.append((obj.boxes[0], obj.cloud))
-    if not out:
-        raise ValueError(f"no object entries found under {root}")
-    return out

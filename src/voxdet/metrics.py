@@ -162,9 +162,9 @@ def evaluate(
             for key in TP_KEYS:  # worst case when a class never matches
                 tp_sums[key] += 1.0
 
-    n_classes = max(1, len(gt_classes))
     mean_ap = float(np.mean(list(per_class_ap.values()))) if per_class_ap else 0.0
-    tp_errors = {key: tp_sums[key] / n_classes for key in TP_KEYS}
+    # with no ground-truth class nothing can match: the no-match worst case
+    tp_errors = {key: tp_sums[key] / len(gt_classes) if gt_classes else 1.0 for key in TP_KEYS}
     nds = (5.0 * mean_ap + sum(1.0 - min(1.0, tp_errors[k]) for k in TP_KEYS)) / 10.0
     return MetricsReport(
         mean_ap=mean_ap, tp_errors=tp_errors, nds=nds, per_class_ap=per_class_ap

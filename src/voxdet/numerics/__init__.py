@@ -1,57 +1,8 @@
 """Dense float64 arrays with reverse-mode differentiation."""
 
-from .autograd import (
-    NumericsError,
-    Parameter,
-    Tape,
-    Tensor,
-    accumulate_grad,
-    active_tape,
-    as_tensor,
-    backward,
-    parameters_of,
-    record_op,
-)
-from .gradcheck import grad_check
-from .ops import (
-    absolute,
-    add,
-    affine,
-    attention,
-    concat,
-    conv,
-    exp,
-    getitem,
-    interpolation_matrix,
-    inverse_sigmoid,
-    layer_norm,
-    log,
-    matmul,
-    mul,
-    neg,
-    nn_upsample3d,
-    place_rows,
-    relu,
-    reshape,
-    scale,
-    sigmoid,
-    softmax,
-    softplus,
-    square,
-    sub,
-    tmean,
-    transpose,
-    trilinear_sample,
-    tsum,
-)
+from . import autograd, gradcheck, ops
+from .autograd import *
+from .gradcheck import *
+from .ops import *
 
-__all__ = [
-    "NumericsError", "Parameter", "Tape", "Tensor", "accumulate_grad",
-    "active_tape", "as_tensor", "backward", "parameters_of", "record_op",
-    "grad_check", "absolute", "add", "affine",
-    "attention", "concat", "conv", "exp", "getitem", "interpolation_matrix",
-    "inverse_sigmoid", "layer_norm",
-    "log", "matmul", "mul", "neg", "nn_upsample3d", "place_rows", "relu", "reshape",
-    "scale", "sigmoid", "softmax", "softplus", "square", "sub", "tmean",
-    "transpose", "trilinear_sample", "tsum",
-]
+__all__ = autograd.__all__ + gradcheck.__all__ + ops.__all__

@@ -26,6 +26,7 @@ __all__ = [
     "active_tape",
     "record_op",
     "accumulate_grad",
+    "as_tensor",
 ]
 
 

@@ -67,12 +67,8 @@ def _stable_by_score(dets: list[Box3D]) -> list[int]:
     return order
 
 
-def filter_predictions(
-    dets: list[Box3D], k: int, config: PostprocessConfig
-) -> list[Box3D]:
-    """Keep in-range boxes, then the k best scores (score desc, index asc)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+def filter_predictions(dets: list[Box3D], config: PostprocessConfig) -> list[Box3D]:
+    """Keep in-range boxes, then the max_detections best scores (score desc, index asc)."""
     in_range = [
         i
         for i, d in enumerate(dets)
@@ -82,7 +78,7 @@ def filter_predictions(
     ]
     kept = [dets[i] for i in in_range]
     order = _stable_by_score(kept)
-    return [kept[i] for i in order[:k]]
+    return [kept[i] for i in order[:config.max_detections]]
 
 
 def circle_nms(dets: list[Box3D], config: PostprocessConfig) -> list[Box3D]:
@@ -109,7 +105,7 @@ def circle_nms(dets: list[Box3D], config: PostprocessConfig) -> list[Box3D]:
 def run_postprocess(dets: list[Box3D], pipeline_config) -> list[Box3D]:
     """Range/top-k filter followed by circle NMS, per the pipeline config."""
     cfg = pipeline_config.postprocess
-    return circle_nms(filter_predictions(dets, cfg.max_detections, cfg), cfg)
+    return circle_nms(filter_predictions(dets, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +117,6 @@ class Track:
     track_id: int
     box: Box3D
     age: int = 0  # frames since the last matched detection
-    history: list[Box3D] = field(default_factory=list)
 
     def predicted_center(self, dt: float) -> tuple[float, float]:
         cx, cy, _ = self.box.center
@@ -177,14 +172,7 @@ def greedy_track_step(
     for ti, track in enumerate(state.tracks):
         if ti in track_to_det:
             det = candidates[track_to_det[ti]]
-            new_tracks.append(
-                Track(
-                    track_id=track.track_id,
-                    box=det,
-                    age=0,
-                    history=track.history + [det],
-                )
-            )
+            new_tracks.append(Track(track_id=track.track_id, box=det, age=0))
             updated.append(track.track_id)
         else:
             age = track.age + 1
@@ -192,15 +180,13 @@ def greedy_track_step(
                 continue
             px, py = predictions[ti]
             coasted = replace(track.box, center=(px, py, track.box.center[2]))
-            new_tracks.append(
-                Track(track_id=track.track_id, box=coasted, age=age, history=track.history)
-            )
+            new_tracks.append(Track(track_id=track.track_id, box=coasted, age=age))
 
     next_id = state.next_id
     for di, det in enumerate(candidates):
         if di in matched_det:
             continue
-        new_tracks.append(Track(track_id=next_id, box=det, age=0, history=[det]))
+        new_tracks.append(Track(track_id=next_id, box=det, age=0))
         updated.append(next_id)
         next_id += 1
 

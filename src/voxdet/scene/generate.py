@@ -57,10 +57,34 @@ class SceneConfig:
     ground_extent: float = 7.0
     noise_sigma: float = 0.01
     signature_gain: float = 1.0
-    base_sizes: list = field(
-        default_factory=lambda: [[3.6, 1.7, 1.5], [1.9, 0.8, 1.2], [0.9, 0.7, 1.6]]
-    )
+    base_sizes: list[tuple[float, float, float]] = field(
+        default_factory=lambda: [(3.6, 1.7, 1.5), (1.9, 0.8, 1.2), (0.9, 0.7, 1.6)]
+    )  # (l, w, h) per class, meters
     max_place_tries: int = 200
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        rules = (  # NaN fails every comparison
+            (">= 1", lambda v: v >= 1,
+             ("n_classes", "channels", "image_height", "image_width", "max_place_tries")),
+            (">= 0", lambda v: v >= 0,
+             ("n_objects", "n_cameras", "n_camera_sweeps", "n_lidar_sweeps", "ground_points",
+              "placement_range", "speed_max", "noise_sigma", "sweep_dt")),
+            ("positive", lambda v: v > 0, ("focal", "point_density", "ground_extent")),
+            ("in [0, 1)", lambda v: 0 <= v < 1, ("size_jitter",)),
+        )
+        for want, ok, names in rules:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {want}, got {getattr(self, name)}")
+        if not self.base_sizes:
+            raise ValueError("base_sizes must not be empty")
+        for i, size in enumerate(self.base_sizes):
+            if not (isinstance(size, (list, tuple)) and len(size) == 3 and all(
+                    isinstance(v, (int, float)) and 0 < v < math.inf for v in size)):
+                raise ValueError(f"base_sizes[{i}] must be three positive sizes, got {size}")
 
     def to_dict(self) -> dict:
         return to_dict(self)

@@ -11,7 +11,7 @@ from ..geometry import CameraCalibration, EgoPose, align_to_initial
 
 __all__ = [
     "Box3D", "PointCloud", "CameraView", "Scene", "CameraRecord", "PoseRecord", "SceneManifest",
-    "SequenceManifest", "normalize_yaw",
+    "SequenceManifest", "bev_boxes_overlap", "normalize_yaw",
 ]
 
 

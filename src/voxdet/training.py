@@ -274,25 +274,28 @@ def micro_fit(
             return True
         return isinstance(exc, PipelineError) and isinstance(exc.cause, nm.NumericsError)
 
-    for step in range(steps):
-        optimizer.reset_gradients()
+    # a diverging fit overflows inside the ops before their output checks raise;
+    # the TrainingDivergenceError is its one report, not numpy warnings ahead of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            optimizer.reset_gradients()
+            try:
+                with nm.Tape() as tape:
+                    total, breakdown, _ = compute_scene_loss(scene, config, params)
+                history.append(breakdown)
+                nm.backward(tape, total)
+            except Exception as exc:
+                if not diverged(exc):
+                    raise
+                raise TrainingDivergenceError(step, f"step {step}: {exc}") from exc
+            optimizer.step()
         try:
-            with nm.Tape() as tape:
-                total, breakdown, _ = compute_scene_loss(scene, config, params)
-            history.append(breakdown)
-            nm.backward(tape, total)
+            total, breakdown, fw = compute_scene_loss(scene, config, params)
+            boxes = decode_boxes(fw.decode.blocks[-1], config.grid)
         except Exception as exc:
             if not diverged(exc):
                 raise
-            raise TrainingDivergenceError(step, f"step {step}: {exc}") from exc
-        optimizer.step()
-    try:
-        total, breakdown, fw = compute_scene_loss(scene, config, params)
-        boxes = decode_boxes(fw.decode.blocks[-1], config.grid)
-    except Exception as exc:
-        if not diverged(exc):
-            raise
-        raise TrainingDivergenceError(steps, f"final evaluation: {exc}") from exc
+            raise TrainingDivergenceError(steps, f"final evaluation: {exc}") from exc
     history.append(breakdown)
     return MicroFitResult(history=history, detections=run_postprocess(boxes, config),
                           final_blocks=fw.decode.blocks)

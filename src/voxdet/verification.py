@@ -41,7 +41,6 @@ N_POINTS = 10
 class GradCheckResult:
     name: str
     max_error: float
-    points: int
 
     def passed(self, threshold: float = GRAD_TOLERANCE) -> bool:
         return self.max_error < threshold
@@ -52,7 +51,7 @@ def _run(name, rng, make_point, fn, points, eps) -> GradCheckResult:
     for _ in range(points):
         point = make_point(rng)
         worst = max(worst, grad_check(fn, Tensor(point), eps=eps))
-    return GradCheckResult(name=name, max_error=worst, points=points)
+    return GradCheckResult(name=name, max_error=worst)
 
 
 def _param_grad_check(scalar_fn: Callable[[], Tensor], param: Parameter, eps: float) -> float:
@@ -305,11 +304,9 @@ def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS)
                         lambda r: 0.5 * r.standard_normal(int(np.prod(spec.counts)) * 8),
                         decode_volume_fn, points, eps))
 
-    decode_params = dparams.parameters() + nm.parameters_of(fusion)
     worst_param = 0.0
-    for param in decode_params:
+    for param in dparams.parameters() + nm.parameters_of(fusion):
         worst_param = max(worst_param, _param_grad_check(decode_scalar, param, eps))
-    results.append(GradCheckResult(name="decode.parameters", max_error=worst_param,
-                                   points=len(decode_params)))
+    results.append(GradCheckResult(name="decode.parameters", max_error=worst_param))
 
     return results

@@ -399,3 +399,24 @@ def closure_arrays(fn, seen=None):
         elif callable(item) and getattr(item, "__closure__", None):
             found.extend(closure_arrays(item, seen))
     return found
+
+
+# one out-of-range SceneConfig field per case: (field, value, the name its error carries)
+BAD_SCENE_FIELDS = [
+    *((name, 0, name) for name in ("n_classes", "channels", "image_height", "image_width",
+                                   "max_place_tries")),
+    *((name, -1, name) for name in ("n_objects", "n_cameras", "n_camera_sweeps",
+                                    "n_lidar_sweeps", "ground_points")),
+    *((name, math.nan, name) for name in ("sweep_dt", "ground_z", "ego_speed")),
+    ("camera_z", math.inf, "camera_z"),
+    ("signature_gain", -math.inf, "signature_gain"),
+    *((name, 0.0, name) for name in ("focal", "point_density", "ground_extent")),
+    *((name, -0.5, name) for name in ("placement_range", "speed_max", "noise_sigma",
+                                      "sweep_dt")),
+    ("size_jitter", 1.0, "size_jitter"),
+    ("size_jitter", -0.1, "size_jitter"),
+    ("base_sizes", [], "base_sizes"),
+    ("base_sizes", [[1.0]], "base_sizes[0]"),
+    ("base_sizes", [[1.0, "x", 2.0]], "base_sizes[0]"),
+    ("base_sizes", [[3.6, 1.7, 1.5], [1.0, 0.0, 2.0]], "base_sizes[1]"),
+]

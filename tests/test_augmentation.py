@@ -8,8 +8,6 @@ from voxdet.augmentation import (
     apply_to_points,
     apply_to_voxel_grid,
     gt_sample,
-    load_object_database,
-    save_object_database,
     transform_scene,
 )
 from voxdet.geometry import VoxelGridSpec
@@ -232,15 +230,6 @@ class TestGtSample:
         for i, a in enumerate(out.boxes):
             for b in out.boxes[i + 1 :]:
                 assert not bev_boxes_overlap(a, b)
-
-    def test_database_round_trip(self, tmp_path):
-        db = self._database(2, 3)
-        save_object_database(db, tmp_path / "objects")
-        loaded = load_object_database(tmp_path / "objects")
-        assert len(loaded) == 3
-        for (b1, p1), (b2, p2) in zip(db, loaded):
-            np.testing.assert_allclose(b2.center, b1.center, rtol=0, atol=1e-12)
-            assert np.allclose(p2.xyz, p1.xyz, atol=1e-6)  # float32 storage
 
     def test_empty_database_rejected(self):
         with pytest.raises(ValueError):

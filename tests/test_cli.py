@@ -12,6 +12,8 @@ from voxdet.pipeline import PipelineConfig
 from voxdet.scene import SceneConfig
 from voxdet.verification import gradient_suite
 
+from helpers import BAD_SCENE_FIELDS
+
 
 @pytest.fixture()
 def scene_config_path(tmp_path):
@@ -41,6 +43,17 @@ class TestGenerate:
                          "--out", str(tmp_path / name), "--seed", "7", "--frames", "2"])
             assert code == 0
         assert _dirs_equal(tmp_path / "one", tmp_path / "two")
+
+    @pytest.mark.parametrize("field, value, named", BAD_SCENE_FIELDS)
+    def test_out_of_range_field_named(self, tmp_path, capsys, field, value, named):
+        data = SceneConfig().to_dict()
+        data[field] = value
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "seq"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_validation_error(self, tmp_path):
         code = main(["generate", "--config", str(tmp_path / "nope.json"),

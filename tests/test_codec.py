@@ -59,10 +59,10 @@ def pipeline_configs(draw):
 scene_configs = st.builds(
     SceneConfig,
     n_objects=st.integers(0, 20), n_classes=st.integers(1, 10),
-    placement_range=positive, ground_z=finite, size_jitter=finite,
+    placement_range=positive, ground_z=finite, size_jitter=st.floats(0.0, 0.99),
     n_cameras=st.integers(1, 8), channels=st.integers(1, 64), focal=positive,
     n_camera_sweeps=st.integers(1, 4), sweep_dt=positive, noise_sigma=positive,
-    base_sizes=st.lists(st.lists(positive, min_size=3, max_size=3), min_size=1, max_size=4),
+    base_sizes=st.lists(st.tuples(positive, positive, positive), min_size=1, max_size=4),
 )
 
 boxes = st.builds(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxdet.metrics import evaluate
+from voxdet.metrics import TP_KEYS, evaluate
 from voxdet.scene.types import Box3D
 
 
@@ -66,8 +66,12 @@ class TestEmptyDetections:
         assert report.nds == 0.0
 
     def test_no_ground_truth(self):
-        report = evaluate([[]], [[]])
-        assert report.mean_ap == 0.0
+        """With nothing to match, every TP error takes the no-match worst case."""
+        for detections in ([], [box(0.0, 0.0)]):
+            report = evaluate([detections], [[]])
+            assert report.mean_ap == 0.0
+            assert report.tp_errors == dict.fromkeys(TP_KEYS, 1.0)
+            assert report.nds == 0.0
 
 
 class TestMonotonicity:

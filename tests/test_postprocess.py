@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,26 +23,22 @@ def det(x, y, score, class_id=0, vx=0.0, vy=0.0, z=0.0):
 
 class TestFilter:
     def test_k_zero_empty(self):
-        assert filter_predictions([det(0, 0, 0.9)], 0, CFG) == []
+        assert filter_predictions([det(0, 0, 0.9)], replace(CFG, max_detections=0)) == []
 
     def test_all_in_range_sorted(self):
         dets = [det(0, 0, 0.5), det(1, 0, 0.9), det(2, 0, 0.7)]
-        out = filter_predictions(dets, 10, CFG)
+        out = filter_predictions(dets, replace(CFG, max_detections=10))
         assert [d.score for d in out] == [0.9, 0.7, 0.5]
 
     def test_out_of_range_removed(self):
         dets = [det(70.0, 0, 0.99), det(1.0, 0, 0.5)]
-        out = filter_predictions(dets, 10, CFG)
+        out = filter_predictions(dets, replace(CFG, max_detections=10))
         assert len(out) == 1 and out[0].center[0] == 1.0
 
     def test_stable_order_on_ties(self):
         dets = [det(0, 0, 0.5), det(1, 0, 0.5), det(2, 0, 0.5)]
-        out = filter_predictions(dets, 2, CFG)
+        out = filter_predictions(dets, replace(CFG, max_detections=2))
         assert [d.center[0] for d in out] == [0.0, 1.0]
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            filter_predictions([], -1, CFG)
 
 
 class TestCircleNMS:
@@ -93,7 +91,7 @@ def test_tracker_config_rejects_bad_field(field, value, message):
 
 
 def test_config_accepts_zero_detections():
-    assert filter_predictions([det(0, 0, 0.9)], 0, PostprocessConfig(max_detections=0)) == []
+    assert filter_predictions([det(0, 0, 0.9)], PostprocessConfig(max_detections=0)) == []
 
 
 class TestTracker:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from voxdet.scene import (
 )
 from voxdet.scene.generate import _convex_hull, _ego_pose, _paint_camera
 
+from helpers import BAD_SCENE_FIELDS
+
 
 def scenes_equal(a, b) -> bool:
     if a.boxes != b.boxes or len(a.cameras) != len(b.cameras):
@@ -35,6 +38,12 @@ def scenes_equal(a, b) -> bool:
         and np.array_equal(a.cloud.intensity, b.cloud.intensity)
         and np.array_equal(a.cloud.time, b.cloud.time)
     )
+
+
+@pytest.mark.parametrize("field, value, named", BAD_SCENE_FIELDS)
+def test_config_rejects_out_of_range_field(field, value, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        SceneConfig(**{field: value})
 
 
 class TestGeneration:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,15 @@ class TestMicroFit:
         with pytest.raises(TrainingDivergenceError) as err:
             micro_fit(self.SCENE, self.CONFIG, steps=30, learning_rate=1e8, seed=3)
         assert err.value.step >= 0
+
+    def test_divergence_warns_nothing(self):
+        """The divergence error is the fit's only report: no numpy warning leaks ahead."""
+        from voxdet.training import TrainingDivergenceError
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergenceError, match="step 3"):
+                micro_fit(self.SCENE, self.CONFIG, steps=30, learning_rate=1e8, seed=3)
 
 
 def random_boxes(rng, count, num_classes):
