@@ -123,7 +123,7 @@ def apply_to_voxel_grid(transform: GlobalTransform, grid: VoxelGrid) -> VoxelGri
     rounded = np.round(coords)
     snap = np.abs(coords - rounded) < _GRID_SNAP
     coords[snap] = rounded[snap]
-    sampled = nm.trilinear_sample(grid.features, Tensor(coords))
+    sampled = nm.trilinear_sample(grid.dense("apply_to_voxel_grid"), Tensor(coords))
     features = nm.reshape(sampled, spec.counts + (spec.channels,))
     return VoxelGrid(spec=spec, features=features)
 

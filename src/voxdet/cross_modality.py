@@ -83,8 +83,10 @@ def knowledge_transfer_loss(
 def modality_switch_fuse(spaces: list[VoxelGrid]) -> VoxelGrid:
     """Sum the selected spaces (camera, then LiDAR) into one grid.
 
-    The fusion map is not applied here: ``decoder.decode`` composes it into
-    each block's value projection, which equals sampling the fused volume.
+    A single space is returned as it is, a row table too; a sum needs dense
+    spaces.  The fusion map is not applied here: ``decoder.decode`` composes
+    it into each block's value projection, which equals sampling the fused
+    volume.
     """
     if not spaces:
         raise ValueError("modality fusion needs at least one space")
@@ -92,5 +94,7 @@ def modality_switch_fuse(spaces: list[VoxelGrid]) -> VoxelGrid:
         raise ValueError("a selected modality space is absent")
     if any(v.spec != spaces[0].spec for v in spaces[1:]):
         raise ValueError("fused spaces must share a grid spec")
-    combined = functools.reduce(nm.add, [v.features for v in spaces])
-    return VoxelGrid(spec=spaces[0].spec, features=combined)
+    if len(spaces) == 1:
+        return spaces[0]
+    dense = [v.dense(f"modality_switch_fuse of {len(spaces)} spaces") for v in spaces]
+    return VoxelGrid(spec=spaces[0].spec, features=functools.reduce(nm.add, dense))

@@ -218,12 +218,16 @@ def deformable_cross_attention(
     params: DeformableParams,
     config: DecoderConfig,
     fusion: FusionParams,
+    lookup: np.ndarray | None = None,
 ) -> Tensor:
     """Sample the fused volume at learned offsets around each reference point.
 
-    ``volume`` holds the summed modality spaces; ``fusion``'s per-voxel 1x1x1
-    map is composed into the value projection (weight ``W_f @ value_w``,
-    bias ``b_f @ value_w + value_b``), so the fused volume is never built.
+    ``volume`` holds the summed modality spaces: an (X, Y, Z, C) grid, or,
+    with ``lookup``, an (R, C) row table that ``numerics.trilinear_sample``
+    reads through it, byte-identical to sampling the placed grid.
+    ``fusion``'s per-voxel 1x1x1 map is composed into the value projection
+    (weight ``W_f @ value_w``, bias ``b_f @ value_w + value_b``), so the
+    fused volume is never built.
     Offsets are predicted in normalized coordinates.  One weighted
     ``trilinear_sample`` of the volume mixes each head's K samples with
     their softmax weights and appends their weight-mixed trilinear mass;
@@ -239,7 +243,7 @@ def deformable_cross_attention(
     n, c = queries.shape
     heads, k = config.num_heads, config.num_points
     dh = config.head_dim
-    nx, ny, nz, cv = volume.shape
+    counts, cv = (volume.shape[:3] if lookup is None else lookup.shape), volume.shape[-1]
     if cv != c:
         raise ValueError(f"volume channels {cv} != query channels {c}")
 
@@ -249,10 +253,11 @@ def deformable_cross_attention(
     weights = nm.softmax(logits, axis=-1)
 
     locations = nm.add(nm.reshape(references, (n, 1, 1, 3)), offsets)
-    grid_locations = nm.mul(locations, Tensor(reference_grid_scale((nx, ny, nz))))
+    grid_locations = nm.mul(locations, Tensor(reference_grid_scale(counts)))
     points = nm.reshape(grid_locations, (n * heads, k, 3))
 
-    mixed = nm.reshape(nm.trilinear_sample(volume, points, weights), (n, heads, c + 1))
+    mixed = nm.reshape(nm.trilinear_sample(volume, points, weights, lookup=lookup),
+                       (n, heads, c + 1))
     value_w = nm.matmul(nm.reshape(fusion.weight, (c, c)), params.value_w)
     value_b = nm.affine(fusion.bias, params.value_w, params.value_b)
     value = nm.concat([value_w, nm.reshape(value_b, (1, c))], axis=0)  # (C + 1, C)
@@ -300,10 +305,12 @@ def decoder_block(
     head: HeadParams,
     config: DecoderConfig,
     fusion: FusionParams,
+    lookup: np.ndarray | None = None,
 ) -> tuple[Tensor, BlockPrediction, Tensor]:
     """One decoder block; returns updated queries, predictions, refined refs."""
     q1 = self_attention(queries, block.self_attn, config.num_heads)
-    cross = deformable_cross_attention(q1, references, volume, block.cross, config, fusion)
+    cross = deformable_cross_attention(q1, references, volume, block.cross, config, fusion,
+                                       lookup)
     q2 = nm.layer_norm(nm.add(q1, cross), block.cross.gamma, block.cross.beta)
     q3 = _feed_forward(q2, block.ffn)
     cls, box = _shared_head(q3, head)
@@ -387,17 +394,18 @@ def decode_boxes(prediction: BlockPrediction, spec) -> list[Box3D]:
 def decode(params: DecoderParams, grid: VoxelGrid, fusion: FusionParams) -> DecodeResult:
     """Run all decoder blocks over the unified volume.
 
-    ``grid`` holds the summed modality spaces; each block's cross-attention
-    applies ``fusion``'s per-voxel map to its samples, which equals decoding
-    the densely fused volume.  Boxes are the caller's: :func:`decode_boxes`
-    of the last block.
+    ``grid`` holds the summed modality spaces, dense or as a row table with
+    its ``lookup``, which every block samples through; each block's
+    cross-attention applies ``fusion``'s per-voxel map to its samples, which
+    equals decoding the densely fused volume.  Boxes are the caller's:
+    :func:`decode_boxes` of the last block.
     """
     queries = params.query_embed
     references = initial_references(params)
     blocks = []
     for block in params.blocks:
         queries, pred, references = decoder_block(
-            queries, references, grid.features, block, params.head, params.config, fusion
-        )
+            queries, references, grid.features, block, params.head, params.config, fusion,
+            grid.lookup)
         blocks.append(pred)
     return DecodeResult(blocks=blocks)

@@ -7,7 +7,8 @@ ground truth of their class within the threshold in the same frame.  AP is
 the normalized area under the precision-recall curve with both recall and
 precision clamped at 0.1.  TP errors are plain means over the matches at
 the 2 m threshold; a class with no matches contributes the worst-case 1.0
-for every error term.
+for every error term.  Every class of the ground truth or the detections is
+scored.
 """
 
 from __future__ import annotations
@@ -111,21 +112,19 @@ def evaluate(
 ) -> MetricsReport:
     """Score per-frame detections against per-frame ground truths.
 
-    Classes are taken from the ground truth; detections of classes that never
-    appear in the ground truth are rejected as unknown.
+    The scored classes are those of the ground truth and of the detections.
+    A detected class that the ground truth lacks scores as nuScenes scores a
+    configured class without ground truth: AP 0 and, with nothing to match,
+    the worst-case 1.0 for every TP error, so it lowers mAP and NDS.
     """
     if len(detections) != len(ground_truths):
         raise ValueError("detections and ground truths must cover the same frames")
-    gt_classes = sorted({b.class_id for frame in ground_truths for b in frame})
-    known = set(gt_classes)
-    for frame in detections:
-        for det in frame:
-            if gt_classes and det.class_id not in known:
-                raise ValueError(f"detection class {det.class_id} absent from ground truth")
+    classes = sorted({b.class_id for frames in (ground_truths, detections)
+                      for frame in frames for b in frame})
 
     per_class_ap: dict[int, float] = {}
     tp_sums = dict.fromkeys(TP_KEYS, 0.0)
-    for class_id in gt_classes:
+    for class_id in classes:
         dets = [
             (f, b)
             for f, frame in enumerate(detections)
@@ -163,8 +162,8 @@ def evaluate(
                 tp_sums[key] += 1.0
 
     mean_ap = float(np.mean(list(per_class_ap.values()))) if per_class_ap else 0.0
-    # with no ground-truth class nothing can match: the no-match worst case
-    tp_errors = {key: tp_sums[key] / len(gt_classes) if gt_classes else 1.0 for key in TP_KEYS}
+    # with no class at all nothing can match: the no-match worst case
+    tp_errors = {key: tp_sums[key] / len(classes) if classes else 1.0 for key in TP_KEYS}
     nds = (5.0 * mean_ap + sum(1.0 - min(1.0, tp_errors[k]) for k in TP_KEYS)) / 10.0
     return MetricsReport(
         mean_ap=mean_ap, tp_errors=tp_errors, nds=nds, per_class_ap=per_class_ap

@@ -9,7 +9,8 @@ footprint, a lift returns only those (V, C) rows; without one it returns the
 dense grid, zero at every other voxel.  Sweeps are fused at the space level by
 one affine map with the time offsets folded into its bias, run on (V, C)
 tables of the rows some camera lifts; it returns the fused rows and the bias,
-and the pipeline places them into the grid.
+and the pipeline places them into the grid, or keeps them as a row table
+with the bias as its last row when only the decoder reads the space.
 LiDAR branch: points are binned into the grid with hand-crafted per-cell
 statistics and refined by parallel strided heads.  A small convolutional
 encoder then interacts neighboring voxels; its pre-ReLU block-3 activation is
@@ -70,17 +71,44 @@ class DepthSpec:
 
 @dataclass
 class VoxelGrid:
-    """A dense feature volume tied to its metric grid specification."""
+    """A feature volume tied to its metric grid specification.
+
+    Dense, ``features`` is (X, Y, Z, C).  As a row table, ``features`` is
+    (R, C) and ``lookup`` the integer (X, Y, Z) array of each cell's row, so
+    the dense volume is ``features[lookup]``; only a sampler that maps cells
+    through ``lookup`` reads it, and :meth:`dense` rejects it.
+    """
 
     spec: VoxelGridSpec
     features: Tensor
+    lookup: np.ndarray | None = None
 
     def __post_init__(self):
-        expected = self.spec.counts + (self.spec.channels,)
-        if tuple(self.features.shape) != expected:
-            raise ValueError(
-                f"voxel features shape {self.features.shape} != spec {expected}"
-            )
+        c = self.spec.channels
+        if self.lookup is None:
+            expected = self.spec.counts + (c,)
+            if tuple(self.features.shape) != expected:
+                raise ValueError(
+                    f"voxel features shape {self.features.shape} != spec {expected}"
+                )
+            return
+        lookup, n_rows = self.lookup, self.features.shape[0]
+        if tuple(self.features.shape) != (n_rows, c):
+            raise ValueError(f"row-table features shape {self.features.shape} != (R, {c})")
+        if not (isinstance(lookup, np.ndarray) and np.issubdtype(lookup.dtype, np.integer)
+                and lookup.shape == self.spec.counts):
+            got = (f"{lookup.dtype} {lookup.shape}" if isinstance(lookup, np.ndarray)
+                   else type(lookup).__name__)
+            raise ValueError(f"lookup must be an integer array of shape {self.spec.counts}, "
+                             f"got {got}")
+        if lookup.min() < 0 or lookup.max() >= n_rows:
+            raise ValueError(f"lookup rows must lie in [0, {n_rows})")
+
+    def dense(self, consumer: str) -> Tensor:
+        """The (X, Y, Z, C) features for ``consumer``; a row table raises, naming ``lookup``."""
+        if self.lookup is not None:
+            raise ValueError(f"lookup: {consumer} needs a dense grid, got a row table")
+        return self.features
 
 
 @dataclass
@@ -458,12 +486,13 @@ def voxel_encoder(
     """Three conv+ReLU blocks; the tap is the pre-ReLU activation of block 3.
 
     ``conv3d`` uses 3x3x3 kernels, ``conv2d`` per-height 3x3x1 kernels, and
-    ``none`` passes the input through (tap == output == input).
+    ``none`` passes the input through (tap == output == input), a row table
+    too; the convs need a dense grid.
     """
     if params.op_type == "none":
         return grid, EncoderTap(features=grid.features)
     pad = (1, 1, 1) if params.op_type == "conv3d" else (1, 1, 0)
-    x = grid.features
+    x = grid.dense(f"voxel_encoder {params.op_type}")
     tap = None
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         pre = nm.conv(x, w, b, stride=1, padding=pad)

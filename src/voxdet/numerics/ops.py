@@ -556,7 +556,7 @@ def interpolation_matrix(cells, weights, n_cells: int, transpose: bool = False):
                              shape=(n_cells, p))
 
 
-def trilinear_sample(volume, points, weights=None) -> Tensor:
+def trilinear_sample(volume, points, weights=None, lookup=None) -> Tensor:
     """Interpolate an (X, Y, Z, C) volume at continuous grid coordinates.
 
     ``points`` is (..., 3) or a single (3,) point in index space where cell
@@ -575,11 +575,29 @@ def trilinear_sample(volume, points, weights=None) -> Tensor:
     with weight 0): the output is ``S @ volume``, then ``S @ 1`` when
     weighted, and the volume gradient ``S^T @ g``.  The point and weight
     gradients gather each corner's values again instead of keeping them.
+
+    With ``lookup``, an integer (X, Y, Z) array, ``volume`` is an (R, C) row
+    table and cell i holds row ``lookup[i]``.  Each corner's cell is mapped
+    through ``lookup`` before S is built, and every entry keeps its place and
+    weight, so the output equals sampling the placed grid ``volume[lookup]``
+    byte for byte.  The volume gradient is (R, C): a row that several cells
+    share gets their gradients summed, in S^T's entry order.
     """
     volume = as_tensor(volume)
     points = as_tensor(points)
-    if volume.ndim != 4:
-        raise ValueError(f"trilinear volume must be (X, Y, Z, C), got {volume.shape}")
+    if lookup is None:
+        if volume.ndim != 4:
+            raise ValueError(f"trilinear volume must be (X, Y, Z, C), got {volume.shape}")
+        nx, ny, nz, c = volume.shape
+    else:
+        lookup = np.asarray(lookup)
+        if volume.ndim != 2 or lookup.ndim != 3 or not np.issubdtype(lookup.dtype, np.integer):
+            raise ValueError(f"a row-table volume must be (R, C) with an integer (X, Y, Z) "
+                             f"lookup, got {volume.shape} and {lookup.dtype} {lookup.shape}")
+        if lookup.min() < 0 or lookup.max() >= volume.shape[0]:
+            raise ValueError(f"lookup rows must lie in [0, {volume.shape[0]})")
+        (nx, ny, nz), c = lookup.shape, volume.shape[1]
+        cell_rows = lookup.reshape(-1)
     if points.shape[-1] != 3:
         raise ValueError(f"points must have a trailing axis of 3, got {points.shape}")
     if weights is None:
@@ -596,7 +614,6 @@ def trilinear_sample(volume, points, weights=None) -> Tensor:
         k = points.shape[1]
     p = points.data.reshape(-1, 3)
     rows = p.shape[0] // k
-    nx, ny, nz, c = volume.shape
     data_flat = volume.data.reshape(-1, c)
 
     base = np.floor(p).astype(np.int64)
@@ -606,6 +623,8 @@ def trilinear_sample(volume, points, weights=None) -> Tensor:
         ix, iy, iz = base[:, 0] + dx, base[:, 1] + dy, base[:, 2] + dz
         inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny) & (iz >= 0) & (iz < nz)
         lin = np.where(inside, (ix * ny + iy) * nz + iz, 0)
+        if lookup is not None:
+            lin = cell_rows[lin]
         wx, wy, wz = (f if d else 1.0 - f for f, d in zip(frac, (dx, dy, dz)))
         signs = tuple(1.0 if d else -1.0 for d in (dx, dy, dz))
         corners.append((lin, inside, wx, wy, wz, signs))

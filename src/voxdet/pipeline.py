@@ -3,12 +3,15 @@ postprocess, for single-modality and fused settings.
 
 Model parameters are created from per-component child seeds, so a fused run
 and a LiDAR-only run with the same seed share bit-identical LiDAR, fusion,
-and decoder weights.  The camera branch stays on rows until it places the
-camera space once: each lift returns the rows of the voxels its camera sees,
-those rows are put onto the union of the cameras' voxels and summed per
-sweep, sweep fusion runs on that union's rows, and ``_camera_branch`` places
-the fused rows into the grid; every other voxel of the camera space is the
-fusion bias.
+and decoder weights.  The camera branch stays on rows: each lift returns the
+rows of the voxels its camera sees, those rows are put onto the union of the
+cameras' voxels and summed per sweep, and sweep fusion runs on that union's
+rows; every other voxel of the camera space is the fusion bias.  When a
+conv encoder, the sum with the LiDAR space or knowledge transfer follows,
+``_camera_branch`` places the fused rows into the grid once.  When the
+decoder is the space's only reader, it keeps the space as a row table, the
+fused rows and then the bias, with a cell-to-row lookup that the decoder
+samples through.
 """
 
 from __future__ import annotations
@@ -174,7 +177,9 @@ def build_model(config: PipelineConfig, seed: int | None = None,
 @dataclass
 class ForwardResult:
     """One forward pass.  ``vu`` holds the summed modality spaces before the
-    per-voxel fusion map, which the decoder applies to its samples."""
+    per-voxel fusion map, which the decoder applies to its samples.  In a
+    camera-only run with encoder ``none`` and no knowledge transfer it is the
+    camera space as a row table: ``vu.features[vu.lookup]`` is the grid."""
 
     vu: VoxelGrid
     decode: DecodeResult
@@ -212,8 +217,8 @@ def _lift_camera(cam, scene, config, params):
 def _camera_branch(scene, config, params):
     lifted = [_lift_camera(cam, scene, config, params) for cam in scene.cameras]
     # every camera's rows go onto the union of the lifted voxels, unless they
-    # already cover it; sweep fusion runs on those rows and the rest of the
-    # grid holds its bias.  ``seen`` is sorted, as ``searchsorted`` needs.
+    # already cover it; sweep fusion runs on those rows and every other voxel
+    # holds its bias.  ``seen`` is sorted, as ``searchsorted`` needs.
     seen = np.unique(np.concatenate([voxels for _, voxels in lifted]))
     c = config.grid.channels
 
@@ -229,8 +234,19 @@ def _camera_branch(scene, config, params):
         for t in offsets
     ]
     rows, bias = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion)
-    grid = VoxelGrid(spec=config.grid,
-                     features=nm.place_rows(rows, seen, bias, config.grid.counts + (c,)))
+    if config.use_lidar or config.kt_enabled or config.encoder_op != "none":
+        # a conv, the sum with the LiDAR space or KT reads the dense grid
+        grid = VoxelGrid(spec=config.grid,
+                         features=nm.place_rows(rows, seen, bias, config.grid.counts + (c,)))
+    else:
+        # only the decoder reads the space: the fused rows, then the bias as the
+        # row every unseen voxel looks up.  Off the tape nothing else holds the
+        # lift rows and sweep sums, so they go before the table is built.
+        del lifted, per_sweep
+        lookup = np.full(config.grid.counts, seen.size, dtype=np.int32)
+        lookup.reshape(-1)[seen] = np.arange(seen.size, dtype=np.int32)
+        grid = VoxelGrid(spec=config.grid, features=nm.concat([rows, nm.reshape(bias, (1, c))]),
+                         lookup=lookup)
     return voxel_encoder(grid, params.encoder_img)
 
 

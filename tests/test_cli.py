@@ -10,6 +10,7 @@ from voxdet.numerics import ops
 from voxdet.geometry import VoxelGridSpec
 from voxdet.pipeline import PipelineConfig
 from voxdet.scene import SceneConfig
+from voxdet.serialize import read_boxes_jsonl
 from voxdet.verification import gradient_suite
 
 from helpers import BAD_SCENE_FIELDS
@@ -85,6 +86,32 @@ class TestDetectAndEval:
         lines = report.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("run,z,encoder_op,sweeps")
+
+    def test_eval_scores_a_class_the_ground_truth_lacks(self, tmp_path):
+        # rig-track's scene config: a fresh model detects a class that the
+        # ground truth of seed 11's first frame lacks
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(SceneConfig(
+            n_cameras=6, image_height=96, image_width=128, n_camera_sweeps=2,
+            n_lidar_sweeps=2, ego_speed=2.0).to_dict()))
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(PipelineConfig().to_dict()))
+        seq, run = tmp_path / "seq", tmp_path / "run"
+        assert main(["generate", "--config", str(scene), "--out", str(seq),
+                     "--seed", "11"]) == 0
+        assert main(["detect", "--scene", str(seq / "frame_000"), "--config", str(config),
+                     "--out", str(run)]) == 0
+        [dets] = read_boxes_jsonl(run / "detections.jsonl")
+        gt_classes = {b.class_id for frame in read_boxes_jsonl(seq / "gt.jsonl")
+                      for b in frame}
+        absent = {b.class_id for b in dets} - gt_classes
+        assert absent
+        metrics = run / "metrics.json"
+        assert main(["eval", "--detections", str(run / "detections.jsonl"),
+                     "--ground-truth", str(seq / "gt.jsonl"), "--out", str(metrics)]) == 0
+        payload = json.loads(metrics.read_text())
+        assert set(payload["per_class_ap"]) == {str(c) for c in gt_classes | absent}
+        assert all(payload["per_class_ap"][str(c)] == 0.0 for c in absent)
 
     def test_detect_threads_identical(self, tmp_path, scene_config_path, pipeline_config_path):
         seq = tmp_path / "seq"

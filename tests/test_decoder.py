@@ -335,13 +335,31 @@ def test_decode_matches_decoding_densely_fused_volume(monkeypatch):
 
     dense = nm.conv(volume.features, fusion.weight, fusion.bias)
     monkeypatch.setattr(decoder, "deformable_cross_attention",
-                        lambda q, r, v, p, cfg, _: deformable_cross_attention_oracle(
-                            q, r, v, p, cfg))
+                        lambda q, r, v, p, cfg, _fusion, _lookup:
+                        deformable_cross_attention_oracle(q, r, v, p, cfg))
     want = decode(params, VoxelGrid(spec=SPEC, features=dense), fusion)
     for g, w in zip(got.blocks, want.blocks):
         for field in ("class_logits", "box_params", "reference_out"):
             np.testing.assert_allclose(getattr(g, field).data, getattr(w, field).data,
                                        rtol=0, atol=1e-12)
+
+
+def test_decode_of_a_row_table_is_decoding_its_placed_grid():
+    config = DecoderConfig(num_queries=6, num_blocks=2, num_heads=2, num_points=3,
+                           channels=8, num_classes=3, ffn_dim=16)
+    params = DecoderParams.create(config, seed=45)
+    rng = np.random.default_rng(46)
+    for blk in params.blocks:  # spread the samples over the grid and past its faces
+        blk.cross.offset_w.data[...] = 0.5 * rng.standard_normal(blk.cross.offset_w.shape)
+    fusion = random_fusion(8, rng)
+    lookup = rng.integers(0, 7, size=SPEC.counts).astype(np.int32)
+    table = VoxelGrid(spec=SPEC, features=Tensor(rng.standard_normal((7, 8))), lookup=lookup)
+    got = decode(params, table, fusion)
+    want = decode(params, VoxelGrid(spec=SPEC, features=Tensor(table.features.data[lookup])),
+                  fusion)
+    for g, w in zip(got.blocks, want.blocks):
+        for field in ("class_logits", "box_params", "reference_out"):
+            assert np.array_equal(getattr(g, field).data, getattr(w, field).data)
 
 
 class TestDecodeBoxes:

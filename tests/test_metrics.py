@@ -89,11 +89,17 @@ class TestMonotonicity:
 
 
 class TestValidation:
-    def test_unknown_class_rejected(self):
+    def test_class_absent_from_ground_truth_scores_zero(self):
+        # scored as nuScenes scores a configured class without ground truth
         gts = [[box(0, 0, class_id=0)]]
-        dets = [[box(0, 0, class_id=5)]]
-        with pytest.raises(ValueError):
-            evaluate(dets, gts)
+        dets = [[box(0, 0, class_id=0), box(3, 3, class_id=5)]]
+        report = evaluate(dets, gts)
+        assert report.per_class_ap == {0: 1.0, 5: 0.0}
+        assert report.mean_ap == 0.5
+        # class 0 matches exactly; class 5 takes the worst case 1.0
+        assert report.tp_errors == dict.fromkeys(TP_KEYS, 0.5)
+        assert report.nds == 0.5
+        assert evaluate([dets[0][:1]], gts).per_class_ap == {0: 1.0}
 
     def test_frame_count_mismatch(self):
         with pytest.raises(ValueError):

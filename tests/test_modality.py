@@ -6,6 +6,8 @@ import pytest
 from helpers import voxel_center
 from voxdet import numerics as nm
 from voxdet import pipeline
+from voxdet.augmentation import GlobalTransform, apply_to_voxel_grid
+from voxdet.cross_modality import modality_switch_fuse
 from voxdet.decoder import DecoderConfig
 from voxdet.geometry import CameraCalibration, VoxelGridSpec
 from voxdet.modality import (
@@ -468,6 +470,53 @@ def test_fusion_on_the_lifted_voxels_matches_every_voxel(n):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
 
 
+TABLE_SPEC = VoxelGridSpec((-2.0, 2.0), (-2.0, 2.0), (-1.0, 1.0), (4, 4, 2), 3)
+
+
+def _table_grid(n_rows=5):
+    rng = np.random.default_rng(7)
+    lookup = rng.integers(0, n_rows, size=TABLE_SPEC.counts).astype(np.int32)
+    return VoxelGrid(spec=TABLE_SPEC, features=Tensor(rng.standard_normal((n_rows, 3))),
+                     lookup=lookup)
+
+
+class TestRowTableGrid:
+    """A ``VoxelGrid`` with a ``lookup`` is an (R, C) row table."""
+
+    @pytest.mark.parametrize("lookup, match", [
+        (np.zeros(TABLE_SPEC.counts), "lookup must be an integer array"),  # float
+        (np.zeros((4, 4), dtype=np.int32), "lookup must be an integer array"),  # wrong shape
+        ([[[0] * 2] * 4] * 4, "lookup must be an integer array"),  # not an array
+        (np.full(TABLE_SPEC.counts, 5, dtype=np.int32), r"lookup rows must lie in \[0, 5\)"),
+        (np.full(TABLE_SPEC.counts, -1, dtype=np.int64), r"lookup rows must lie in \[0, 5\)"),
+    ])
+    def test_malformed_lookup_named(self, lookup, match):
+        with pytest.raises(ValueError, match=match):
+            VoxelGrid(spec=TABLE_SPEC, features=Tensor(np.zeros((5, 3))), lookup=lookup)
+
+    def test_table_features_must_be_rows_of_the_channels(self):
+        lookup = np.zeros(TABLE_SPEC.counts, dtype=np.int32)
+        for shape in ((5, 4), TABLE_SPEC.counts + (3,)):
+            with pytest.raises(ValueError, match=r"row-table features shape"):
+                VoxelGrid(spec=TABLE_SPEC, features=Tensor(np.zeros(shape)), lookup=lookup)
+
+    def test_dense_only_consumers_name_the_lookup(self):
+        table = _table_grid()
+        dense = VoxelGrid(spec=TABLE_SPEC, features=Tensor(np.zeros(TABLE_SPEC.counts + (3,))))
+        conv = EncoderParams.create(np.random.default_rng(0), 3, "conv3d")
+        consumers = [lambda: voxel_encoder(table, conv),
+                     lambda: modality_switch_fuse([table, dense]),
+                     lambda: modality_switch_fuse([dense, table]),
+                     lambda: apply_to_voxel_grid(GlobalTransform(), table)]
+        for consume in consumers:
+            with pytest.raises(ValueError, match="^lookup: .* needs a dense grid"):
+                consume()
+        # the decoder's readers pass a table through
+        grid, tap = voxel_encoder(table, EncoderParams.create(np.random.default_rng(0), 3, "none"))
+        assert grid is table and tap.features is table.features
+        assert modality_switch_fuse([table]) is table
+
+
 def test_camera_only_scene_seeing_no_voxel_is_the_folded_bias():
     rng = np.random.default_rng(53)
     c = 4
@@ -487,13 +536,15 @@ def test_camera_only_scene_seeing_no_voxel_is_the_folded_bias():
         assert lift_footprint(cam.calibration, spec, config.depth, (16, 16)).voxels.size == 0
 
     vi, _ = pipeline._camera_branch(scene, config, params)
+    # camera only with encoder none: a row table, here only the bias row
+    assert vi.features.shape == (1, c) and not vi.lookup.any()
     merge = fusion.merge_weight.data[0, 0, 0]
     fuse = fusion.fuse_weight.data[0, 0, 0].reshape(2, c, c)
     want = fusion.fuse_bias.data + fusion.merge_bias.data @ fuse.sum(axis=0)
     want = want + sum(t * (merge[c] @ f) for t, f in zip(OFFSETS[:2], fuse))
     assert np.abs(want).max() > 0
-    np.testing.assert_allclose(vi.features.data, np.broadcast_to(want, spec.counts + (c,)),
-                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(vi.features.data[vi.lookup],
+                               np.broadcast_to(want, spec.counts + (c,)), rtol=0, atol=1e-15)
 
 
 def test_fusion_gradients_match_central_differences():

@@ -269,6 +269,64 @@ def test_weighted_trilinear_rejects_mismatched_weights():
         nm.trilinear_sample(vol, Tensor(np.zeros((3, 0, 3))), Tensor(np.ones((3, 0))))
 
 
+def _row_table_inputs(weighted, seed):
+    """A (U + 1, C) table, its (X, Y, Z) lookup, the U cells holding their own
+    rows (in shuffled order) and (R, K, 3) points with their (R, K) weights."""
+    rng = np.random.default_rng([seed, 61])
+    counts, c, n_seen = np.array([4, 3, 5]), 6, 23
+    seen = np.sort(rng.choice(60, size=n_seen, replace=False))
+    lookup = np.full(60, n_seen, dtype=np.int32)  # every other cell reads the last row
+    lookup[seen] = rng.permutation(n_seen)
+    rows, k = 12, 4
+    pts = rng.uniform(0.0, counts - 1.0, size=(rows, k, 3))
+    face = rng.integers(0, 3, size=(4, k))  # one coordinate on a face of the grid
+    np.put_along_axis(pts[:4], face[..., None],
+                      (rng.integers(0, 2, size=(4, k)) * (counts[face] - 1.0))[..., None], axis=2)
+    pts[4:6] = rng.uniform(-1.0, 0.0, size=(2, k, 3))  # within one cell outside
+    beyond = rng.uniform(1.1, 2.5, size=(4, k, 3))  # beyond one cell outside
+    pts[6:10] = np.where(rng.uniform(size=(4, k, 3)) < 0.5, -beyond, counts - 1.0 + beyond)
+    weights = rng.uniform(-0.5, 1.5, size=(rows, k)) if weighted else None
+    probe = rng.standard_normal((rows, c + 1) if weighted else (rows, k, c))
+    return (rng.standard_normal((n_seen + 1, c)), lookup.reshape(tuple(counts)), seen,
+            pts, weights, probe)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_row_table_trilinear_is_sampling_the_placed_grid(weighted, seed):
+    # the oracle samples the grid the table places: cell i holds row lookup[i]
+    table, lookup, seen, pts, weights, probe = _row_table_inputs(weighted, seed)
+    rest = (pts,) if weights is None else (pts, weights)
+    got = _values_and_grads(lambda v, *a: nm.trilinear_sample(v, *a, lookup=lookup),
+                            (table, *rest), probe)
+    want = _values_and_grads(nm.trilinear_sample, (table[lookup], *rest), probe)
+    # forward, point and weight gradients
+    for g, w in zip(got[:1] + got[2:], want[:1] + want[2:]):
+        assert np.array_equal(g, w)
+    table_grad, grid_grad = got[1], want[1].reshape(-1, table.shape[1])
+    assert np.array_equal(table_grad[lookup.reshape(-1)[seen]], grid_grad[seen])
+    # the fill row sums the unseen cells' products in S^T's entry order, not
+    # cell by cell: the same terms, so only rounding may differ
+    unseen = np.setdiff1d(np.arange(lookup.size), seen)
+    fill = grid_grad[unseen].sum(axis=0)
+    assert np.abs(fill).max() > 0
+    np.testing.assert_allclose(table_grad[-1], fill, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lookup, match", [
+    (np.zeros((2, 2, 2)), "integer"),  # float
+    (np.zeros((2, 4), dtype=np.int32), "integer"),  # not (X, Y, Z)
+    (np.full((2, 2, 2), 3, dtype=np.int32), r"lie in \[0, 3\)"),
+    (np.full((2, 2, 2), -1, dtype=np.int64), r"lie in \[0, 3\)"),
+])
+def test_row_table_trilinear_rejects_malformed_lookup(lookup, match):
+    with pytest.raises(ValueError, match=match):
+        nm.trilinear_sample(Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 3))), lookup=lookup)
+    with pytest.raises(ValueError, match="integer"):  # a grid volume with a lookup
+        nm.trilinear_sample(Tensor(np.zeros((2, 2, 2, 2))), Tensor(np.zeros((4, 3))),
+                            lookup=np.zeros((2, 2, 2), dtype=np.int32))
+
+
 def _attention_inputs(n, seed, hot_rows=(), heads=2):
     """(H, n, dh) q, k, v; ``hot_rows`` of q give logits around 700 against every key."""
     rng = np.random.default_rng([n, seed])

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from helpers import closure_arrays
 from voxdet import numerics as nm
 from voxdet import pipeline
-from voxdet.decoder import decode_boxes
+from voxdet.decoder import DecoderConfig, decode_boxes
+from voxdet.geometry import VoxelGridSpec
 from voxdet.modality import (
+    DepthSpec,
     fuse_sweeps_image,
     lift_footprint,
     lift_image_to_voxels,
@@ -143,7 +147,9 @@ class TestSweepEquivalence:
 def test_sweep_fusion_tape_runs_one_affine_on_the_lifted_voxels(monkeypatch):
     # the whole camera branch of a 2-sweep, 2-camera desk-scale forward: the
     # lifts, the placements onto the union of their voxels, the sweep sums
-    # and sweep fusion stay on rows until sweep fusion places its output
+    # and sweep fusion stay on rows; with no LiDAR and encoder none only the
+    # decoder reads the space, so it stays a row table: the fused rows, then
+    # the bias
     scene = generate_scene(SceneConfig(n_objects=1, n_cameras=2, channels=32,
                                        n_camera_sweeps=2), 13)
     config = PipelineConfig(use_lidar=False, encoder_op="none", seed=5)
@@ -160,18 +166,59 @@ def test_sweep_fusion_tape_runs_one_affine_on_the_lifted_voxels(monkeypatch):
     [n_lifted] = calls
     out = vi.features.data
     n_voxels, c = math.prod(config.grid.counts), config.grid.channels
-    assert 0 < n_lifted < n_voxels and out.shape == config.grid.counts + (c,)
+    assert 0 < n_lifted < n_voxels and out.shape == (n_lifted + 1, c)
     ops = [node._backward.__qualname__.split(".")[0] for node in tape._nodes]
     assert ops.count("conv") == len(scene.cameras) == 4  # the depth heads
-    # each camera's rows onto the union, then the fused rows into the grid
-    assert ops.count("place_rows") == len(scene.cameras) + 1
+    # each camera's rows onto the union; nothing places the grid
+    assert ops.count("place_rows") == len(scene.cameras)
     assert [node.shape for node, op in zip(tape._nodes, ops)
             if op == "affine" and node.ndim == 2] == [(n_lifted, c)]
-    # no grid-shaped values (one row per voxel) but the output
+    # no grid-shaped values (one row per voxel)
     for node in tape._nodes:
         arrays = [node.data] + closure_arrays(node._backward)
-        assert not [a.shape for a in arrays if a.dtype == np.float64 and a is not out
+        assert not [a.shape for a in arrays if a.dtype == np.float64
                     and (a.shape[:3] == config.grid.counts or a.shape[:1] == (n_voxels,))]
+    # the placed table is the grid that a dense reader gets placed
+    grid, _ = pipeline._camera_branch(scene, dataclasses.replace(config, use_lidar=True), params)
+    assert np.array_equal(out[vi.lookup], grid.features.data)
+
+
+def test_camera_only_forward_tape_holds_no_voxel_grid():
+    # camera only with encoder none: the decoder samples the row table, so no
+    # float64 value on the tape has one row per voxel
+    scene = generate_scene(SceneConfig(n_objects=1, n_cameras=2, channels=32), 23)
+    config = PipelineConfig(use_lidar=False, encoder_op="none", seed=1)
+    params = build_model(config)
+    with Tape() as tape:
+        fw = forward_scene(scene, config, params)
+    n_voxels = math.prod(config.grid.counts)
+    for node in tape._nodes:
+        arrays = [node.data] + closure_arrays(node._backward)
+        assert not [a.shape for a in arrays if a.dtype == np.float64
+                    and (a.shape[:3] == config.grid.counts or a.shape[:1] == (n_voxels,))]
+    assert fw.vu.lookup is not None and fw.vu.features.shape[0] < n_voxels
+
+
+def test_paper_shape_detection_allocates_less_than_one_grid():
+    # criterion 11's shapes: one dense (128, 128, 11, 256) float64 grid is
+    # 352 MB, more than everything run_detection allocates at once
+    grid = VoxelGridSpec((-51.2, 51.2), (-51.2, 51.2), (-5.0, 3.0), (128, 128, 11), 256)
+    decoder = DecoderConfig(num_queries=900, num_blocks=6, num_heads=8, num_points=4,
+                            channels=256, num_classes=10, ffn_dim=512)
+    config = PipelineConfig(grid=grid, depth=DepthSpec(64, 64.0), use_lidar=False,
+                            encoder_op="none", decoder=decoder, seed=0)
+    scene = generate_scene(SceneConfig(n_objects=3, n_cameras=1, channels=256,
+                                       placement_range=20.0, ground_extent=30.0), seed=1)
+    params = build_model(config)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = run_detection(scene, config, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.raw.decode.blocks) == 6
+    assert peak - start < math.prod(grid.counts) * grid.channels * 8
 
 
 @pytest.mark.parametrize("config, convs", [
