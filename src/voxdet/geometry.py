@@ -25,20 +25,27 @@ __all__ = [
 
 NEAR_PLANE = 0.1  # meters; points at or behind this camera depth do not project
 
+# ``np.allclose(a, b, atol=...)`` written out as |a - b| <= atol + 1e-5 |b|
+# (its default rtol) for the two fixed targets; NaN fails every comparison
+_EYE3 = np.eye(3)
+_EYE3_TOL = 1e-9 + 1e-5 * np.abs(_EYE3)
+_BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+_BOTTOM_ROW_TOL = 1e-12 + 1e-5 * np.abs(_BOTTOM_ROW)
+
 
 def _check_rigid(matrix: np.ndarray, what: str, allow_mirror: bool = False) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.shape != (4, 4):
         raise ValueError(f"{what} must be a 4x4 matrix, got {m.shape}")
     r = m[:3, :3]
-    if not np.allclose(r @ r.T, np.eye(3), atol=1e-9):
+    if not (np.abs(r @ r.T - _EYE3) <= _EYE3_TOL).all():
         raise ValueError(f"{what} rotation block is not orthonormal")
     det = float(np.linalg.det(r))
     # Mirrored cameras (det -1) arise when a scene flip is folded into the rig.
     ok = abs(abs(det) - 1.0) < 1e-9 if allow_mirror else abs(det - 1.0) < 1e-9
     if not ok:
         raise ValueError(f"{what} rotation determinant is {det:.6f}")
-    if not np.allclose(m[3], (0.0, 0.0, 0.0, 1.0), atol=1e-12):
+    if not (np.abs(m[3] - _BOTTOM_ROW) <= _BOTTOM_ROW_TOL).all():
         raise ValueError(f"{what} bottom row must be (0, 0, 0, 1)")
     return m
 

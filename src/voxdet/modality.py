@@ -1,12 +1,14 @@
 """Modality-specific voxel spaces.
 
-Camera branch: every voxel center is projected into each view once; the
-footprint names the pixels the lift reads.  A per-pixel depth head turns the
-image features of those pixels (or, without a footprint, of every pixel) into
-a categorical depth distribution, and each in-view voxel is filled with its
-pixel feature weighted by its interpolated occupancy probability.  Given its
-footprint, a lift returns only those (V, C) rows; without one it returns the
-dense grid, zero at every other voxel.  Sweeps are fused at the space level by
+Camera branch: every voxel center is projected into a view once per
+calibration, and the footprint of that projection is cached; it names the
+pixels the lift reads.  A per-pixel depth head turns the image features of
+those pixels (or of every pixel of an (H, W, C) map) into a categorical depth
+distribution, and each in-view voxel is filled with its pixel feature weighted
+by its interpolated occupancy probability.  Given its footprint, a lift takes
+the (P, C) rows of the read pixels and returns only those (V, C) voxel rows;
+without one it takes the whole image and returns the dense grid, zero at
+every other voxel.  Sweeps are fused at the space level by
 one affine map with the time offsets folded into its bias, run on (V, C)
 tables of the rows some camera lifts; it returns the fused rows and the bias,
 and the pipeline places them into the grid, or keeps them as a row table
@@ -19,13 +21,14 @@ exposed as the transfer tap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .geometry import VoxelGridSpec, project_points, voxel_centers
+from .geometry import CameraCalibration, VoxelGridSpec, project_points, voxel_centers
 from .numerics import Parameter, Tensor
 from .scene.types import PointCloud
 
@@ -48,6 +51,8 @@ __all__ = [
 ]
 
 POINT_FEATURE_CHANNELS = 6  # mean xyz offsets, mean intensity, mean time, log count
+# lift footprints kept by ``lift_footprint``; a rig of n cameras over s sweeps uses n * s
+FOOTPRINT_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -208,20 +213,21 @@ class EncoderParams:
 
 @dataclass(frozen=True)
 class LiftFootprint:
-    """One camera's lift geometry on its (H, W) image: the entries of both reads.
+    """One camera's lift geometry on an (H, W) image: the entries of both reads.
 
     ``voxels`` holds the flat indices of the V voxel centers that project
     inside the image and in front of the perception limit; ``read`` the P
-    sorted pixels an inside corner reads, the only depth columns the lift
-    uses.  The pixel read takes bilinear corners ``pixels`` (4, V; flat
-    ``v * W + u``, 0 outside the image) with ``weights`` (4, V; 0 outside).
-    The occupancy read takes ``occupancy_cells`` (8, V; ``bin * P + column``
-    in the (D, P) read columns) with ``occupancy_weights`` (8, V): per
-    corner, the bins below and above the depth, clamped to the end bins,
-    weighted ``w * (1 - fb)`` and ``w * fb`` by its fraction ``fb`` upward.
+    sorted flat ``v * W + u`` pixels an inside corner reads, the only pixels
+    the lift uses.  Both reads index these P read columns.  The pixel read
+    takes bilinear corners ``pixels`` (4, V; the corner's column, 0 outside
+    the image) with ``weights`` (4, V; 0 outside).  The occupancy read takes
+    ``occupancy_cells`` (8, V; ``bin * P + column`` in the (D, P) read
+    columns) with ``occupancy_weights`` (8, V): per corner, the bins below
+    and above the depth, clamped to the end bins, weighted ``w * (1 - fb)``
+    and ``w * fb`` by its fraction ``fb`` upward.  Every array is read-only
+    and every index array int32.
     """
 
-    image_hw: tuple[int, int]
     voxels: np.ndarray
     pixels: np.ndarray
     weights: np.ndarray
@@ -230,13 +236,40 @@ class LiftFootprint:
     read: np.ndarray
 
 
+def _cached_by_value(build):
+    """``build(calib, spec, depth, image_hw)``, cached by the calibration's value.
+
+    The key is the calibration's intrinsics and extrinsic bytes, ``spec``,
+    ``depth`` and (H, W), and the last ``FOOTPRINT_CACHE_SIZE`` results are
+    kept.  The wrapper's ``__wrapped__`` is ``build``; ``cache_clear`` and
+    ``cache_info`` are those of its ``functools.lru_cache``.
+    """
+
+    @functools.lru_cache(maxsize=FOOTPRINT_CACHE_SIZE)
+    def cached(intrinsics: bytes, extrinsic: bytes, spec, depth, image_hw):
+        calib = CameraCalibration(intrinsics=np.frombuffer(intrinsics).reshape(3, 3),
+                                  extrinsic=np.frombuffer(extrinsic).reshape(4, 4))
+        return build(calib, spec, depth, image_hw)
+
+    @functools.wraps(build)
+    def lookup(calib, spec, depth, image_hw):
+        return cached(calib.intrinsics.tobytes(), calib.extrinsic.tobytes(), spec, depth,
+                      tuple(int(n) for n in image_hw))
+
+    lookup.cache_clear, lookup.cache_info = cached.cache_clear, cached.cache_info
+    return lookup
+
+
+@_cached_by_value
 def lift_footprint(calib, spec: VoxelGridSpec, depth: DepthSpec, image_hw) -> LiftFootprint:
-    """Project every voxel center into one (H, W) camera view.
+    """Project every voxel center into one (H, W) camera view, cached by value.
 
     A center projecting to (u, v, d) is in view when it lies inside the image
     (``0 <= u <= W-1``, ``0 <= v <= H-1``) and ``d`` is short of the
     perception limit.  Its depth interpolates linearly between bin centers;
-    beyond the first/last center it clamps to the end bin.
+    beyond the first/last center it clamps to the end bin.  Equal
+    calibrations share one footprint object (see :func:`_cached_by_value`);
+    ``lift_footprint.__wrapped__`` is the uncached builder.
     """
     h, w = (int(n) for n in image_hw)
     centers = voxel_centers(spec).reshape(-1, 3)
@@ -264,36 +297,39 @@ def lift_footprint(calib, spec: VoxelGridSpec, depth: DepthSpec, image_hw) -> Li
     seen = np.zeros(h * w, dtype=bool)
     seen[pixels[np.stack(inside)]] = True
     read = np.flatnonzero(seen)
+    if depth.bins * read.size >= 2**31:
+        raise ValueError(f"{depth.bins} bins x {read.size} read pixels overflow int32 indices")
     # an outside corner reads pixel 0 with weight 0, so column 0 serves it
     columns = np.searchsorted(read, pixels)
     occupancy_cells = (bins[None] * read.size + columns[:, None]).reshape(8, voxels.size)
     occupancy_weights = (weights[:, None] * np.stack([1.0 - fb, fb])).reshape(8, voxels.size)
-    return LiftFootprint(image_hw=(h, w), voxels=voxels, pixels=pixels, weights=weights,
-                         occupancy_cells=occupancy_cells, occupancy_weights=occupancy_weights,
-                         read=read)
+    arrays = {"voxels": voxels, "pixels": columns, "weights": weights,
+              "occupancy_cells": occupancy_cells, "occupancy_weights": occupancy_weights,
+              "read": read}
+    for name, array in arrays.items():
+        if array.dtype.kind == "i":
+            arrays[name] = array = array.astype(np.int32)
+        array.flags.writeable = False
+    return LiftFootprint(**arrays)
 
 
-def predict_depth_distribution(
-    features: Tensor, params: DepthHeadParams, depth: DepthSpec, pixels=None
-) -> Tensor:
+def predict_depth_distribution(features: Tensor, params: DepthHeadParams,
+                               depth: DepthSpec) -> Tensor:
     """Per-pixel depth distribution: 1x1 convolution then softmax over bins.
 
-    ``features`` is (H, W, C).  Without ``pixels`` every pixel column is
-    evaluated and the result is (D, H, W).  With ``pixels``, flat
-    ``v * W + u`` indices such as a :class:`LiftFootprint`'s ``read`` set,
-    only those columns are: the head runs on the gathered (P, 1, 1, C)
-    features and the result is (D, P), column p for ``pixels[p]``.  An empty
-    ``pixels`` gives a constant (D, 0).  Every column sums to one.
+    ``features`` is an (H, W, C) map, giving (D, H, W), or the (P, C) rows
+    of P pixels, such as a :class:`LiftFootprint`'s ``read`` set, giving
+    (D, P), column p for row p.  No rows give a constant (D, 0).  Every
+    column sums to one.
     """
-    h, w, c = features.shape
-    rows = nm.reshape(features, (h * w, 1, 1, c))
-    if pixels is not None:
-        if len(pixels) == 0:
-            return Tensor(np.zeros((depth.bins, 0)))
-        rows = nm.getitem(rows, pixels)
-    logits = nm.conv(rows, params.weight, params.bias)
+    if features.ndim not in (2, 3):
+        raise ValueError(f"features must be (H, W, C) or (P, C), got {features.shape}")
+    *lead, c = features.shape
+    if math.prod(lead) == 0:
+        return Tensor(np.zeros((depth.bins, *lead)))
+    logits = nm.conv(nm.reshape(features, (-1, 1, 1, c)), params.weight, params.bias)
     dist = nm.transpose(nm.softmax(nm.reshape(logits, (-1, depth.bins)), axis=-1), (1, 0))
-    return dist if pixels is not None else nm.reshape(dist, (depth.bins, h, w))
+    return dist if features.ndim == 2 else nm.reshape(dist, (depth.bins, *lead))
 
 
 def lift_image_to_voxels(
@@ -308,11 +344,12 @@ def lift_image_to_voxels(
 
     Every voxel center in view (see :func:`lift_footprint`) receives the
     bilinear pixel feature scaled by the occupancy probability read from the
-    depth distribution at its (u, v, d).  With a ``footprint``,
-    ``depth_dist`` is the (D, P) columns of its ``read`` pixels and the
-    result is the (V, C) lifted rows, row i for voxel ``footprint.voxels[i]``.
-    Without one, ``depth_dist`` is the full (D, H, W) distribution: the
-    footprint is built from ``calib``, its ``read`` columns are gathered and
+    depth distribution at its (u, v, d).  With a ``footprint``, ``features``
+    is the (P, C) rows and ``depth_dist`` the (D, P) columns of its ``read``
+    pixels, and the result is the (V, C) lifted rows, row i for voxel
+    ``footprint.voxels[i]``.  Without one, ``features`` is the (H, W, C) map
+    and ``depth_dist`` the full (D, H, W) distribution: the footprint of
+    ``calib`` is looked up, its ``read`` rows and columns are gathered and
     lifted, and the result is the dense (X, Y, Z, C) grid, those rows placed
     on zeros.  Differentiable with respect to ``features`` and ``depth_dist``.
 
@@ -320,32 +357,37 @@ def lift_image_to_voxels(
     footprint's entries: the pixel feature P @ features and the occupancy
     O @ depth_dist; the gradients are P^T and O^T products.
     """
-    h, w, c = features.shape
+    c = features.shape[-1]
     if spec.channels != c:
         raise ValueError(f"grid channels {spec.channels} != image channels {c}")
     if footprint is None:
+        if features.ndim != 3:
+            raise ValueError(f"features must be an (H, W, C) map, got {features.shape}")
+        h, w = features.shape[:2]
         if tuple(depth_dist.shape) != (depth.bins, h, w):
             raise ValueError(f"depth distribution shape {depth_dist.shape} != {(depth.bins, h, w)}")
         fp = lift_footprint(calib, spec, depth, (h, w))
+        rows = nm.getitem(nm.reshape(features, (h * w, c)), fp.read)
         columns = nm.getitem(nm.reshape(depth_dist, (depth.bins, h * w)), (slice(None), fp.read))
-        rows = lift_image_to_voxels(features, columns, calib, spec, depth, fp)
-        return nm.place_rows(rows, fp.voxels, np.zeros(c), spec.counts + (c,))
-    if footprint.image_hw != (h, w):
-        raise ValueError(f"footprint image {footprint.image_hw} != features ({h}, {w})")
-    want = (depth.bins, footprint.read.size)
+        lifted = lift_image_to_voxels(rows, columns, calib, spec, depth, fp)
+        return nm.place_rows(lifted, fp.voxels, np.zeros(c), spec.counts + (c,))
+    n_read = footprint.read.size
+    if tuple(features.shape) != (n_read, c):
+        raise ValueError(f"features shape {features.shape} != {(n_read, c)}, the read rows")
+    want = (depth.bins, n_read)
     if tuple(depth_dist.shape) != want:
         raise ValueError(f"depth distribution shape {depth_dist.shape} != {want}, the read columns")
     pixel_entries = footprint.pixels, footprint.weights
     occupancy_entries = footprint.occupancy_cells, footprint.occupancy_weights
     d_flat = depth_dist.data.reshape(-1)
 
-    pixel_feat = nm.interpolation_matrix(*pixel_entries, h * w) @ features.data.reshape(h * w, c)
+    pixel_feat = nm.interpolation_matrix(*pixel_entries, n_read) @ features.data
     occupancy = nm.interpolation_matrix(*occupancy_entries, d_flat.size) @ d_flat
 
     def backward(g):
         if features.requires_grad:
-            p_t = nm.interpolation_matrix(*pixel_entries, h * w, transpose=True)
-            nm.accumulate_grad(features, (p_t @ (occupancy[:, None] * g)).reshape(h, w, c))
+            p_t = nm.interpolation_matrix(*pixel_entries, n_read, transpose=True)
+            nm.accumulate_grad(features, p_t @ (occupancy[:, None] * g))
         if depth_dist.requires_grad:
             o_t = nm.interpolation_matrix(*occupancy_entries, d_flat.size, transpose=True)
             g_occ = (g * pixel_feat).sum(axis=1)

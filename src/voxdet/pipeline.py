@@ -204,12 +204,14 @@ def _stage(name):
 
 
 def _lift_camera(cam, scene, config, params):
-    # one projection per camera; the depth head runs only on the pixels it
-    # reads, and the lift returns the rows of the voxels it fills
-    feats = Tensor(cam.features)
+    # one cached projection per calibration; only the pixels the lift reads are
+    # gathered and widened to float64 for the depth head and the lift, which
+    # returns the rows of the voxels it fills
+    h, w, c = cam.features.shape
     calib = scene.initial_frame_calibration(cam)
-    footprint = lift_footprint(calib, config.grid, config.depth, feats.shape[:2])
-    dist = predict_depth_distribution(feats, params.depth_head, config.depth, footprint.read)
+    footprint = lift_footprint(calib, config.grid, config.depth, (h, w))
+    feats = Tensor(cam.features.reshape(h * w, c)[footprint.read])
+    dist = predict_depth_distribution(feats, params.depth_head, config.depth)
     rows = lift_image_to_voxels(feats, dist, calib, config.grid, config.depth, footprint)
     return rows, footprint.voxels
 

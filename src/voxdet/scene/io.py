@@ -6,8 +6,9 @@ Layout of a scene directory:
     cam_<s>_<c>.f32 per-camera feature map, (H, W, C) row-major
     points.f32      point records, (N, 5) rows of (x, y, z, intensity, time)
 
-All multi-byte values are little-endian float32; arrays are widened to
-float64 in memory.  read_scene(write_scene(s)) reproduces s bit-exactly.
+All multi-byte values are little-endian float32.  A camera map stays float32
+in memory (the lift widens only the pixels it reads); the point records are
+widened to float64.  read_scene(write_scene(s)) reproduces s bit-exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _read_blob(path: Path, shape: tuple[int, ...], field: str) -> np.ndarray:
             f"{field}: file {path.name} holds {raw.size} values, "
             f"manifest declares shape {shape} ({expected})"
         )
-    return raw.reshape(shape).astype(np.float64)
+    return raw.reshape(shape)
 
 
 @contextmanager
@@ -132,14 +133,15 @@ def read_scene(path) -> Scene:
                 intrinsics=np.array(entry.intrinsics),
                 extrinsic=np.array(entry.extrinsic),
             )
-        cameras.append(
-            CameraView(
-                name=entry.name,
-                calibration=calib,
-                features=feats,
-                time_offset=entry.time_offset,
+        with _entry(f"camera {entry.name}"):
+            cameras.append(
+                CameraView(
+                    name=entry.name,
+                    calibration=calib,
+                    features=feats,
+                    time_offset=entry.time_offset,
+                )
             )
-        )
 
     records = _read_blob(root / manifest.points_file, (manifest.num_points, 5), "points")
     cloud = PointCloud(records[:, :3], records[:, 3], records[:, 4])

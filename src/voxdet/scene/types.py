@@ -129,13 +129,18 @@ class CameraView:
 
     name: str
     calibration: CameraCalibration
-    features: np.ndarray  # (H, W, C) float64
+    features: np.ndarray  # (H, W, C), finite; a float32 map stays float32, others float64
     time_offset: float = 0.0
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 3:
-            raise ValueError(f"camera features must be (H, W, C), got {self.features.shape}")
+        features = np.asarray(self.features)
+        if features.dtype != np.float32:
+            features = features.astype(np.float64, copy=False)
+        if features.ndim != 3:
+            raise ValueError(f"camera features must be (H, W, C), got {features.shape}")
+        if not np.isfinite(features).all():
+            raise ValueError("camera features must be finite")
+        self.features = features
 
 
 @dataclass

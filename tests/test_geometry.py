@@ -6,6 +6,7 @@ from voxdet.geometry import (
     CameraCalibration,
     EgoPose,
     VoxelGridSpec,
+    _check_rigid,
     align_to_initial,
     metric_to_grid_coords,
     voxel_centers,
@@ -161,3 +162,65 @@ class TestValidation:
     def test_non_finite_range_names_axis(self, bound):
         with pytest.raises(ValueError, match="y_range must be finite"):
             VoxelGridSpec((0.0, 1.0), (bound, 8.0), (0.0, 1.0), (1, 1, 1), 1)
+
+
+def _allclose_rigid(matrix, allow_mirror):
+    """The rigid check as ``np.allclose`` states it: the oracle of ``_check_rigid``."""
+    m = np.asarray(matrix, dtype=np.float64)
+    r = m[:3, :3]
+    if not np.allclose(r @ r.T, np.eye(3), atol=1e-9):
+        return False
+    det = float(np.linalg.det(r))
+    if not (abs(abs(det) - 1.0) < 1e-9 if allow_mirror else abs(det - 1.0) < 1e-9):
+        return False
+    return bool(np.allclose(m[3], (0.0, 0.0, 0.0, 1.0), atol=1e-12))
+
+
+def _with(entries):
+    m = np.eye(4)
+    for index, value in entries.items():
+        m[index] = value
+    return m
+
+
+def _stretch(a):
+    # R R^T = diag(a^2, 1/a^2, 1) and det R = 1: only the diagonal bound is tested
+    return _with({(0, 0): a, (1, 1): 1.0 / a})
+
+
+_c, _s = np.cos(0.3), np.sin(0.3)
+# (matrix, accepted without a mirror, accepted with one)
+RIGID_TABLE = {
+    "identity": (np.eye(4), True, True),
+    "rotation": (_with({(0, 0): _c, (0, 1): -_s, (1, 0): _s, (1, 1): _c, (0, 3): 4.0}),
+                 True, True),
+    "mirrored": (np.diag([-1.0, 1.0, 1.0, 1.0]), False, True),
+    "off_diagonal_inside": (_with({(0, 1): 0.9e-9}), True, True),
+    "off_diagonal_outside": (_with({(0, 1): 1.1e-9}), False, False),
+    # the relative bound 1e-5 |I| of allclose's default rtol admits these
+    "diagonal_inside": (_stretch(1.0 + 0.4e-5), True, True),
+    "diagonal_outside": (_stretch(1.0 + 0.6e-5), False, False),
+    "bottom_zero_inside": (_with({(3, 0): 0.9e-12}), True, True),
+    "bottom_zero_outside": (_with({(3, 0): 1.1e-12}), False, False),
+    "bottom_one_inside": (_with({(3, 3): 1.0 + 0.9e-5}), True, True),
+    "bottom_one_outside": (_with({(3, 3): 1.0 + 1.1e-5}), False, False),
+    "wrong_bottom_row": (_with({(3, 2): 1.0}), False, False),
+    "nan_rotation": (_with({(1, 2): np.nan}), False, False),
+    "nan_bottom_row": (_with({(3, 3): np.nan}), False, False),
+    "inf_rotation": (_with({(2, 2): np.inf}), False, False),
+    "inf_bottom_row": (_with({(3, 1): -np.inf}), False, False),
+}
+
+
+@pytest.mark.parametrize("name", list(RIGID_TABLE))
+def test_rigid_check_agrees_with_allclose_form(name):
+    matrix, want, want_mirror = RIGID_TABLE[name]
+    # an inf entry makes R R^T NaN in both forms alike
+    with np.errstate(invalid="ignore"):
+        for allow_mirror, expected in ((False, want), (True, want_mirror)):
+            try:
+                _check_rigid(matrix, "m", allow_mirror=allow_mirror)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == _allclose_rigid(matrix, allow_mirror) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -210,19 +211,21 @@ class TestLiftFootprint:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_read_columns_lift_like_the_full_distribution(self, seed):
-        # with a footprint the lift returns the rows of its voxels; without one,
+        # with a footprint the lift takes the read rows and columns and returns
+        # the rows of its voxels; without one it takes the image and returns
         # the dense grid
         spec, depth, calib, feats, dist, rng = _partial_view(seed)
         fp = lift_footprint(calib, spec, depth, feats.shape[:2])
         assert 0 < fp.voxels.size < math.prod(spec.counts)
         assert 0 < fp.read.size < 16 * 16
+        rows = np.ascontiguousarray(feats.reshape(-1, 3)[fp.read])
         columns = np.ascontiguousarray(dist.reshape(8, -1)[:, fp.read])
         probe = rng.standard_normal(spec.counts + (3,))
 
         def read_set_lift(f, d, calib, spec, depth):
             return lift_image_to_voxels(f, d, calib, spec, depth, fp)
 
-        out, df, dd = _lift_values_and_grads(read_set_lift, feats, columns, calib, spec,
+        out, df, dd = _lift_values_and_grads(read_set_lift, rows, columns, calib, spec,
                                              depth, probe.reshape(-1, 3)[fp.voxels])
         want, df_want, dd_want = _lift_values_and_grads(lift_image_to_voxels, feats, dist,
                                                         calib, spec, depth, probe)
@@ -230,10 +233,35 @@ class TestLiftFootprint:
         assert out.shape == (fp.voxels.size, 3) and np.abs(out).max() > 0
         assert np.array_equal(out, want[fp.voxels])
         assert not np.delete(want, fp.voxels, axis=0).any()
-        assert np.array_equal(df, df_want)
+        assert df.shape == (fp.read.size, 3)
+        assert np.array_equal(df, df_want.reshape(-1, 3)[fp.read])
         assert np.array_equal(dd, dd_want.reshape(8, -1)[:, fp.read])
         unread = np.setdiff1d(np.arange(16 * 16), fp.read)
         assert not dd_want.reshape(8, -1)[:, unread].any()
+
+    def test_features_gradient_scatters_to_the_image_transpose_product(self):
+        # the (P, C) features gradient, put back on the image, is the P^T product
+        # of the pixel read indexed by flat image pixels; its zero-weight
+        # entries read another pixel and add only zeros
+        spec, depth, calib, feats, dist, rng = _partial_view(7)
+        fp = lift_footprint(calib, spec, depth, feats.shape[:2])
+        rows = np.ascontiguousarray(feats.reshape(-1, 3)[fp.read])
+        columns = np.ascontiguousarray(dist.reshape(8, -1)[:, fp.read])
+        probe = rng.standard_normal((fp.voxels.size, 3))
+
+        def read_set_lift(f, d, calib, spec, depth):
+            return lift_image_to_voxels(f, d, calib, spec, depth, fp)
+
+        _, df, _ = _lift_values_and_grads(read_set_lift, rows, columns, calib, spec, depth,
+                                          probe)
+        occupancy = nm.interpolation_matrix(fp.occupancy_cells, fp.occupancy_weights,
+                                            columns.size) @ columns.ravel()
+        p_t = nm.interpolation_matrix(fp.read[fp.pixels], fp.weights, 16 * 16, transpose=True)
+        want = p_t @ (occupancy[:, None] * probe)
+        scattered = np.zeros((16 * 16, 3))
+        scattered[fp.read] = df
+        assert np.abs(want).max() > 0
+        assert np.array_equal(scattered, want)
 
     def test_occupancy_entries_match_the_oracle(self):
         # camera frame = ego frame, x, y in {-3, 0, 3} and depths 2..8: every
@@ -263,7 +291,7 @@ class TestLiftFootprint:
         params = DepthHeadParams.create(rng, 3, depth.bins)
         fp = lift_footprint(calib, spec, depth, feats.shape[:2])
         full = predict_depth_distribution(Tensor(feats), params, depth)
-        read = predict_depth_distribution(Tensor(feats), params, depth, fp.read)
+        read = predict_depth_distribution(Tensor(feats.reshape(-1, 3)[fp.read]), params, depth)
         assert read.shape == (depth.bins, fp.read.size)
         assert np.array_equal(read.data, full.data.reshape(depth.bins, -1)[:, fp.read])
 
@@ -275,9 +303,10 @@ class TestLiftFootprint:
         params = DepthHeadParams.create(np.random.default_rng(0), 2, depth.bins)
         fp = lift_footprint(calib, spec, depth, (16, 16))
         assert fp.voxels.size == fp.read.size == 0
+        rows = Tensor(feats.data.reshape(-1, 2)[fp.read])
         with Tape():
-            dist = predict_depth_distribution(feats, params, depth, fp.read)
-            out = lift_image_to_voxels(feats, dist, calib, spec, depth, fp)
+            dist = predict_depth_distribution(rows, params, depth)
+            out = lift_image_to_voxels(rows, dist, calib, spec, depth, fp)
         assert dist.shape == (depth.bins, 0)
         assert out.shape == (0, 2)
         grid = lift_image_to_voxels(feats, Tensor(np.full((depth.bins, 16, 16), 0.125)),
@@ -286,24 +315,88 @@ class TestLiftFootprint:
         np.testing.assert_array_equal(grid.data, 0.0)
 
     def test_footprint_of_another_image_size_rejected(self):
+        # the rows a (16, 16) footprint reads do not fit a (16, 15) one
         spec, depth, calib, feats, dist, _ = _partial_view(5)
         fp = lift_footprint(calib, spec, depth, (16, 15))
-        with pytest.raises(ValueError, match="footprint image"):
-            lift_image_to_voxels(Tensor(feats), Tensor(dist), calib, spec, depth, fp)
+        read = lift_footprint(calib, spec, depth, (16, 16)).read
+        assert read.size != fp.read.size
+        columns = Tensor(np.full((depth.bins, fp.read.size), 1.0 / depth.bins))
+        with pytest.raises(ValueError, match=r"features shape .* the read rows"):
+            lift_image_to_voxels(Tensor(feats.reshape(-1, 3)[read]), columns, calib, spec,
+                                 depth, fp)
+
+    def test_image_map_with_a_footprint_rejected(self):
+        # with a footprint the lift takes only the (P, C) read rows
+        spec, depth, calib, feats, dist, _ = _partial_view(5)
+        fp = lift_footprint(calib, spec, depth, feats.shape[:2])
+        columns = Tensor(np.ascontiguousarray(dist.reshape(8, -1)[:, fp.read]))
+        with pytest.raises(ValueError, match=r"features shape \(16, 16, 3\)"):
+            lift_image_to_voxels(Tensor(feats), columns, calib, spec, depth, fp)
 
     def test_distribution_of_other_columns_rejected(self):
         spec, depth, calib, feats, dist, _ = _partial_view(6)
         fp = lift_footprint(calib, spec, depth, feats.shape[:2])
         wrong = Tensor(np.full((depth.bins, fp.read.size + 1), 1.0 / depth.bins))
         with pytest.raises(ValueError, match="depth distribution shape"):
-            lift_image_to_voxels(Tensor(feats), wrong, calib, spec, depth, fp)
+            lift_image_to_voxels(Tensor(feats.reshape(-1, 3)[fp.read]), wrong, calib, spec,
+                                 depth, fp)
 
     def test_every_pixel_distribution_with_a_footprint_rejected(self):
         # with a footprint the lift takes only the (D, P) read columns
         spec, depth, calib, feats, dist, _ = _partial_view(6)
         fp = lift_footprint(calib, spec, depth, feats.shape[:2])
         with pytest.raises(ValueError, match=r"depth distribution shape \(8, 16, 16\)"):
-            lift_image_to_voxels(Tensor(feats), Tensor(dist), calib, spec, depth, fp)
+            lift_image_to_voxels(Tensor(feats.reshape(-1, 3)[fp.read]), Tensor(dist), calib,
+                                 spec, depth, fp)
+
+
+class TestFootprintCache:
+    @staticmethod
+    def _calib(extrinsic=None):
+        k = np.array([[8.0, 0.0, 7.5], [0.0, 8.0, 7.5], [0.0, 0.0, 1.0]])
+        if extrinsic is None:
+            extrinsic = side_camera(yaw=0.1).extrinsic
+        return CameraCalibration(intrinsics=k, extrinsic=np.array(extrinsic))
+
+    def test_equal_calibrations_share_one_footprint(self):
+        spec, depth, _, _, _, _ = _partial_view(0)
+        a = lift_footprint(self._calib(), spec, depth, (16, 16))
+        b = lift_footprint(self._calib(), spec, depth, [16.0, 16])
+        assert a is b and a.voxels.size > 0
+
+    def test_one_ulp_of_one_extrinsic_entry_misses(self):
+        spec, depth, _, _, _, _ = _partial_view(0)
+        calib = self._calib()
+        moved = np.array(calib.extrinsic)
+        moved[0, 0] = np.nextafter(moved[0, 0], np.inf)
+        a = lift_footprint(calib, spec, depth, (16, 16))
+        b = lift_footprint(self._calib(moved), spec, depth, (16, 16))
+        assert a is not b
+        assert lift_footprint(calib, spec, depth, (16, 15)) is not a
+        assert lift_footprint(calib, spec, DepthSpec(bins=9, depth_limit=10.0), (16, 16)) is not a
+
+    def test_cached_arrays_are_read_only_int32_indices(self):
+        spec, depth, _, _, _, _ = _partial_view(0)
+        fp = lift_footprint(self._calib(), spec, depth, (16, 16))
+        for field in ("voxels", "pixels", "weights", "occupancy_cells", "occupancy_weights",
+                      "read"):
+            array = getattr(fp, field)
+            want = np.float64 if "weights" in field else np.int32
+            assert array.dtype == want and array.size > 0, field
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_uncached_builder_is_the_oracle(self):
+        spec, depth, _, _, _, _ = _partial_view(0)
+        calib = self._calib()
+        lift_footprint.cache_clear()
+        cached = lift_footprint(calib, spec, depth, (16, 16))
+        assert lift_footprint.cache_info().currsize == 1
+        built = lift_footprint.__wrapped__(calib, spec, depth, (16, 16))
+        assert built is not cached and lift_footprint.cache_info().currsize == 1
+        for field in dataclasses.fields(built):
+            a, b = getattr(built, field.name), getattr(cached, field.name)
+            assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
 
 
 class TestSweepFusion:

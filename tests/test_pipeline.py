@@ -26,7 +26,7 @@ from voxdet.pipeline import (
     run_detection,
     run_sequence,
 )
-from voxdet.scene import SceneConfig, generate_scene, generate_sequence
+from voxdet.scene import SceneConfig, generate_scene, generate_sequence, read_scene, write_scene
 from voxdet.scene.types import PointCloud, Scene
 
 
@@ -309,6 +309,46 @@ class TestReadSetLift:
                             (96, 128))
         assert rows == [fp.read.size]
         assert 0 < fp.read.size < 96 * 128 // 8
+
+    def test_float32_map_lifts_like_its_float64_values(self):
+        # the lift widens the read pixels of a float32 map; the same values in
+        # float64 lift to the same bytes
+        scene = generate_scene(SceneConfig(n_objects=1, n_cameras=2, channels=32), 5)
+        config = PipelineConfig(use_lidar=False)
+        params = build_model(config)
+        for cam in scene.cameras:
+            narrow = dataclasses.replace(cam, features=cam.features.astype(np.float32))
+            assert (narrow.features.dtype, cam.features.dtype) == (np.float32, np.float64)
+            assert np.array_equal(narrow.features, cam.features)
+            rows, voxels = pipeline._lift_camera(cam, scene, config, params)
+            rows32, voxels32 = pipeline._lift_camera(narrow, scene, config, params)
+            assert rows.data.tobytes() == rows32.data.tobytes()
+            assert np.array_equal(voxels, voxels32)
+
+
+def _output_bytes(result):
+    dets = [(*d.center, *d.size, d.yaw, *d.velocity, d.class_id, d.score)
+            for d in result.detections]
+    return [np.asarray(dets).tobytes()] + [
+        t.data.tobytes() for b in result.raw.decode.blocks
+        for t in (b.class_logits, b.box_params, b.reference_out)]
+
+
+def test_rig_frames_detect_alike_with_a_cold_and_a_warm_footprint_cache(tmp_path):
+    # 6 cameras over 2 sweeps, 4 frames read from disk: the rig-track benchmark's rig
+    scene_config = SceneConfig(n_cameras=6, image_height=96, image_width=128,
+                               n_camera_sweeps=2, n_lidar_sweeps=2, ego_speed=2.0)
+    config = PipelineConfig()
+    params = build_model(config, n_camera_sweeps=2)
+    for i, frame in enumerate(generate_sequence(scene_config, 11, 4, 0.5)):
+        write_scene(frame, tmp_path / f"frame_{i}")
+        scene = read_scene(tmp_path / f"frame_{i}")
+        lift_footprint.cache_clear()
+        cold = run_detection(scene, config, params)
+        hits = lift_footprint.cache_info().hits
+        warm = run_detection(scene, config, params)
+        assert lift_footprint.cache_info().hits == hits + len(scene.cameras) == 12
+        assert _output_bytes(cold) == _output_bytes(warm)
 
 
 def test_fused_kt_teacher_is_dense_fusion_off_the_tape():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from voxdet.geometry import project_points
+from voxdet.modality import lift_footprint
+from voxdet.pipeline import PipelineConfig
 from voxdet.scene import (
     Box3D,
     SceneConfig,
@@ -21,6 +23,7 @@ from voxdet.scene import (
     write_scene,
 )
 from voxdet.scene.generate import _convex_hull, _ego_pose, _paint_camera
+from voxdet.scene.types import CameraView
 
 from helpers import BAD_SCENE_FIELDS
 
@@ -192,6 +195,29 @@ class TestRasterization:
         assert painted > 0
 
 
+def _unread_pixel(scene, cam):
+    """(v, u) of a pixel the default pipeline's lift of ``cam`` does not read."""
+    config = PipelineConfig()
+    h, w, _ = cam.features.shape
+    fp = lift_footprint(scene.initial_frame_calibration(cam), config.grid, config.depth, (h, w))
+    unread = np.setdiff1d(np.arange(h * w), fp.read)
+    assert 0 < fp.read.size and unread.size > 0
+    return divmod(int(unread[0]), w)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_camera_map_rejected(dtype, bad):
+    # the lift widens and checks only the pixels it reads; the view checks them all
+    scene = generate_scene(SceneConfig(n_objects=1, channels=8), 2)
+    cam = scene.cameras[0]
+    v, u = _unread_pixel(scene, cam)
+    features = cam.features.astype(dtype)
+    features[v, u, 3] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        CameraView(cam.name, cam.calibration, features, cam.time_offset)
+
+
 class TestSceneIO:
     def test_round_trip_exact(self, tmp_path):
         scene = generate_scene(SceneConfig(n_objects=2, channels=8), 23)
@@ -205,6 +231,26 @@ class TestSceneIO:
         blob.write_bytes(blob.read_bytes()[:-4])
         with pytest.raises(SceneIOError, match="cam_0_0"):
             read_scene(tmp_path / "scene")
+
+    def test_non_finite_camera_map_named(self, tmp_path):
+        scene = generate_scene(SceneConfig(n_objects=1, channels=8), 2)
+        write_scene(scene, tmp_path / "scene")
+        cam = scene.cameras[0]
+        _, w, c = cam.features.shape
+        v, u = _unread_pixel(scene, cam)
+        blob = tmp_path / "scene" / f"{cam.name}.f32"
+        values = np.fromfile(blob, dtype="<f4")
+        values[(v * w + u) * c] = np.nan
+        values.tofile(blob)
+        with pytest.raises(SceneIOError, match=f"camera {cam.name}: .*features must be finite"):
+            read_scene(tmp_path / "scene")
+
+    def test_camera_map_stays_float32(self, tmp_path):
+        scene = generate_scene(SceneConfig(n_objects=1, channels=8), 2)
+        write_scene(scene, tmp_path / "scene")
+        read = read_scene(tmp_path / "scene")
+        assert {cam.features.dtype for cam in read.cameras} == {np.dtype(np.float32)}
+        assert read.cloud.xyz.dtype == np.float64
 
     def test_version_mismatch(self, tmp_path):
         scene = generate_scene(SceneConfig(n_objects=1, channels=8), 2)
