@@ -33,10 +33,18 @@ _BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 _BOTTOM_ROW_TOL = 1e-12 + 1e-5 * np.abs(_BOTTOM_ROW)
 
 
+def _check_finite(m: np.ndarray, what: str) -> None:
+    """Reject a non-finite entry of ``m``, naming the first by its index."""
+    if not np.isfinite(m).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(m))[0])
+        raise ValueError(f"{what} entry {index} must be finite, got {m[index]}")
+
+
 def _check_rigid(matrix: np.ndarray, what: str, allow_mirror: bool = False) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.shape != (4, 4):
         raise ValueError(f"{what} must be a 4x4 matrix, got {m.shape}")
+    _check_finite(m, what)
     r = m[:3, :3]
     if not (np.abs(r @ r.T - _EYE3) <= _EYE3_TOL).all():
         raise ValueError(f"{what} rotation block is not orthonormal")
@@ -71,6 +79,7 @@ class CameraCalibration:
         k = np.asarray(self.intrinsics, dtype=np.float64)
         if k.shape != (3, 3):
             raise ValueError(f"intrinsics must be 3x3, got {k.shape}")
+        _check_finite(k, "intrinsics")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")
         object.__setattr__(self, "intrinsics", k)
@@ -104,6 +113,8 @@ class EgoPose:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _check_rigid(self.matrix, "ego pose"))
+        if not np.isfinite(self.timestamp):
+            raise ValueError(f"ego pose timestamp must be finite, got {self.timestamp}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,11 @@ The engine is a classic explicit tape: differentiable operations executed
 while a :class:`Tape` is active append themselves to it, and
 :func:`backward` replays the records in exact reverse execution order,
 accumulating gradients additively into every reachable node.  Tapes are
-single-use.  When no tape is active, operations run as plain forward
+single-use, and the replay releases the tape as it goes: each recorded node
+drops its closure when it is replayed and its gradient once that closure has
+run, so after backward no recorded node holds a gradient or a closure.
+Leaves (parameters and ``requires_grad`` inputs) are never recorded and keep
+their gradients.  When no tape is active, operations run as plain forward
 computations with no recording overhead.
 """
 
@@ -44,6 +48,8 @@ class Tensor:
 
     ``data`` is always a C-contiguous float64 ndarray.  ``grad`` is lazily
     allocated during backward for nodes that participate in differentiation.
+    A leaf keeps it after backward; a node recorded on the tape holds it only
+    until its own backward closure has run, then drops it with the closure.
     ``data`` must be finite; ``checked`` skips that check for values already
     known to be finite.
     """
@@ -197,11 +203,15 @@ def record_op(
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into every node recorded on ``tape``.
+    """Accumulate d(loss)/d(leaf) into every leaf the loss reaches through ``tape``.
 
     ``loss`` must be a scalar produced under the tape.  Each tape can be
     replayed once; the reverse sweep visits operations in exact reverse
-    execution order so fan-out gradients accumulate additively.
+    execution order so fan-out gradients accumulate additively.  It pops
+    each node off the tape, detaches its closure and clears its gradient once
+    the closure has run, so only the leaves' gradients outlive the call and
+    the graph is freed as it is walked, not when the last reference to the
+    loss goes.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
@@ -209,10 +219,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise RuntimeError("tape already replayed; tapes are single-use")
     tape._consumed = True
     accumulate_grad(loss, np.ones_like(loss.data))
-    for node in reversed(tape._nodes):
-        if node.grad is None or node._backward is None:
-            continue
-        node._backward(node.grad)
+    nodes = tape._nodes
+    while nodes:
+        node = nodes.pop()
+        fn, node._backward = node._backward, None
+        if node.grad is not None:
+            fn(node.grad)
+            node.grad = None
 
 
 def as_tensor(value) -> Tensor:

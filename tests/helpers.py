@@ -382,6 +382,16 @@ def fuse_sweeps_image_oracle(spaces, time_offsets, params) -> Tensor:
     return nm.conv(nm.concat(merged, axis=3), params.fuse_weight, params.fuse_bias)
 
 
+def backward_keeping_the_tape(tape, loss: Tensor) -> None:
+    """Replay ``tape`` in exact reverse order, releasing nothing: every recorded
+    node keeps its closure and its gradient afterwards."""
+    nm.accumulate_grad(loss, np.ones_like(loss.data))
+    for node in reversed(tape._nodes):
+        if node.grad is None or node._backward is None:
+            continue
+        node._backward(node.grad)
+
+
 def closure_arrays(fn, seen=None):
     """Every ndarray a backward closure keeps, through nested functions, lists and tuples."""
     seen = set() if seen is None else seen

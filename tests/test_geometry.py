@@ -163,6 +163,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="y_range must be finite"):
             VoxelGridSpec((0.0, 1.0), (bound, 8.0), (0.0, 1.0), (1, 1, 1), 1)
 
+    @pytest.mark.parametrize("index, value", [((0, 0), np.nan), ((1, 1), -np.inf),
+                                              ((0, 2), np.inf), ((1, 2), np.nan)])
+    def test_non_finite_intrinsic_named(self, index, value):
+        k = np.array([[10.0, 0.0, 7.5], [0.0, 10.0, 7.5], [0.0, 0.0, 1.0]])
+        k[index] = value
+        with pytest.raises(ValueError, match=rf"intrinsics entry \({index[0]}, {index[1]}\) "
+                                             "must be finite"):
+            CameraCalibration(intrinsics=k, extrinsic=np.eye(4))
+
+    def test_non_finite_extrinsic_translation_named(self):
+        with pytest.raises(ValueError, match=r"extrinsic entry \(0, 3\) must be finite, got nan"):
+            make_calib(extrinsic=_with({(0, 3): np.nan}))
+
+    def test_non_finite_pose_translation_named(self):
+        with pytest.raises(ValueError, match=r"ego pose entry \(2, 3\) must be finite, got inf"):
+            EgoPose(_with({(2, 3): np.inf}))
+
+    @pytest.mark.parametrize("timestamp", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pose_timestamp_named(self, timestamp):
+        with pytest.raises(ValueError, match="ego pose timestamp must be finite"):
+            EgoPose(np.eye(4), timestamp)
+
 
 def _allclose_rigid(matrix, allow_mirror):
     """The rigid check as ``np.allclose`` states it: the oracle of ``_check_rigid``."""
@@ -224,3 +246,14 @@ def test_rigid_check_agrees_with_allclose_form(name):
             except ValueError:
                 accepted = False
             assert accepted == _allclose_rigid(matrix, allow_mirror) == expected
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_rigid_check_rejects_a_non_finite_translation(row, value):
+    # the allclose form reads only the rotation block and the bottom row
+    matrix = _with({(row, 3): value})
+    assert _allclose_rigid(matrix, allow_mirror=False)
+    for allow_mirror in (False, True):
+        with pytest.raises(ValueError, match=rf"m entry \({row}, 3\) must be finite"):
+            _check_rigid(matrix, "m", allow_mirror=allow_mirror)

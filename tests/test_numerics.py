@@ -579,6 +579,53 @@ class TestBackward:
         p.reset_gradient()
         np.testing.assert_array_equal(p.grad, 0.0)
 
+    def test_replay_releases_recorded_nodes_and_keeps_leaf_gradients(self):
+        x = Tensor([1.5, -2.0, 0.5], requires_grad=True)
+        p = Parameter("w", [0.5, 1.0, -1.0])
+        with Tape() as tape:
+            loss = nm.tsum(nm.square(nm.mul(x, p)))
+        recorded = list(tape._nodes)
+        backward(tape, loss)
+        assert len(recorded) == 3 and tape._nodes == []
+        assert all(node.grad is None and node._backward is None for node in recorded)
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data * p.data ** 2)
+        np.testing.assert_array_equal(p.grad, 2.0 * p.data * x.data ** 2)
+        with pytest.raises(RuntimeError, match="single-use"):
+            backward(tape, loss)
+
+    def test_kept_loss_holds_no_graph_after_backward(self):
+        # a training loop keeps the last step's loss while it records the next step
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((12, 12, 12, 4)))
+        kernels = [Parameter(f"k{i}", 0.1 * rng.standard_normal((3, 3, 3, 4, 4)))
+                   for i in range(2)]
+        biases = [Parameter(f"b{i}", np.zeros(4)) for i in range(2)]
+
+        def step():
+            with Tape() as tape:
+                h = x
+                for k, b in zip(kernels, biases):
+                    h = nm.relu(nm.conv(h, k, b, padding=1))
+                loss = nm.tsum(nm.square(h))
+            graph_bytes = sum(node.data.nbytes for node in tape._nodes)
+            backward(tape, loss)
+            return loss, graph_bytes
+
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            first, graph_bytes = step()
+            held, first_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            second, _ = step()
+            _, second_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.item() > 0.0 and second.item() > 0.0
+        assert held - start < graph_bytes
+        # the second step's peak does not stack on the first step's graph
+        assert second_peak - first_peak < graph_bytes
+
     def test_nonparticipating_parameter_stays_zero(self):
         p = Parameter("unused", np.ones(2))
         q = Parameter("used", np.ones(2))

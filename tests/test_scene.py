@@ -336,6 +336,15 @@ def _drop(key):
      r"cameras\[0\]: intrinsics must be 3x3, got \(2, 2\)"),
     ("ego_poses", lambda entry: entry["matrix"][3].__setitem__(0, 1.0),
      r"ego_poses\[0\]: ego pose bottom row must be \(0, 0, 0, 1\)"),
+    # json writes and reads NaN and Infinity
+    ("cameras", lambda entry: entry["intrinsics"][0].__setitem__(0, math.nan),
+     r"cameras\[0\]: intrinsics entry \(0, 0\) must be finite, got nan"),
+    ("cameras", lambda entry: entry["extrinsic"][1].__setitem__(3, math.nan),
+     r"cameras\[0\]: extrinsic entry \(1, 3\) must be finite, got nan"),
+    ("ego_poses", lambda entry: entry["matrix"][0].__setitem__(3, math.inf),
+     r"ego_poses\[0\]: ego pose entry \(0, 3\) must be finite, got inf"),
+    ("ego_poses", lambda entry: entry.update(time_offset=math.nan),
+     r"ego_poses\[0\]: ego pose timestamp must be finite, got nan"),
 ])
 def test_malformed_manifest_entry_named(tmp_path, section, edit, message):
     write_scene(generate_scene(SceneConfig(n_objects=1, channels=8), 2), tmp_path / "scene")

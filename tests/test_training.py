@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from helpers import brute_force_assignment_total, cost_matrix_oracle, encode_box_oracle
+from helpers import (
+    backward_keeping_the_tape,
+    brute_force_assignment_total,
+    cost_matrix_oracle,
+    encode_box_oracle,
+)
 from voxdet import training
-from voxdet.decoder import BlockPrediction, encode_boxes
+from voxdet.decoder import BlockPrediction, DecoderConfig, encode_boxes
 from voxdet.geometry import VoxelGridSpec
-from voxdet.numerics import Tensor
-from voxdet.pipeline import PipelineConfig
+from voxdet.numerics import Tape, Tensor, backward
+from voxdet.pipeline import PipelineConfig, build_model
 from voxdet.scene import SceneConfig, generate_scene
 from voxdet.scene.types import Box3D
 from voxdet.training import (
@@ -309,6 +314,37 @@ class TestMicroFit:
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergenceError, match="step 3"):
                 micro_fit(self.SCENE, self.CONFIG, steps=30, learning_rate=1e8, seed=3)
+
+
+REPLAY_CASES = {
+    # criterion 5's micro-fit step
+    "desk": (SceneConfig(n_objects=2, channels=32), PipelineConfig(use_camera=False)),
+    # 20 objects, 300 queries, LiDAR with knowledge transfer from the LiDAR teacher
+    "crowd": (SceneConfig(n_objects=20, placement_range=22.0, n_cameras=2, channels=32,
+                          ground_extent=25.6),
+              PipelineConfig(grid=VoxelGridSpec((-25.6, 25.6), (-25.6, 25.6), (-2.0, 2.0),
+                                                (32, 32, 4), 32),
+                             use_camera=False, use_lidar=True,
+                             kt_enabled=True, kt_teacher="lidar",
+                             decoder=DecoderConfig(num_queries=300))),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLAY_CASES))
+def test_released_replay_gives_the_kept_replay_gradients(case):
+    scene_config, config = REPLAY_CASES[case]
+    scene = generate_scene(scene_config, seed=1)
+    runs = []
+    for replay in (backward_keeping_the_tape, backward):
+        params = build_model(config, 3, n_camera_sweeps=len(scene.sweep_offsets) or 1)
+        with Tape() as tape:
+            total, _, _ = training.compute_scene_loss(scene, config, params)
+        replay(tape, total)
+        runs.append((total.item(), [p.grad for p in params.trainable()]))
+    (kept_loss, kept), (loss, grads) = runs
+    assert loss == kept_loss
+    assert len(grads) == len(kept) and any(g.any() for g in grads)
+    assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
 
 
 def random_boxes(rng, count, num_classes):
