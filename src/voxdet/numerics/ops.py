@@ -9,9 +9,12 @@ to zero within one cell of the boundary and vanish beyond it.
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 from .autograd import Tensor, accumulate_grad, as_tensor, record_op
@@ -440,14 +443,121 @@ def attention(q, k, v, scale: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
+# Bound on the buffer that holds one slab's folded windows, so that a conv's
+# workspace does not grow with its volume.  Larger slabs buy nothing: at
+# (16, 16, 4, 32), 3x3x3, 1 MiB slabs of five output rows, whose matmuls BLAS
+# split over two threads, ran no faster than one-row slabs on one thread and
+# slowed more whenever the host was busy.
+_FOLD_BYTES = 1 << 19
 
-def _triple(value) -> tuple[int, int, int]:
-    if isinstance(value, (int, np.integer)):
+# Each thread keeps one _FOLD_BYTES fold buffer for its lifetime, so that its
+# pages stay mapped: a buffer freed after each call goes back to the OS and is
+# faulted in again by the next conv, which makes small training steps slower
+# and their time less steady.
+_WORKSPACE = threading.local()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _triple(value, name: str) -> tuple[int, int, int]:
+    """One int, or three, per spatial axis; anything else raises naming ``name``."""
+    if _is_int(value):
         return (int(value),) * 3
-    t = tuple(int(v) for v in value)
-    if len(t) != 3:
-        raise ValueError(f"expected 3 values, got {value!r}")
-    return t
+    try:
+        values = tuple(value)
+    except TypeError:
+        values = ()
+    if len(values) != 3 or not all(map(_is_int, values)):
+        raise ValueError(f"{name} must be an int or 3 ints, got {value!r}")
+    return tuple(int(v) for v in values)
+
+
+def _fold_buffer(shape) -> np.ndarray:
+    """A float64 array of ``shape`` in this thread's reused fold buffer.
+
+    A shape larger than ``_FOLD_BYTES`` gets an array of its own.  One fold
+    at a time may use the buffer on a thread: ``conv`` runs its folds in turn.
+    """
+    size = math.prod(shape)
+    if 8 * size > _FOLD_BYTES:
+        return np.empty(shape)
+    buf = getattr(_WORKSPACE, "buf", None)
+    if buf is None:
+        buf = _WORKSPACE.buf = np.empty(_FOLD_BYTES // 8)
+    return buf[:size].reshape(shape)
+
+
+def _folds(padded, kernel_shape, stride, out_shape):
+    """Yield ``(x0, x1, taps)`` for each slab of output x rows [x0, x1).
+
+    ``taps[tx]`` is the (slab voxels, ky*kz*Cin) matrix that x tap ``tx``
+    reads: row (i, j, k) holds the (ky, kz) window of output (x0 + i, j, k)
+    in padded row (x0 + i)*sx + tx.  One copy per slab lays the windows of
+    every output (y, z) side by side in the thread's fold buffer (see
+    ``_fold_buffer``); padded row r sits in phase r % sx, so every tap reads
+    one contiguous run of it.
+    The buffer holds at most ``_FOLD_BYTES``, or the kx rows of one output
+    row when those alone are larger.  With ky = kz = 1 and unit strides the
+    volume is its own fold: one slab of views, no copy.
+    """
+    kx, ky, kz = kernel_shape
+    sx, sy, sz = stride
+    ox, oy, oz = out_shape
+    if ky == kz == 1 and sx == sy == sz == 1:
+        yield 0, ox, [padded[tx : tx + ox].reshape(-1, padded.shape[3]) for tx in range(kx)]
+        return
+    windows = sliding_window_view(padded, (ky, kz), axis=(1, 2))[:, ::sy, ::sz][:, :oy, :oz]
+    windows = windows.transpose(0, 1, 2, 4, 5, 3)  # (X, oy, oz, ky, kz, Cin)
+    phases, lag = min(sx, kx), -(-kx // sx)  # a phase holds lag - 1 rows past the slab's
+    row_bytes = windows[0].size * windows.itemsize
+    rows = int(np.clip(_FOLD_BYTES // (phases * row_bytes) - lag + 1, 1, ox))
+    buf = _fold_buffer((phases, rows + lag - 1) + windows.shape[1:])
+    for x0 in range(0, ox, rows):
+        x1 = min(x0 + rows, ox)
+        stop = (x1 - 1) * sx + kx  # trailing padded rows that no output reads stay uncopied
+        for q in range(phases):
+            src = windows[x0 * sx + q : stop : sx]
+            np.copyto(buf[q, : len(src)], src)
+        n = (x1 - x0) * oy * oz
+        yield x0, x1, [buf[tx % sx, tx // sx : tx // sx + x1 - x0].reshape(n, -1)
+                       for tx in range(kx)]
+
+
+def _correlate(padded, weight, stride, out_shape) -> np.ndarray:
+    """Unpadded strided cross-correlation of ``padded`` with (kx, ky, kz, Cin, Cout) ``weight``."""
+    kx, cout = weight.shape[0], weight.shape[4]
+    w = weight.reshape(kx, -1, cout)
+    out = np.empty(tuple(out_shape) + (cout,))
+    for x0, x1, taps in _folds(padded, weight.shape[:3], stride, out_shape):
+        rows = out[x0:x1].reshape(-1, cout)
+        np.matmul(taps[0], w[0], out=rows)
+        for tap, w_tap in zip(taps[1:], w[1:]):
+            rows += tap @ w_tap
+    return out
+
+
+def _dilate(g, in_shape, kernel_shape, stride, padding) -> np.ndarray:
+    """Frame the output gradient so that dX is its stride-1 correlation with the flipped kernel.
+
+    Per axis the frame has in + k - 1 entries; g[o] sits at o*s + k - 1 - p and
+    zeros elsewhere, so outputs whose window reads only padding drop out.
+    """
+    shape = tuple(n + k - 1 for n, k in zip(in_shape, kernel_shape))
+    lead = tuple(k - 1 - p for k, p in zip(kernel_shape, padding))
+    if not any(lead) and stride == (1, 1, 1):
+        return g
+    frame = np.zeros(shape + g.shape[3:])
+    src, dst = [], []
+    for n, m, s, offset in zip(shape, g.shape, stride, lead):
+        lo = max(0, -(offset // s))  # the outputs o in [lo, hi) land in the frame
+        hi = max(lo, min(m, (n - 1 - offset) // s + 1))
+        src.append(slice(lo, hi))
+        start = lo * s + offset
+        dst.append(slice(start, start + (hi - lo) * s, s))
+    frame[tuple(dst)] = g[tuple(src)]
+    return frame
 
 
 def conv(volume, kernel, bias, stride=1, padding=0) -> Tensor:
@@ -457,9 +567,13 @@ def conv(volume, kernel, bias, stride=1, padding=0) -> Tensor:
     output extent per axis is floor((in + 2*pad - k)/stride) + 1.  The 2-D
     case is the same call with a unit depth extent.
 
-    One tap loop serves the forward pass and both gradients: one
-    (voxels, Cin) x (Cin, Cout) matmul per kernel offset.  A 1x1x1, stride-1,
-    unpadded conv is therefore one matmul on a view of the volume.
+    One correlation routine serves all three passes.  For each slab of output
+    x rows it folds the (ky, kz) windows of every output (y, z) into one
+    reused buffer bounded by ``_FOLD_BYTES`` (see ``_folds``) and runs kx
+    matmuls with K = ky*kz*Cin.  dW is ``fold.T @ g`` over the same slabs.  dX is the same
+    correlation run on the stride-dilated output gradient, framed to the
+    unpadded input, with the flipped, channel-swapped kernel.  A 1x1x1,
+    stride-1, unpadded conv is its own fold: one matmul on a view of the volume.
     """
     volume, kernel, bias = as_tensor(volume), as_tensor(kernel), as_tensor(bias)
     if volume.ndim != 4:
@@ -471,49 +585,40 @@ def conv(volume, kernel, bias, stride=1, padding=0) -> Tensor:
         raise ValueError(f"channel mismatch: volume has {volume.shape[3]}, kernel expects {cin}")
     if bias.shape != (cout,):
         raise ValueError(f"bias must be ({cout},), got {bias.shape}")
-    sx, sy, sz = _triple(stride)
-    px, py, pz = _triple(padding)
-    if min(sx, sy, sz) < 1:
+    strides = _triple(stride, "stride")
+    pads = _triple(padding, "padding")
+    if min(strides) < 1:
         raise ValueError("stride must be >= 1")
-    if min(px, py, pz) < 0:
+    if min(pads) < 0:
         raise ValueError("padding must be >= 0")
-    x, y, z, _ = volume.shape
-    ox = (x + 2 * px - kx) // sx + 1
-    oy = (y + 2 * py - ky) // sy + 1
-    oz = (z + 2 * pz - kz) // sz + 1
-    if min(ox, oy, oz) < 1:
+    in_shape, ksize = volume.shape[:3], (kx, ky, kz)
+    out_shape = tuple((n + 2 * p - k) // s + 1
+                      for n, p, k, s in zip(in_shape, pads, ksize, strides))
+    if min(out_shape) < 1:
         raise ValueError("conv output would be empty")
 
     padded = volume.data
-    if px or py or pz:
-        padded = np.pad(padded, ((px, px), (py, py), (pz, pz), (0, 0)))
-    n = ox * oy * oz
-    # one tap per kernel offset: the strided slice of ``padded`` it reads
-    taps = [(t, tuple(slice(o, o + s * m, s) for o, s, m in zip(t, (sx, sy, sz), (ox, oy, oz))))
-            for t in np.ndindex(kx, ky, kz)]
-    # accumulate in place into the first tap's product: a fresh (n, Cout)
-    # array per addition costs more than the matmul on large volumes
-    products = (padded[win].reshape(n, cin) @ kernel.data[t] for t, win in taps)
-    out_data = next(products)
-    for product in products:
-        out_data += product
+    if any(pads):
+        padded = np.pad(padded, [(p, p) for p in pads] + [(0, 0)])
+    out_data = _correlate(padded, kernel.data, strides, out_shape)
     out_data += bias.data
-    out_data = out_data.reshape(ox, oy, oz, cout)
 
     def backward(g):
-        g2 = g.reshape(n, cout)
         if kernel.requires_grad:
-            dw = np.empty_like(kernel.data)
-            for t, win in taps:
-                dw[t] = padded[win].reshape(n, cin).T @ g2
-            accumulate_grad(kernel, dw)
+            dw = np.zeros((kx, ky * kz * cin, cout))
+            for x0, x1, taps in _folds(padded, ksize, strides, out_shape):
+                g_rows = g[x0:x1].reshape(-1, cout)
+                for tx, tap in enumerate(taps):
+                    dw[tx] += tap.T @ g_rows
+            accumulate_grad(kernel, dw.reshape(kernel.shape))
         if bias.requires_grad:
             accumulate_grad(bias, g.sum(axis=(0, 1, 2)))
         if volume.requires_grad:
-            dpad = np.zeros_like(padded)
-            for t, win in taps:
-                dpad[win] += (g2 @ kernel.data[t].T).reshape(ox, oy, oz, cin)
-            accumulate_grad(volume, dpad[px : px + x, py : py + y, pz : pz + z])
+            flipped = kernel.data[::-1, ::-1, ::-1].swapaxes(3, 4)
+            frame = _dilate(g, in_shape, ksize, strides, pads)
+            dx = _correlate(frame, flipped, (1, 1, 1), in_shape)
+            del frame  # before accumulate_grad copies dx
+            accumulate_grad(volume, dx)
 
     return record_op(out_data, (volume, kernel, bias), backward)
 
@@ -704,7 +809,7 @@ def nn_upsample3d(x, factors) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 4:
         raise ValueError(f"nn_upsample3d expects (X, Y, Z, C), got {x.shape}")
-    fx, fy, fz = _triple(factors)
+    fx, fy, fz = _triple(factors, "factors")
     if min(fx, fy, fz) < 1:
         raise ValueError("upsample factors must be >= 1")
     out_data = np.repeat(np.repeat(np.repeat(x.data, fx, axis=0), fy, axis=1), fz, axis=2)

@@ -322,6 +322,40 @@ def attention_oracle(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     return nm.matmul(nm.softmax(scores, axis=-1), v)
 
 
+def conv_tap_oracle(x, w, b, stride, padding, g=None):
+    """Conv as one (voxels, Cin) x (Cin, Cout) matmul per kernel offset: (out, dX, dW, db).
+
+    dX scatter-adds each tap's (voxels, Cin) gradient into a padded buffer
+    through the tap's strided window.  Without an output gradient ``g`` the
+    three gradients are None.
+    """
+    kx, ky, kz, cin, cout = w.shape
+    strides = tuple(int(s) for s in np.broadcast_to(stride, 3))
+    pads = tuple(int(p) for p in np.broadcast_to(padding, 3))
+    padded = np.pad(x, [(p, p) for p in pads] + [(0, 0)])
+    out_shape = tuple((n - k) // s + 1
+                      for n, k, s in zip(padded.shape, (kx, ky, kz), strides))
+    n = math.prod(out_shape)
+    taps = [(t, tuple(slice(o, o + s * m, s) for o, s, m in zip(t, strides, out_shape)))
+            for t in np.ndindex(kx, ky, kz)]
+    products = (padded[win].reshape(n, cin) @ w[t] for t, win in taps)
+    out = next(products)
+    for product in products:
+        out += product
+    out += b
+    out = out.reshape(out_shape + (cout,))
+    if g is None:
+        return out, None, None, None
+    g2 = g.reshape(n, cout)
+    dw = np.empty_like(w)
+    dpad = np.zeros_like(padded)
+    for t, win in taps:
+        dw[t] = padded[win].reshape(n, cin).T @ g2
+        dpad[win] += (g2 @ w[t].T).reshape(out_shape + (cin,))
+    crop = tuple(slice(p, p + e) for p, e in zip(pads, x.shape[:3]))
+    return out, dpad[crop], dw, g.sum(axis=(0, 1, 2))
+
+
 def deformable_cross_attention_oracle(queries, references, volume, params, config) -> Tensor:
     """Deformable cross-attention that projects every voxel, then samples per head."""
     n, c = queries.shape

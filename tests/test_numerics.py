@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from voxdet import numerics as nm
-from voxdet.numerics import NumericsError, Parameter, Tape, Tensor, backward, grad_check
+from voxdet.numerics import NumericsError, Parameter, Tape, Tensor, backward, grad_check, ops
 
 from helpers import (
     attention_oracle,
     closure_arrays,
+    conv_tap_oracle,
     trilinear_sample_oracle,
     weighted_trilinear_sample_oracle,
 )
@@ -142,6 +144,128 @@ def test_conv_matches_im2col_oracle(kernel, stride, padding):
     for got, want in zip((out.data, vol.grad, ker.grad, bias.grad), expected):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape, stride, min_slabs", [
+    ((16, 16, 4, 32), 1, 1),          # the desk encoder
+    ((32, 32, 4, 32), 1, 1),          # crowd-train's encoder
+    ((16, 16, 4, 32), (2, 2, 1), 1),  # the stride-2 head
+    ((26, 16, 4, 32), 1, 3),
+    ((26, 16, 4, 32), (2, 2, 1), 3),  # (26 + 2 - 3) % 2 = 1: the last padded x row is never read
+])
+def test_conv_matches_tap_oracle(monkeypatch, shape, stride, min_slabs):
+    slabs = []
+    folds = ops._folds
+
+    def recorded(*args):
+        for slab in folds(*args):
+            slabs.append(slab[:2])
+            yield slab
+
+    monkeypatch.setattr(ops, "_folds", recorded)
+    rng = np.random.default_rng(list(shape) + list(np.broadcast_to(stride, 3)))
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((3, 3, 3, shape[3], 32))
+    b = rng.standard_normal(32)
+    vol, ker, bias = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+    with Tape():
+        out = nm.conv(vol, ker, bias, stride=stride, padding=1)
+    # the forward's slabs tile the output x rows
+    assert len(slabs) >= min_slabs
+    assert [x0 for x0, _ in slabs] == [0] + [x1 for _, x1 in slabs[:-1]]
+    assert slabs[-1][1] == out.shape[0]
+    g = rng.standard_normal(out.shape)
+    out._backward(g)
+    expected = conv_tap_oracle(x, w, b, stride, 1, g)
+    for got, want in zip((out.data, vol.grad, ker.grad, bias.grad), expected):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start, result
+
+
+def test_conv_fold_is_bounded_per_slab():
+    # folding the whole (64, 64, 4, 32) volume at once would take 39 MB by itself
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((64, 64, 4, 32))
+    w = 0.1 * rng.standard_normal((3, 3, 3, 32, 32))
+    b = np.zeros(32)
+    g = rng.standard_normal(x.shape)
+    oracle_forward, _ = _peak_bytes(lambda: conv_tap_oracle(x, w, b, 1, 1))
+    oracle_both, _ = _peak_bytes(lambda: conv_tap_oracle(x, w, b, 1, 1, g))
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+
+    def forward():
+        with Tape():
+            return nm.conv(*leaves, padding=1)
+
+    forward_peak, _ = _peak_bytes(forward)
+    both_peak, _ = _peak_bytes(lambda: forward()._backward(g))
+    assert forward_peak < oracle_forward
+    assert both_peak < oracle_both + x.nbytes
+
+
+def test_conv_fold_buffer_is_kept_per_thread():
+    # a fold buffer allocated per call hands its pages back to the OS on every free
+    rng = np.random.default_rng(7)
+    w, b = rng.standard_normal((3, 3, 3, 8, 8)), np.zeros(8)
+    volumes = [rng.standard_normal((16, 16, 4, 8)) for _ in range(8)]
+    expected = [conv_tap_oracle(x, w, b, 1, 1)[0] for x in volumes]
+
+    def fold_buffer_after(i):
+        for _ in range(3):
+            out = nm.conv(Tensor(volumes[i]), Tensor(w), Tensor(b), padding=1)
+            np.testing.assert_allclose(out.data, expected[i], rtol=0, atol=1e-12)
+        return ops._WORKSPACE.buf
+
+    first = fold_buffer_after(0)
+    assert fold_buffer_after(1) is first
+    assert first.nbytes <= ops._FOLD_BYTES
+    with ThreadPoolExecutor(2) as pool:  # concurrent convs fold into buffers of their own
+        assert all(buf is not first for buf in pool.map(fold_buffer_after, range(8)))
+
+
+def test_pointwise_conv_copies_no_input():
+    x = np.random.default_rng(6).standard_normal((32, 32, 4, 32))
+    w = Tensor(np.ones((1, 1, 1, 32, 2)))
+    peak, out = _peak_bytes(lambda: nm.conv(Tensor(x), w, Tensor(np.zeros(2))))
+    assert peak < out.data.nbytes + x.nbytes // 4
+
+
+_UNIT_KERNEL = (Tensor(np.ones((1, 1, 1, 1, 1))), Tensor(np.zeros(1)))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: nm.conv(v, *_UNIT_KERNEL, stride=(2.7, 1, 1)), "stride"),
+    (lambda v: nm.conv(v, *_UNIT_KERNEL, stride=1.5), "stride"),
+    (lambda v: nm.conv(v, *_UNIT_KERNEL, stride=True), "stride"),
+    (lambda v: nm.conv(v, *_UNIT_KERNEL, stride=(1, 1)), "stride"),
+    (lambda v: nm.conv(v, *_UNIT_KERNEL, padding=(1.9, 0, 0)), "padding"),
+    (lambda v: nm.conv(v, *_UNIT_KERNEL, padding=np.float64(1.0)), "padding"),
+    (lambda v: nm.conv(v, *_UNIT_KERNEL, padding=(0, False, 0)), "padding"),
+    (lambda v: nm.conv(v, *_UNIT_KERNEL, padding=(1, 1, 1, 1)), "padding"),
+    (lambda v: nm.nn_upsample3d(v, (2.5, 1, 1)), "factors"),
+    (lambda v: nm.nn_upsample3d(v, "222"), "factors"),
+])
+def test_spatial_triples_reject_non_integers(call, name):
+    with pytest.raises(ValueError, match=name):
+        call(Tensor(np.ones((4, 4, 2, 1))))
+
+
+def test_spatial_triples_accept_numpy_integers():
+    v = Tensor(np.ones((4, 4, 2, 1)))
+    out = nm.conv(v, *_UNIT_KERNEL, stride=np.int64(2), padding=(np.int32(1), 0, 0))
+    assert out.shape == (3, 2, 1, 1)
+    assert nm.nn_upsample3d(v, (np.int8(2), 1, 1)).shape == (8, 4, 2, 1)
 
 
 class TestTrilinear:

@@ -312,7 +312,7 @@ class TestMicroFit:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TrainingDivergenceError, match="step 3"):
+            with pytest.raises(TrainingDivergenceError, match="step 4: stage 'decode'"):
                 micro_fit(self.SCENE, self.CONFIG, steps=30, learning_rate=1e8, seed=3)
 
 
