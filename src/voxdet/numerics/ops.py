@@ -443,11 +443,11 @@ def attention(q, k, v, scale: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Bound on the buffer that holds one slab's folded windows, so that a conv's
-# workspace does not grow with its volume.  Larger slabs buy nothing: at
-# (16, 16, 4, 32), 3x3x3, 1 MiB slabs of five output rows, whose matmuls BLAS
-# split over two threads, ran no faster than one-row slabs on one thread and
-# slowed more whenever the host was busy.
+# Bound on the fold buffer that each thread keeps: one padded x row's folded
+# windows fit in it at the desk encoder's (16, 16, 4, 32), 147 KB, and at
+# crowd-train's (32, 32, 4, 32), 295 KB.  A row that reads more (26 MB on the
+# paper grid's (128, 11) at C = 256) folds into an array of its own, allocated
+# once per call, so that one large conv does not keep its buffer alive.
 _FOLD_BYTES = 1 << 19
 
 # Each thread keeps one _FOLD_BYTES fold buffer for its lifetime, so that its
@@ -490,39 +490,37 @@ def _fold_buffer(shape) -> np.ndarray:
 
 
 def _folds(padded, kernel_shape, stride, out_shape):
-    """Yield ``(x0, x1, taps)`` for each slab of output x rows [x0, x1).
+    """Yield ``(fold, reads)``: a (voxels, ky*kz*Cin) matrix and the taps that read it.
 
-    ``taps[tx]`` is the (slab voxels, ky*kz*Cin) matrix that x tap ``tx``
-    reads: row (i, j, k) holds the (ky, kz) window of output (x0 + i, j, k)
-    in padded row (x0 + i)*sx + tx.  One copy per slab lays the windows of
-    every output (y, z) side by side in the thread's fold buffer (see
-    ``_fold_buffer``); padded row r sits in phase r % sx, so every tap reads
-    one contiguous run of it.
-    The buffer holds at most ``_FOLD_BYTES``, or the kx rows of one output
-    row when those alone are larger.  With ky = kz = 1 and unit strides the
-    volume is its own fold: one slab of views, no copy.
+    Each ``(tx, rows)`` in ``reads`` says that output x rows ``rows`` (a
+    slice) take ``fold @ w[tx]``.  Each padded x row r that an output reads
+    is folded once: one copy lays the (ky, kz) window of every output (y, z)
+    in row r side by side in the thread's fold buffer (see ``_fold_buffer``),
+    and every tap tx that reads the row follows, for output x = (r - tx)/sx
+    in [0, ox).  Rows come in ascending order, so each output row meets its
+    taps in ascending tx, tx = 0 first.  Rows that no output reads are never
+    copied.  The workspace is one padded row's windows, in the kept buffer
+    when they fit in ``_FOLD_BYTES``.  With ky = kz = 1 and unit strides the
+    volume is its own fold: one view per tap, read by every output row.
     """
     kx, ky, kz = kernel_shape
     sx, sy, sz = stride
     ox, oy, oz = out_shape
     if ky == kz == 1 and sx == sy == sz == 1:
-        yield 0, ox, [padded[tx : tx + ox].reshape(-1, padded.shape[3]) for tx in range(kx)]
+        for tx in range(kx):
+            yield padded[tx : tx + ox].reshape(-1, padded.shape[3]), [(tx, slice(0, ox))]
         return
     windows = sliding_window_view(padded, (ky, kz), axis=(1, 2))[:, ::sy, ::sz][:, :oy, :oz]
     windows = windows.transpose(0, 1, 2, 4, 5, 3)  # (X, oy, oz, ky, kz, Cin)
-    phases, lag = min(sx, kx), -(-kx // sx)  # a phase holds lag - 1 rows past the slab's
-    row_bytes = windows[0].size * windows.itemsize
-    rows = int(np.clip(_FOLD_BYTES // (phases * row_bytes) - lag + 1, 1, ox))
-    buf = _fold_buffer((phases, rows + lag - 1) + windows.shape[1:])
-    for x0 in range(0, ox, rows):
-        x1 = min(x0 + rows, ox)
-        stop = (x1 - 1) * sx + kx  # trailing padded rows that no output reads stay uncopied
-        for q in range(phases):
-            src = windows[x0 * sx + q : stop : sx]
-            np.copyto(buf[q, : len(src)], src)
-        n = (x1 - x0) * oy * oz
-        yield x0, x1, [buf[tx % sx, tx // sx : tx // sx + x1 - x0].reshape(n, -1)
-                       for tx in range(kx)]
+    buf = _fold_buffer(windows.shape[1:])
+    fold = buf.reshape(oy * oz, -1)
+    for r in range((ox - 1) * sx + kx):
+        reads = [(tx, slice((r - tx) // sx, (r - tx) // sx + 1))
+                 for tx in range(max(0, r - (ox - 1) * sx), min(kx, r + 1))
+                 if (r - tx) % sx == 0]
+        if reads:
+            np.copyto(buf, windows[r])
+            yield fold, reads
 
 
 def _correlate(padded, weight, stride, out_shape) -> np.ndarray:
@@ -530,11 +528,13 @@ def _correlate(padded, weight, stride, out_shape) -> np.ndarray:
     kx, cout = weight.shape[0], weight.shape[4]
     w = weight.reshape(kx, -1, cout)
     out = np.empty(tuple(out_shape) + (cout,))
-    for x0, x1, taps in _folds(padded, weight.shape[:3], stride, out_shape):
-        rows = out[x0:x1].reshape(-1, cout)
-        np.matmul(taps[0], w[0], out=rows)
-        for tap, w_tap in zip(taps[1:], w[1:]):
-            rows += tap @ w_tap
+    for fold, reads in _folds(padded, weight.shape[:3], stride, out_shape):
+        for tx, rows in reads:
+            dst = out[rows].reshape(-1, cout)
+            if tx == 0:  # an output row's first tap starts its sum
+                np.matmul(fold, w[0], out=dst)
+            else:
+                dst += fold @ w[tx]
     return out
 
 
@@ -567,11 +567,12 @@ def conv(volume, kernel, bias, stride=1, padding=0) -> Tensor:
     output extent per axis is floor((in + 2*pad - k)/stride) + 1.  The 2-D
     case is the same call with a unit depth extent.
 
-    One correlation routine serves all three passes.  For each slab of output
-    x rows it folds the (ky, kz) windows of every output (y, z) into one
-    reused buffer bounded by ``_FOLD_BYTES`` (see ``_folds``) and runs kx
-    matmuls with K = ky*kz*Cin.  dW is ``fold.T @ g`` over the same slabs.  dX is the same
-    correlation run on the stride-dilated output gradient, framed to the
+    One correlation routine serves all three passes.  It folds each padded x
+    row that an output reads once, laying the (ky, kz) windows of every
+    output (y, z) side by side in a reused buffer bounded by ``_FOLD_BYTES``
+    (see ``_folds``), and runs every x tap that reads the row as one matmul
+    with K = ky*kz*Cin.  dW is ``fold.T @ g`` over the same folds.  dX is the
+    same correlation run on the stride-dilated output gradient, framed to the
     unpadded input, with the flipped, channel-swapped kernel.  A 1x1x1,
     stride-1, unpadded conv is its own fold: one matmul on a view of the volume.
     """
@@ -606,10 +607,9 @@ def conv(volume, kernel, bias, stride=1, padding=0) -> Tensor:
     def backward(g):
         if kernel.requires_grad:
             dw = np.zeros((kx, ky * kz * cin, cout))
-            for x0, x1, taps in _folds(padded, ksize, strides, out_shape):
-                g_rows = g[x0:x1].reshape(-1, cout)
-                for tx, tap in enumerate(taps):
-                    dw[tx] += tap.T @ g_rows
+            for fold, reads in _folds(padded, ksize, strides, out_shape):
+                for tx, rows in reads:
+                    dw[tx] += fold.T @ g[rows].reshape(-1, cout)
             accumulate_grad(kernel, dw.reshape(kernel.shape))
         if bias.requires_grad:
             accumulate_grad(bias, g.sum(axis=(0, 1, 2)))

@@ -146,21 +146,21 @@ def test_conv_matches_im2col_oracle(kernel, stride, padding):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape, stride, min_slabs", [
-    ((16, 16, 4, 32), 1, 1),          # the desk encoder
-    ((32, 32, 4, 32), 1, 1),          # crowd-train's encoder
-    ((16, 16, 4, 32), (2, 2, 1), 1),  # the stride-2 head
-    ((26, 16, 4, 32), 1, 3),
-    ((26, 16, 4, 32), (2, 2, 1), 3),  # (26 + 2 - 3) % 2 = 1: the last padded x row is never read
+@pytest.mark.parametrize("shape, stride", [
+    ((16, 16, 4, 32), 1),          # the desk encoder
+    ((32, 32, 4, 32), 1),          # crowd-train's encoder
+    ((16, 16, 4, 32), (2, 2, 1)),  # the stride-2 head
+    ((26, 16, 4, 32), 1),
+    ((26, 16, 4, 32), (2, 2, 1)),  # (26 + 2 - 3) % 2 = 1: the last padded x row is never read
 ])
-def test_conv_matches_tap_oracle(monkeypatch, shape, stride, min_slabs):
-    slabs = []
+def test_conv_matches_tap_oracle(monkeypatch, shape, stride):
+    reads = []
     folds = ops._folds
 
     def recorded(*args):
-        for slab in folds(*args):
-            slabs.append(slab[:2])
-            yield slab
+        for fold, fold_reads in folds(*args):
+            reads.append(fold_reads)
+            yield fold, fold_reads
 
     monkeypatch.setattr(ops, "_folds", recorded)
     rng = np.random.default_rng(list(shape) + list(np.broadcast_to(stride, 3)))
@@ -170,10 +170,15 @@ def test_conv_matches_tap_oracle(monkeypatch, shape, stride, min_slabs):
     vol, ker, bias = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
     with Tape():
         out = nm.conv(vol, ker, bias, stride=stride, padding=1)
-    # the forward's slabs tile the output x rows
-    assert len(slabs) >= min_slabs
-    assert [x0 for x0, _ in slabs] == [0] + [x1 for _, x1 in slabs[:-1]]
-    assert slabs[-1][1] == out.shape[0]
+    # the forward folds each padded x row that an output reads once, in
+    # ascending order, and runs every tap that reads it
+    sx, ox = np.broadcast_to(stride, 3)[0], out.shape[0]
+    folded = [{rows.start * sx + tx for tx, rows in fold_reads} for fold_reads in reads]
+    assert all(len(rows) == 1 for rows in folded)
+    read = sorted({x * sx + tx for x in range(ox) for tx in range(3)})
+    assert [rows.pop() for rows in folded] == read
+    taps = sorted((tx, rows.start) for fold_reads in reads for tx, rows in fold_reads)
+    assert taps == [(tx, x) for tx in range(3) for x in range(ox)]
     g = rng.standard_normal(out.shape)
     out._backward(g)
     expected = conv_tap_oracle(x, w, b, stride, 1, g)
@@ -232,6 +237,47 @@ def test_conv_fold_buffer_is_kept_per_thread():
     assert first.nbytes <= ops._FOLD_BYTES
     with ThreadPoolExecutor(2) as pool:  # concurrent convs fold into buffers of their own
         assert all(buf is not first for buf in pool.map(fold_buffer_after, range(8)))
+
+
+def test_crowd_conv_folds_into_the_kept_buffer(monkeypatch):
+    # one padded x row at crowd-train's (32, 32, 4, 32) folds 295 KB of windows
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((32, 32, 4, 32))
+    w, b = 0.1 * rng.standard_normal((3, 3, 3, 32, 32)), np.zeros(32)
+    handed = []
+    fold_buffer = ops._fold_buffer
+
+    def recorded(shape):
+        handed.append(fold_buffer(shape))
+        return handed[-1]
+
+    monkeypatch.setattr(ops, "_fold_buffer", recorded)
+    if hasattr(ops._WORKSPACE, "buf"):
+        del ops._WORKSPACE.buf
+    kept = []
+    for _ in range(2):  # forward, dW and dX of two convs
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        with Tape():
+            out = nm.conv(*leaves, padding=1)
+        out._backward(np.ones(out.shape))
+        kept.append(ops._WORKSPACE.buf)
+    assert kept[0] is kept[1]
+    assert kept[0].nbytes <= ops._FOLD_BYTES
+    assert len(handed) == 6 and all(np.shares_memory(fold, kept[0]) for fold in handed)
+
+
+def test_conv_workspace_is_one_padded_row():
+    # one padded x row of a (4, 128, 11, 64) volume folds 6.5 MB, over _FOLD_BYTES
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((4, 128, 11, 64))
+    w, b = 0.1 * rng.standard_normal((3, 3, 3, 64, 64)), np.zeros(64)
+    leaves = [Tensor(a) for a in (x, w, b)]
+    row_fold = 128 * 11 * 3 * 3 * 64 * 8
+    assert row_fold > ops._FOLD_BYTES
+    peak, out = _peak_bytes(lambda: nm.conv(*leaves, padding=1))
+    padded = 6 * 130 * 13 * 64 * 8
+    product = 128 * 11 * 64 * 8  # one tap's (oy*oz, Cout) matmul before it is added
+    assert peak <= padded + out.data.nbytes + row_fold + product + (1 << 20)  # 1 MiB slack
 
 
 def test_pointwise_conv_copies_no_input():
