@@ -13,17 +13,17 @@ one affine map with the time offsets folded into its bias, run on (V, C)
 tables of the rows some camera lifts; it returns the fused rows and the bias,
 and the pipeline places them into the grid, or keeps them as a row table
 with the bias as its last row when only the decoder reads the space.
-LiDAR branch: points are binned into the grid with hand-crafted per-cell
-statistics and refined by parallel strided heads.  A small convolutional
-encoder then interacts neighboring voxels; its pre-ReLU block-3 activation is
-exposed as the transfer tap.
+LiDAR branch: points are binned into the grid's cells as six hand-crafted
+per-cell statistics, and parallel strided heads map those six channels to the
+grid's C.  A small convolutional encoder then interacts neighboring voxels;
+its pre-ReLU block-3 activation is exposed as the transfer tap.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,15 +172,17 @@ class SweepFusionParams:
 @dataclass
 class MultiScaleHeadParams:
     strides: tuple[int, ...]
-    weights: list[Parameter]  # each (3, 3, 3, C, C)
+    weights: list[Parameter]  # each (3, 3, 3, 6, C): the point features to C channels
     biases: list[Parameter]
 
     @staticmethod
     def create(rng: np.random.Generator, channels: int, strides=(1, 2)):
         weights, biases = [], []
+        k = POINT_FEATURE_CHANNELS
         for s in strides:
-            w = 0.02 * rng.standard_normal((3, 3, 3, channels, channels))
-            w[1, 1, 1] += np.eye(channels)  # near-identity center tap
+            # the first k input rows of a square (3, 3, 3, C, C) draw when C >= k
+            w = 0.02 * rng.standard_normal((3, 3, 3, max(channels, k), channels))[:, :, :, :k]
+            w[1, 1, 1] += np.eye(k, channels)  # near-identity center tap
             weights.append(Parameter(f"heads.s{s}.weight", w))
             biases.append(Parameter(f"heads.s{s}.bias", np.zeros(channels)))
         return MultiScaleHeadParams(strides=tuple(strides), weights=weights, biases=biases)
@@ -458,42 +460,26 @@ def fuse_sweeps_image(
 def voxelize_points(cloud: PointCloud, spec: VoxelGridSpec) -> VoxelGrid:
     """Bin points into the grid with per-cell summary features.
 
-    Channels 0..2 hold the mean offset of the points from the cell center,
+    The grid is ``spec`` with six channels, whatever ``spec.channels``:
+    channels 0..2 hold the mean offset of the points from the cell center,
     channel 3 the mean intensity, channel 4 the mean time offset, channel 5
-    log(1 + count); any remaining channels stay zero.  Empty cells are zero.
+    log(1 + count).  Empty cells are zero.
     """
-    if spec.channels < POINT_FEATURE_CHANNELS:
-        raise ValueError(
-            f"voxelize_points needs >= {POINT_FEATURE_CHANNELS} channels, got {spec.channels}"
-        )
     nx, ny, nz = spec.counts
     n_cells = nx * ny * nz
-    feats = np.zeros((n_cells, spec.channels))
-
-    if len(cloud) > 0:
-        p = cloud.xyz
-        ranges = np.array(spec.ranges)
-        cells = np.array(spec.cell_sizes)
-        inside = np.all((p >= ranges[:, 0]) & (p < ranges[:, 1]), axis=1)
-        q = p[inside]
-        if q.shape[0] > 0:
-            ijk = np.floor((q - ranges[:, 0]) / cells).astype(np.int64)
-            ijk = np.minimum(ijk, np.array(spec.counts) - 1)
-            lin = (ijk[:, 0] * ny + ijk[:, 1]) * nz + ijk[:, 2]
-            count = np.bincount(lin, minlength=n_cells).astype(np.float64)
-            occupied = count > 0
-            centers = voxel_centers(spec).reshape(-1, 3)
-            safe = np.maximum(count, 1.0)
-            for axis in range(3):
-                off = q[:, axis] - centers[lin, axis]
-                feats[:, axis] = np.bincount(lin, weights=off, minlength=n_cells) / safe
-            feats[:, 3] = np.bincount(lin, weights=cloud.intensity[inside], minlength=n_cells) / safe
-            feats[:, 4] = np.bincount(lin, weights=cloud.time[inside], minlength=n_cells) / safe
-            feats[~occupied, :5] = 0.0
-            feats[:, 5] = np.log1p(count)
-
-    grid = Tensor(feats.reshape(nx, ny, nz, spec.channels))
-    return VoxelGrid(spec=spec, features=grid)
+    ranges = np.array(spec.ranges)
+    inside = np.all((cloud.xyz >= ranges[:, 0]) & (cloud.xyz < ranges[:, 1]), axis=1)
+    q = cloud.xyz[inside]
+    ijk = np.floor((q - ranges[:, 0]) / np.array(spec.cell_sizes)).astype(np.int64)
+    ijk = np.minimum(ijk, np.array(spec.counts) - 1)
+    lin = (ijk[:, 0] * ny + ijk[:, 1]) * nz + ijk[:, 2]
+    count = np.bincount(lin, minlength=n_cells).astype(np.float64)
+    safe = np.maximum(count, 1.0)  # an empty cell's sums are 0, so its means are too
+    offsets = q - voxel_centers(spec).reshape(-1, 3)[lin]
+    summed = [*offsets.T, cloud.intensity[inside], cloud.time[inside]]
+    means = [np.bincount(lin, weights=w, minlength=n_cells) / safe for w in summed]
+    feats = np.stack(means + [np.log1p(count)], axis=-1).reshape(nx, ny, nz, -1)
+    return VoxelGrid(spec=replace(spec, channels=POINT_FEATURE_CHANNELS), features=Tensor(feats))
 
 
 def multi_scale_heads(raw: VoxelGrid, params: MultiScaleHeadParams) -> Tensor:

@@ -144,7 +144,8 @@ def read_scene(path) -> Scene:
             )
 
     records = _read_blob(root / manifest.points_file, (manifest.num_points, 5), "points")
-    cloud = PointCloud(records[:, :3], records[:, 3], records[:, 4])
+    with _entry("points"):
+        cloud = PointCloud(records[:, :3], records[:, 3], records[:, 4])
 
     poses = []
     for i, p in enumerate(manifest.ego_poses):

@@ -91,7 +91,7 @@ def bev_boxes_overlap(a: Box3D, b: Box3D) -> bool:
 
 @dataclass
 class PointCloud:
-    """N points with intensity and per-point time offset (<= 0, initial sweep 0)."""
+    """N finite points with intensity and per-point time offset (<= 0, initial sweep 0)."""
 
     xyz: np.ndarray  # (N, 3) float64
     intensity: np.ndarray  # (N,) in [0, 1]
@@ -104,6 +104,9 @@ class PointCloud:
         n = self.xyz.shape[0]
         if self.intensity.shape[0] != n or self.time.shape[0] != n:
             raise ValueError("point cloud field lengths disagree")
+        for name in ("xyz", "intensity", "time"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"point cloud {name} must be finite")
 
     def __len__(self) -> int:
         return self.xyz.shape[0]

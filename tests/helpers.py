@@ -12,7 +12,8 @@ import numpy as np
 from voxdet import numerics as nm
 from voxdet.cross_modality import FusionParams
 from voxdet.geometry import CameraCalibration, VoxelGridSpec, project_points, voxel_centers
-from voxdet.modality import lift_image_to_voxels, predict_depth_distribution
+from voxdet.modality import (MultiScaleHeadParams, VoxelGrid, lift_image_to_voxels,
+                              predict_depth_distribution, voxelize_points)
 from voxdet.numerics import Parameter, Tensor
 from voxdet.scene.types import Box3D, CameraView, PointCloud, Scene
 
@@ -414,6 +415,28 @@ def fuse_sweeps_image_oracle(spaces, time_offsets, params) -> Tensor:
         stacked = nm.concat([space, channel], axis=3)
         merged.append(nm.conv(stacked, params.merge_weight, params.merge_bias))
     return nm.conv(nm.concat(merged, axis=3), params.fuse_weight, params.fuse_bias)
+
+
+def padded_heads_oracle(cloud: PointCloud, spec: VoxelGridSpec, rng, strides=(1, 2)):
+    """The LiDAR heads' input and weights with the point features zero-padded to C.
+
+    Returns the (X, Y, Z, C) grid that holds the six point features in
+    channels 0..5 and zeros above, and heads whose weights are the full
+    (3, 3, 3, C, C) draws from ``rng``, in the order
+    ``MultiScaleHeadParams.create`` draws, each with an identity centre tap.
+    """
+    c = spec.channels
+    features = voxelize_points(cloud, spec).features.data
+    padded = np.zeros(spec.counts + (c,))
+    padded[..., :features.shape[-1]] = features
+    weights, biases = [], []
+    for s in strides:
+        w = 0.02 * rng.standard_normal((3, 3, 3, c, c))
+        w[1, 1, 1] += np.eye(c)
+        weights.append(Parameter(f"padded.s{s}.weight", w))
+        biases.append(Parameter(f"padded.s{s}.bias", np.zeros(c)))
+    params = MultiScaleHeadParams(strides=tuple(strides), weights=weights, biases=biases)
+    return VoxelGrid(spec=spec, features=Tensor(padded)), params
 
 
 def backward_keeping_the_tape(tape, loss: Tensor) -> None:

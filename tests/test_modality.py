@@ -30,12 +30,14 @@ from voxdet.geometry import project_points, voxel_centers
 from voxdet.numerics import Parameter, Tape, Tensor, backward
 from voxdet.numerics.gradcheck import central_difference, max_relative_error
 from voxdet.verification import GRAD_EPS, GRAD_TOLERANCE, PROBE_SCALE
+from voxdet.scene import SceneConfig, generate_scene
 from voxdet.scene.types import CameraView, PointCloud, Scene
 
 from helpers import (
     fuse_sweeps_image_oracle,
     lift_image_to_voxels_oracle,
     lift_oracle,
+    padded_heads_oracle,
     side_camera,
 )
 
@@ -668,7 +670,7 @@ class TestVoxelize:
         grid = voxelize_points(cloud, self.SPEC)
         cell = grid.features.data[1, 2, 0]
         np.testing.assert_allclose(
-            cell, [0, 0, 0, 0.7, 0, math.log(2.0), 0, 0], rtol=0, atol=1e-12)
+            cell, [0, 0, 0, 0.7, 0, math.log(2.0)], rtol=0, atol=1e-12)
         total = np.abs(grid.features.data).sum()
         assert total == pytest.approx(np.abs(cell).sum())
 
@@ -689,15 +691,23 @@ class TestVoxelize:
         grid = voxelize_points(cloud, self.SPEC)
         np.testing.assert_array_equal(grid.features.data, 0.0)
 
-    def test_channel_minimum(self):
-        small = VoxelGridSpec((-1, 1), (-1, 1), (-1, 1), (2, 2, 2), 4)
-        with pytest.raises(ValueError):
-            voxelize_points(PointCloud.empty(), small)
+    def test_fewer_grid_channels_than_point_features(self):
+        # the six point features do not depend on C; the heads map them to C = 4
+        spec = VoxelGridSpec((-8.0, 8.0), (-8.0, 8.0), (-2.0, 2.0), (16, 16, 4), 4)
+        config = pipeline.PipelineConfig(grid=spec, use_camera=False,
+                                         decoder=DecoderConfig(channels=4))
+        scene = generate_scene(SceneConfig(n_objects=2, channels=4), 11)
+        params = pipeline.build_model(config)
+        result = pipeline.run_detection(scene, config, params)
+        assert [w.shape for w in params.heads.weights] == [(3, 3, 3, 6, 4)] * 2
+        assert result.raw.vu.features.shape == (16, 16, 4, 4)
+        assert np.isfinite(result.raw.vu.features.data).all()
 
 
-def identity_head(c):
-    w = np.zeros((3, 3, 3, c, c))
-    w[1, 1, 1] = np.eye(c)
+def identity_head(c, c_in=None):
+    c_in = c if c_in is None else c_in
+    w = np.zeros((3, 3, 3, c_in, c))
+    w[1, 1, 1] = np.eye(c_in, c)
     return w
 
 
@@ -708,18 +718,19 @@ class TestMultiScaleHeads:
             np.random.default_rng(8).uniform(-1.9, 1.9, size=(30, 3)),
             np.random.default_rng(9).uniform(size=30), np.zeros(30)), spec)
         params = MultiScaleHeadParams(
-            strides=(1,), weights=[Parameter("w", identity_head(8))],
+            strides=(1,), weights=[Parameter("w", identity_head(8, c_in=6))],
             biases=[Parameter("b", np.zeros(8))])
         out = multi_scale_heads(raw, params)
-        np.testing.assert_allclose(out.data, raw.features.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data[..., :6], raw.features.data, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(out.data[..., 6:], 0.0)
 
     def test_zero_weights(self):
         spec = VoxelGridSpec((-2, 2), (-2, 2), (-1, 1), (4, 4, 2), 8)
         raw = voxelize_points(PointCloud.empty(), spec)
         params = MultiScaleHeadParams(
             strides=(1, 2),
-            weights=[Parameter("w1", np.zeros((3, 3, 3, 8, 8))),
-                     Parameter("w2", np.zeros((3, 3, 3, 8, 8)))],
+            weights=[Parameter("w1", np.zeros((3, 3, 3, 6, 8))),
+                     Parameter("w2", np.zeros((3, 3, 3, 6, 8)))],
             biases=[Parameter("b1", np.zeros(8)), Parameter("b2", np.zeros(8))])
         out = multi_scale_heads(raw, params)
         np.testing.assert_array_equal(out.data, 0.0)
@@ -753,10 +764,39 @@ class TestMultiScaleHeads:
         spec = VoxelGridSpec((-2, 2), (-2, 2), (-1, 1), (5, 4, 2), 8)
         raw = voxelize_points(PointCloud.empty(), spec)
         params = MultiScaleHeadParams(
-            strides=(2,), weights=[Parameter("w", np.zeros((3, 3, 3, 8, 8)))],
+            strides=(2,), weights=[Parameter("w", np.zeros((3, 3, 3, 6, 8)))],
             biases=[Parameter("b", np.zeros(8))])
         with pytest.raises(ValueError):
             multi_scale_heads(raw, params)
+
+    @pytest.mark.parametrize("c", [8, 32])
+    def test_padded_oracle(self, c):
+        # the heads on the six point features against the zero-padded C-channel
+        # grid under the full (3, 3, 3, C, C) draws
+        spec = VoxelGridSpec((-4, 4), (-4, 4), (-1, 1), (8, 8, 2), c)
+        rng = np.random.default_rng(14)
+        cloud = PointCloud(rng.uniform(-4.5, 4.5, size=(60, 3)), rng.uniform(size=60),
+                           rng.uniform(-0.5, 0.0, size=60))
+        probe = Tensor(rng.standard_normal(spec.counts + (c,)))
+        params = MultiScaleHeadParams.create(np.random.default_rng(15), c)
+        padded_grid, padded = padded_heads_oracle(cloud, spec, np.random.default_rng(15))
+
+        def heads(grid, p):
+            with Tape() as tape:
+                out = multi_scale_heads(grid, p)
+                loss = nm.tsum(nm.mul(out, probe))
+            backward(tape, loss)
+            return out.data
+
+        np.testing.assert_array_equal(heads(voxelize_points(cloud, spec), params),
+                                      heads(padded_grid, padded))
+        for live, full in zip(params.weights, padded.weights):
+            assert live.shape == (3, 3, 3, 6, c)
+            np.testing.assert_array_equal(live.data, full.data[:, :, :, :6])
+            np.testing.assert_array_equal(live.grad, full.grad[:, :, :, :6])
+            np.testing.assert_array_equal(full.grad[:, :, :, 6:], 0.0)
+        for live, full in zip(params.biases, padded.biases):
+            np.testing.assert_array_equal(live.grad, full.grad)
 
 
 class TestVoxelEncoder:
@@ -801,7 +841,7 @@ class TestVoxelEncoder:
     @pytest.mark.parametrize("z", [1, 5, 11])
     def test_height_knob(self, z):
         spec = VoxelGridSpec((-2, 2), (-2, 2), (-1, 1), (4, 4, z), 8)
-        grid = voxelize_points(PointCloud.empty(), spec)
+        grid = VoxelGrid(spec=spec, features=Tensor(np.zeros((4, 4, z, 8))))
         rng = np.random.default_rng(13)
         params = EncoderParams.create(rng, 8, "conv3d")
         out, tap = voxel_encoder(grid, params)

@@ -23,7 +23,7 @@ from voxdet.scene import (
     write_scene,
 )
 from voxdet.scene.generate import _convex_hull, _ego_pose, _paint_camera
-from voxdet.scene.types import CameraView
+from voxdet.scene.types import CameraView, PointCloud
 
 from helpers import BAD_SCENE_FIELDS
 
@@ -218,6 +218,20 @@ def test_non_finite_camera_map_rejected(dtype, bad):
         CameraView(cam.name, cam.calibration, features, cam.time_offset)
 
 
+# one non-finite point value per case: (field, row, column of the (x, y, z,
+# intensity, time) record, value)
+BAD_POINTS = [("xyz", 1, 2, np.nan), ("intensity", 0, 3, np.nan),
+              ("intensity", 2, 3, np.inf), ("time", 1, 4, -np.inf)]
+
+
+@pytest.mark.parametrize("field, row, column, value", BAD_POINTS)
+def test_non_finite_point_rejected(field, row, column, value):
+    records = np.zeros((3, 5))
+    records[row, column] = value
+    with pytest.raises(ValueError, match=f"point cloud {field} must be finite"):
+        PointCloud(records[:, :3], records[:, 3], records[:, 4])
+
+
 class TestSceneIO:
     def test_round_trip_exact(self, tmp_path):
         scene = generate_scene(SceneConfig(n_objects=2, channels=8), 23)
@@ -243,6 +257,17 @@ class TestSceneIO:
         values[(v * w + u) * c] = np.nan
         values.tofile(blob)
         with pytest.raises(SceneIOError, match=f"camera {cam.name}: .*features must be finite"):
+            read_scene(tmp_path / "scene")
+
+    @pytest.mark.parametrize("field, row, column, value", BAD_POINTS)
+    def test_non_finite_point_named(self, tmp_path, field, row, column, value):
+        scene = generate_scene(SceneConfig(n_objects=1, channels=8), 2)
+        write_scene(scene, tmp_path / "scene")
+        blob = tmp_path / "scene" / "points.f32"
+        records = np.fromfile(blob, dtype="<f4").reshape(-1, 5)
+        records[row, column] = value
+        records.tofile(blob)
+        with pytest.raises(SceneIOError, match=f"points: point cloud {field} must be finite"):
             read_scene(tmp_path / "scene")
 
     def test_camera_map_stays_float32(self, tmp_path):
