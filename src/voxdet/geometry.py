@@ -31,6 +31,8 @@ _EYE3 = np.eye(3)
 _EYE3_TOL = 1e-9 + 1e-5 * np.abs(_EYE3)
 _BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 _BOTTOM_ROW_TOL = 1e-12 + 1e-5 * np.abs(_BOTTOM_ROW)
+# the intrinsics entries that projection does not read, and the value each must hold
+_PINHOLE_ENTRIES = (((0, 1), 0.0), ((1, 0), 0.0), ((2, 0), 0.0), ((2, 1), 0.0), ((2, 2), 1.0))
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:
@@ -46,7 +48,9 @@ def _check_rigid(matrix: np.ndarray, what: str, allow_mirror: bool = False) -> n
         raise ValueError(f"{what} must be a 4x4 matrix, got {m.shape}")
     _check_finite(m, what)
     r = m[:3, :3]
-    if not (np.abs(r @ r.T - _EYE3) <= _EYE3_TOL).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        orthonormal = (np.abs(r @ r.T - _EYE3) <= _EYE3_TOL).all()
+    if not orthonormal:
         raise ValueError(f"{what} rotation block is not orthonormal")
     det = float(np.linalg.det(r))
     # Mirrored cameras (det -1) arise when a scene flip is folded into the rig.
@@ -68,9 +72,14 @@ def rigid_inverse(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraCalibration:
-    """Pinhole intrinsics plus a rigid camera-to-ego extrinsic."""
+    """Pinhole intrinsics plus a rigid camera-to-ego extrinsic.
+
+    The intrinsics hold fx, fy, cx and cy only: no skew, bottom row (0, 0, 1).
+    Two calibrations are equal, and hash alike, when their matrices' bytes
+    are, so a calibration can key a cache.
+    """
 
     intrinsics: np.ndarray  # 3x3, pixels
     extrinsic: np.ndarray  # 4x4, camera -> ego, meters
@@ -80,12 +89,24 @@ class CameraCalibration:
         if k.shape != (3, 3):
             raise ValueError(f"intrinsics must be 3x3, got {k.shape}")
         _check_finite(k, "intrinsics")
+        for index, want in _PINHOLE_ENTRIES:
+            if k[index] != want:
+                raise ValueError(f"intrinsics entry {index} must be {want:g}, got {k[index]}")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(
             self, "extrinsic", _check_rigid(self.extrinsic, "extrinsic", allow_mirror=True)
         )
+
+    def _key(self) -> tuple[bytes, bytes]:
+        return self.intrinsics.tobytes(), self.extrinsic.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, CameraCalibration) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def fx(self) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .geometry import CameraCalibration, VoxelGridSpec, project_points, voxel_centers
+from .geometry import VoxelGridSpec, project_points, voxel_centers
 from .numerics import Parameter, Tensor
 from .scene.types import PointCloud
 
@@ -238,39 +238,17 @@ class LiftFootprint:
     read: np.ndarray
 
 
-def _cached_by_value(build):
-    """``build(calib, spec, depth, image_hw)``, cached by the calibration's value.
-
-    The key is the calibration's intrinsics and extrinsic bytes, ``spec``,
-    ``depth`` and (H, W), and the last ``FOOTPRINT_CACHE_SIZE`` results are
-    kept.  The wrapper's ``__wrapped__`` is ``build``; ``cache_clear`` and
-    ``cache_info`` are those of its ``functools.lru_cache``.
-    """
-
-    @functools.lru_cache(maxsize=FOOTPRINT_CACHE_SIZE)
-    def cached(intrinsics: bytes, extrinsic: bytes, spec, depth, image_hw):
-        calib = CameraCalibration(intrinsics=np.frombuffer(intrinsics).reshape(3, 3),
-                                  extrinsic=np.frombuffer(extrinsic).reshape(4, 4))
-        return build(calib, spec, depth, image_hw)
-
-    @functools.wraps(build)
-    def lookup(calib, spec, depth, image_hw):
-        return cached(calib.intrinsics.tobytes(), calib.extrinsic.tobytes(), spec, depth,
-                      tuple(int(n) for n in image_hw))
-
-    lookup.cache_clear, lookup.cache_info = cached.cache_clear, cached.cache_info
-    return lookup
-
-
-@_cached_by_value
+@functools.lru_cache(maxsize=FOOTPRINT_CACHE_SIZE)
 def lift_footprint(calib, spec: VoxelGridSpec, depth: DepthSpec, image_hw) -> LiftFootprint:
     """Project every voxel center into one (H, W) camera view, cached by value.
 
     A center projecting to (u, v, d) is in view when it lies inside the image
     (``0 <= u <= W-1``, ``0 <= v <= H-1``) and ``d`` is short of the
     perception limit.  Its depth interpolates linearly between bin centers;
-    beyond the first/last center it clamps to the end bin.  Equal
-    calibrations share one footprint object (see :func:`_cached_by_value`);
+    beyond the first/last center it clamps to the end bin.  The last
+    ``FOOTPRINT_CACHE_SIZE`` results are kept, keyed by the arguments: equal
+    calibrations (equal matrix bytes) share one footprint object, and
+    ``image_hw`` is a tuple such as ``features.shape[:2]``.
     ``lift_footprint.__wrapped__`` is the uncached builder.
     """
     h, w = (int(n) for n in image_hw)
@@ -317,7 +295,7 @@ def lift_footprint(calib, spec: VoxelGridSpec, depth: DepthSpec, image_hw) -> Li
 
 def predict_depth_distribution(features: Tensor, params: DepthHeadParams,
                                depth: DepthSpec) -> Tensor:
-    """Per-pixel depth distribution: 1x1 convolution then softmax over bins.
+    """Per-pixel depth distribution: a per-pixel affine map, then softmax over bins.
 
     ``features`` is an (H, W, C) map, giving (D, H, W), or the (P, C) rows
     of P pixels, such as a :class:`LiftFootprint`'s ``read`` set, giving
@@ -327,10 +305,9 @@ def predict_depth_distribution(features: Tensor, params: DepthHeadParams,
     if features.ndim not in (2, 3):
         raise ValueError(f"features must be (H, W, C) or (P, C), got {features.shape}")
     *lead, c = features.shape
-    if math.prod(lead) == 0:
-        return Tensor(np.zeros((depth.bins, *lead)))
-    logits = nm.conv(nm.reshape(features, (-1, 1, 1, c)), params.weight, params.bias)
-    dist = nm.transpose(nm.softmax(nm.reshape(logits, (-1, depth.bins)), axis=-1), (1, 0))
+    logits = nm.affine(nm.reshape(features, (-1, c)),
+                       nm.reshape(params.weight, (c, depth.bins)), params.bias)
+    dist = nm.transpose(nm.softmax(logits, axis=-1), (1, 0))
     return dist if features.ndim == 2 else nm.reshape(dist, (depth.bins, *lead))
 
 

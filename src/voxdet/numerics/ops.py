@@ -9,8 +9,6 @@ to zero within one cell of the boundary and vanish beyond it.
 
 from __future__ import annotations
 
-import math
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -443,20 +441,6 @@ def attention(q, k, v, scale: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Bound on the fold buffer that each thread keeps: one padded x row's folded
-# windows fit in it at the desk encoder's (16, 16, 4, 32), 147 KB, and at
-# crowd-train's (32, 32, 4, 32), 295 KB.  A row that reads more (26 MB on the
-# paper grid's (128, 11) at C = 256) folds into an array of its own, allocated
-# once per call, so that one large conv does not keep its buffer alive.
-_FOLD_BYTES = 1 << 19
-
-# Each thread keeps one _FOLD_BYTES fold buffer for its lifetime, so that its
-# pages stay mapped: a buffer freed after each call goes back to the OS and is
-# faulted in again by the next conv, which makes small training steps slower
-# and their time less steady.
-_WORKSPACE = threading.local()
-
-
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -474,45 +458,24 @@ def _triple(value, name: str) -> tuple[int, int, int]:
     return tuple(int(v) for v in values)
 
 
-def _fold_buffer(shape) -> np.ndarray:
-    """A float64 array of ``shape`` in this thread's reused fold buffer.
-
-    A shape larger than ``_FOLD_BYTES`` gets an array of its own.  One fold
-    at a time may use the buffer on a thread: ``conv`` runs its folds in turn.
-    """
-    size = math.prod(shape)
-    if 8 * size > _FOLD_BYTES:
-        return np.empty(shape)
-    buf = getattr(_WORKSPACE, "buf", None)
-    if buf is None:
-        buf = _WORKSPACE.buf = np.empty(_FOLD_BYTES // 8)
-    return buf[:size].reshape(shape)
-
-
 def _folds(padded, kernel_shape, stride, out_shape):
     """Yield ``(fold, reads)``: a (voxels, ky*kz*Cin) matrix and the taps that read it.
 
     Each ``(tx, rows)`` in ``reads`` says that output x rows ``rows`` (a
     slice) take ``fold @ w[tx]``.  Each padded x row r that an output reads
     is folded once: one copy lays the (ky, kz) window of every output (y, z)
-    in row r side by side in the thread's fold buffer (see ``_fold_buffer``),
-    and every tap tx that reads the row follows, for output x = (r - tx)/sx
-    in [0, ox).  Rows come in ascending order, so each output row meets its
-    taps in ascending tx, tx = 0 first.  Rows that no output reads are never
-    copied.  The workspace is one padded row's windows, in the kept buffer
-    when they fit in ``_FOLD_BYTES``.  With ky = kz = 1 and unit strides the
-    volume is its own fold: one view per tap, read by every output row.
+    in row r side by side in one buffer, allocated per call, and every tap
+    tx that reads the row follows, for output x = (r - tx)/sx in [0, ox).
+    Rows come in ascending order, so each output row meets its taps in
+    ascending tx, tx = 0 first.  Rows that no output reads are never copied.
+    The workspace is one padded row's windows.
     """
     kx, ky, kz = kernel_shape
     sx, sy, sz = stride
     ox, oy, oz = out_shape
-    if ky == kz == 1 and sx == sy == sz == 1:
-        for tx in range(kx):
-            yield padded[tx : tx + ox].reshape(-1, padded.shape[3]), [(tx, slice(0, ox))]
-        return
     windows = sliding_window_view(padded, (ky, kz), axis=(1, 2))[:, ::sy, ::sz][:, :oy, :oz]
     windows = windows.transpose(0, 1, 2, 4, 5, 3)  # (X, oy, oz, ky, kz, Cin)
-    buf = _fold_buffer(windows.shape[1:])
+    buf = np.empty(windows.shape[1:])
     fold = buf.reshape(oy * oz, -1)
     for r in range((ox - 1) * sx + kx):
         reads = [(tx, slice((r - tx) // sx, (r - tx) // sx + 1))
@@ -546,8 +509,6 @@ def _dilate(g, in_shape, kernel_shape, stride, padding) -> np.ndarray:
     """
     shape = tuple(n + k - 1 for n, k in zip(in_shape, kernel_shape))
     lead = tuple(k - 1 - p for k, p in zip(kernel_shape, padding))
-    if not any(lead) and stride == (1, 1, 1):
-        return g
     frame = np.zeros(shape + g.shape[3:])
     src, dst = [], []
     for n, m, s, offset in zip(shape, g.shape, stride, lead):
@@ -569,12 +530,12 @@ def conv(volume, kernel, bias, stride=1, padding=0) -> Tensor:
 
     One correlation routine serves all three passes.  It folds each padded x
     row that an output reads once, laying the (ky, kz) windows of every
-    output (y, z) side by side in a reused buffer bounded by ``_FOLD_BYTES``
-    (see ``_folds``), and runs every x tap that reads the row as one matmul
-    with K = ky*kz*Cin.  dW is ``fold.T @ g`` over the same folds.  dX is the
-    same correlation run on the stride-dilated output gradient, framed to the
-    unpadded input, with the flipped, channel-swapped kernel.  A 1x1x1,
-    stride-1, unpadded conv is its own fold: one matmul on a view of the volume.
+    output (y, z) side by side in one buffer (see ``_folds``), and runs
+    every x tap that reads the row as one matmul with K = ky*kz*Cin.  dW is
+    ``fold.T @ g`` over the same folds.  dX is the same correlation run on
+    the stride-dilated output gradient, framed to the unpadded input, with
+    the flipped, channel-swapped kernel.  A pointwise (1x1x1) map is cheaper
+    as :func:`affine` on the (voxels, Cin) rows.
     """
     volume, kernel, bias = as_tensor(volume), as_tensor(kernel), as_tensor(bias)
     if volume.ndim != 4:

@@ -275,8 +275,8 @@ def forward_scene(scene: Scene, config: PipelineConfig, params: ModelParams) -> 
         vu = modality_switch_fuse(selected)
     if config.kt_enabled and config.kt_teacher == "fused":
         # KT reads the teacher as data, so the dense fused volume stays off the tape
-        teacher = EncoderTap(features=nm.conv(vu.features.data, params.fusion.weight.data,
-                                              params.fusion.bias.data))
+        teacher = EncoderTap(features=nm.affine(
+            vu.features.data, params.fusion.weight.data[0, 0, 0], params.fusion.bias.data))
     with _stage("decode"):
         result = decode(params.decoder, vu, params.fusion)
     expose_taps = teacher is not None and student is not None

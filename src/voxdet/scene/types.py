@@ -143,6 +143,8 @@ class CameraView:
             raise ValueError(f"camera features must be (H, W, C), got {features.shape}")
         if not np.isfinite(features).all():
             raise ValueError("camera features must be finite")
+        if not math.isfinite(self.time_offset):
+            raise ValueError(f"camera time_offset must be finite, got {self.time_offset}")
         self.features = features
 
 

@@ -357,6 +357,14 @@ def conv_tap_oracle(x, w, b, stride, padding, g=None):
     return out, dpad[crop], dw, g.sum(axis=(0, 1, 2))
 
 
+def depth_distribution_conv_oracle(features: Tensor, params, depth) -> Tensor:
+    """The depth head as a 1x1x1 conv over the pixels, then softmax: (D, H, W) or (D, P)."""
+    *lead, c = features.shape
+    logits = nm.conv(nm.reshape(features, (1, -1, 1, c)), params.weight, params.bias)
+    dist = nm.transpose(nm.softmax(nm.reshape(logits, (-1, depth.bins)), axis=-1), (1, 0))
+    return nm.reshape(dist, (depth.bins, *lead))
+
+
 def deformable_cross_attention_oracle(queries, references, volume, params, config) -> Tensor:
     """Deformable cross-attention that projects every voxel, then samples per head."""
     n, c = queries.shape

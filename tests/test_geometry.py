@@ -172,6 +172,29 @@ class TestValidation:
                                              "must be finite"):
             CameraCalibration(intrinsics=k, extrinsic=np.eye(4))
 
+    @pytest.mark.parametrize("index, value", [((0, 1), 5.0), ((1, 0), -1.0), ((2, 0), 5.0),
+                                              ((2, 1), 1e-9), ((2, 2), 0.0), ((2, 2), 2.0)])
+    def test_intrinsic_entry_that_projection_never_reads_named(self, index, value):
+        k = np.array([[10.0, 0.0, 7.5], [0.0, 10.0, 7.5], [0.0, 0.0, 1.0]])
+        want = k[index]
+        k[index] = value
+        with pytest.raises(ValueError, match=rf"intrinsics entry \({index[0]}, {index[1]}\) "
+                                             rf"must be {want:g}, got {value}"):
+            CameraCalibration(intrinsics=k, extrinsic=np.eye(4))
+
+    def test_huge_rotation_entry_named_without_a_warning(self):
+        # R R^T overflows to inf; tier-1 turns a RuntimeWarning into an error
+        with pytest.raises(ValueError, match="extrinsic rotation block is not orthonormal"):
+            make_calib(extrinsic=_with({(0, 0): 1e308}))
+
+    def test_calibrations_compare_and_hash_by_matrix_bytes(self):
+        a, b = make_calib(), make_calib()
+        assert a == b and hash(a) == hash(b) and a != "calibration"
+        moved = np.eye(4)
+        moved[0, 3] = np.nextafter(0.0, 1.0)
+        assert make_calib(extrinsic=moved) != a
+        assert make_calib(fx=11.0) != a
+
     def test_non_finite_extrinsic_translation_named(self):
         with pytest.raises(ValueError, match=r"extrinsic entry \(0, 3\) must be finite, got nan"):
             make_calib(extrinsic=_with({(0, 3): np.nan}))

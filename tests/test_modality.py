@@ -34,6 +34,7 @@ from voxdet.scene import SceneConfig, generate_scene
 from voxdet.scene.types import CameraView, PointCloud, Scene
 
 from helpers import (
+    depth_distribution_conv_oracle,
     fuse_sweeps_image_oracle,
     lift_image_to_voxels_oracle,
     lift_oracle,
@@ -79,6 +80,25 @@ class TestDepthDistribution:
         dist = predict_depth_distribution(feats, self._params(2, 10, bias=bias),
                                           DepthSpec(10, 20.0))
         assert dist.data[7].min() > 1.0 - 1e-15
+
+
+    @pytest.mark.parametrize("shape", [(5, 6, 3), (17, 3)], ids=["map", "rows"])
+    def test_matches_pointwise_conv(self, shape):
+        # the head is an affine on the pixel rows; the 1x1x1 conv it replaced is the oracle
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(shape)
+        w, b = rng.standard_normal((1, 1, 1, 3, 8)), rng.standard_normal(8)
+        probe = rng.standard_normal((8, *shape[:-1]))
+        results = []
+        for head in (predict_depth_distribution, depth_distribution_conv_oracle):
+            feats, params = Tensor(x, requires_grad=True), self._params(3, 8, w.copy(), b.copy())
+            with Tape() as tape:
+                dist = head(feats, params, DepthSpec(8, 8.0))
+                loss = nm.tsum(nm.mul(dist, Tensor(probe)))
+            backward(tape, loss)
+            results.append((dist.data, feats.grad, params.weight.grad, params.bias.grad))
+        for got, want in zip(*results):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestLift:
@@ -363,7 +383,7 @@ class TestFootprintCache:
     def test_equal_calibrations_share_one_footprint(self):
         spec, depth, _, _, _, _ = _partial_view(0)
         a = lift_footprint(self._calib(), spec, depth, (16, 16))
-        b = lift_footprint(self._calib(), spec, depth, [16.0, 16])
+        b = lift_footprint(self._calib(), spec, depth, (np.int64(16), 16))
         assert a is b and a.voxels.size > 0
 
     def test_one_ulp_of_one_extrinsic_entry_misses(self):

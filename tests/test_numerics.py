@@ -1,5 +1,4 @@
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -219,61 +218,13 @@ def test_conv_fold_is_bounded_per_slab():
     assert both_peak < oracle_both + x.nbytes
 
 
-def test_conv_fold_buffer_is_kept_per_thread():
-    # a fold buffer allocated per call hands its pages back to the OS on every free
-    rng = np.random.default_rng(7)
-    w, b = rng.standard_normal((3, 3, 3, 8, 8)), np.zeros(8)
-    volumes = [rng.standard_normal((16, 16, 4, 8)) for _ in range(8)]
-    expected = [conv_tap_oracle(x, w, b, 1, 1)[0] for x in volumes]
-
-    def fold_buffer_after(i):
-        for _ in range(3):
-            out = nm.conv(Tensor(volumes[i]), Tensor(w), Tensor(b), padding=1)
-            np.testing.assert_allclose(out.data, expected[i], rtol=0, atol=1e-12)
-        return ops._WORKSPACE.buf
-
-    first = fold_buffer_after(0)
-    assert fold_buffer_after(1) is first
-    assert first.nbytes <= ops._FOLD_BYTES
-    with ThreadPoolExecutor(2) as pool:  # concurrent convs fold into buffers of their own
-        assert all(buf is not first for buf in pool.map(fold_buffer_after, range(8)))
-
-
-def test_crowd_conv_folds_into_the_kept_buffer(monkeypatch):
-    # one padded x row at crowd-train's (32, 32, 4, 32) folds 295 KB of windows
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((32, 32, 4, 32))
-    w, b = 0.1 * rng.standard_normal((3, 3, 3, 32, 32)), np.zeros(32)
-    handed = []
-    fold_buffer = ops._fold_buffer
-
-    def recorded(shape):
-        handed.append(fold_buffer(shape))
-        return handed[-1]
-
-    monkeypatch.setattr(ops, "_fold_buffer", recorded)
-    if hasattr(ops._WORKSPACE, "buf"):
-        del ops._WORKSPACE.buf
-    kept = []
-    for _ in range(2):  # forward, dW and dX of two convs
-        leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-        with Tape():
-            out = nm.conv(*leaves, padding=1)
-        out._backward(np.ones(out.shape))
-        kept.append(ops._WORKSPACE.buf)
-    assert kept[0] is kept[1]
-    assert kept[0].nbytes <= ops._FOLD_BYTES
-    assert len(handed) == 6 and all(np.shares_memory(fold, kept[0]) for fold in handed)
-
-
 def test_conv_workspace_is_one_padded_row():
-    # one padded x row of a (4, 128, 11, 64) volume folds 6.5 MB, over _FOLD_BYTES
+    # one padded x row of a (4, 128, 11, 64) volume folds 6.5 MB
     rng = np.random.default_rng(9)
     x = rng.standard_normal((4, 128, 11, 64))
     w, b = 0.1 * rng.standard_normal((3, 3, 3, 64, 64)), np.zeros(64)
     leaves = [Tensor(a) for a in (x, w, b)]
     row_fold = 128 * 11 * 3 * 3 * 64 * 8
-    assert row_fold > ops._FOLD_BYTES
     peak, out = _peak_bytes(lambda: nm.conv(*leaves, padding=1))
     padded = 6 * 130 * 13 * 64 * 8
     product = 128 * 11 * 64 * 8  # one tap's (oy*oz, Cout) matmul before it is added
@@ -281,6 +232,7 @@ def test_conv_workspace_is_one_padded_row():
 
 
 def test_pointwise_conv_copies_no_input():
+    # the fold holds one padded x row at a time, never a copy of the whole input
     x = np.random.default_rng(6).standard_normal((32, 32, 4, 32))
     w = Tensor(np.ones((1, 1, 1, 32, 2)))
     peak, out = _peak_bytes(lambda: nm.conv(Tensor(x), w, Tensor(np.zeros(2))))

@@ -144,6 +144,21 @@ class TestSweepEquivalence:
                                    single.vu.features.data, rtol=0, atol=1e-12)
 
 
+def _depth_head_rows(monkeypatch, params):
+    """Record the row count of every depth-head ``affine`` call from here on."""
+    rows = []
+    affine = nm.affine
+    bias = params.depth_head.bias if params.depth_head else None  # None: no camera
+
+    def counting_affine(x, w, b):
+        if b is bias:
+            rows.append(x.shape[0])
+        return affine(x, w, b)
+
+    monkeypatch.setattr(nm, "affine", counting_affine)
+    return rows
+
+
 def test_sweep_fusion_tape_runs_one_affine_on_the_lifted_voxels(monkeypatch):
     # the whole camera branch of a 2-sweep, 2-camera desk-scale forward: the
     # lifts, the placements onto the union of their voxels, the sweep sums
@@ -161,6 +176,7 @@ def test_sweep_fusion_tape_runs_one_affine_on_the_lifted_voxels(monkeypatch):
         return fuse_sweeps_image(spaces, offsets, fusion_params)
 
     monkeypatch.setattr(pipeline, "fuse_sweeps_image", traced)
+    heads = _depth_head_rows(monkeypatch, params)
     with Tape() as tape:
         vi, _ = pipeline._camera_branch(scene, config, params)
     [n_lifted] = calls
@@ -168,11 +184,14 @@ def test_sweep_fusion_tape_runs_one_affine_on_the_lifted_voxels(monkeypatch):
     n_voxels, c = math.prod(config.grid.counts), config.grid.channels
     assert 0 < n_lifted < n_voxels and out.shape == (n_lifted + 1, c)
     ops = [node._backward.__qualname__.split(".")[0] for node in tape._nodes]
-    assert ops.count("conv") == len(scene.cameras) == 4  # the depth heads
+    assert "conv" not in ops
     # each camera's rows onto the union; nothing places the grid
     assert ops.count("place_rows") == len(scene.cameras)
+    # the depth heads on each camera's read pixels, then sweep fusion on the lifted voxels
+    assert len(heads) == len(scene.cameras) == 4
     assert [node.shape for node, op in zip(tape._nodes, ops)
-            if op == "affine" and node.ndim == 2] == [(n_lifted, c)]
+            if op == "affine" and node.ndim == 2] == \
+        [(n, config.depth.bins) for n in heads] + [(n_lifted, c)]
     # no grid-shaped values (one row per voxel)
     for node in tape._nodes:
         arrays = [node.data] + closure_arrays(node._backward)
@@ -224,17 +243,19 @@ def test_paper_shape_detection_allocates_less_than_one_grid():
 @pytest.mark.parametrize("config, convs", [
     # two multi-scale heads and three encoder conv3d blocks
     (PipelineConfig(use_camera=False), 5),
-    # the depth head on the one camera; sweep fusion is an affine on its rows
-    (PipelineConfig(use_lidar=False, encoder_op="none"), 1),
+    # the depth head on the one camera and sweep fusion are affines on rows
+    (PipelineConfig(use_lidar=False, encoder_op="none"), 0),
 ])
-def test_forward_records_no_fusion_conv(config, convs):
+def test_forward_records_no_fusion_conv(monkeypatch, config, convs):
     # the fusion map acts on the decoder's samples, so no conv runs over the summed spaces
     scene = generate_scene(SceneConfig(n_objects=1, n_cameras=1, channels=32), 29)
     params = build_model(config)
+    heads = _depth_head_rows(monkeypatch, params)
     with Tape() as tape:
         forward_scene(scene, config, params)
     assert len([node for node in tape._nodes
                 if node._backward.__qualname__.startswith("conv.")]) == convs
+    assert len(heads) == int(config.use_camera)
 
 
 def _full_image_lift(cam, scene, config, params):
@@ -296,14 +317,7 @@ class TestReadSetLift:
         assert config.grid.counts == (16, 16, 4)
         params = build_model(config)
         [cam] = scene.cameras
-        rows = []
-        conv = nm.conv
-
-        def counting_conv(volume, *args, **kwargs):
-            rows.append(math.prod(volume.shape[:3]))
-            return conv(volume, *args, **kwargs)
-
-        monkeypatch.setattr(nm, "conv", counting_conv)
+        rows = _depth_head_rows(monkeypatch, params)
         pipeline._lift_camera(cam, scene, config, params)
         fp = lift_footprint(scene.initial_frame_calibration(cam), config.grid, config.depth,
                             (96, 128))

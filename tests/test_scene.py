@@ -370,6 +370,14 @@ def _drop(key):
      r"ego_poses\[0\]: ego pose entry \(0, 3\) must be finite, got inf"),
     ("ego_poses", lambda entry: entry.update(time_offset=math.nan),
      r"ego_poses\[0\]: ego pose timestamp must be finite, got nan"),
+    ("cameras", lambda entry: entry.update(time_offset=math.nan),
+     r"camera cam_0_0: camera time_offset must be finite, got nan"),
+    ("cameras", lambda entry: entry["extrinsic"][0].__setitem__(0, 1e308),
+     r"cameras\[0\]: extrinsic rotation block is not orthonormal"),
+    ("cameras", lambda entry: entry["intrinsics"][2].__setitem__(2, 0.0),
+     r"cameras\[0\]: intrinsics entry \(2, 2\) must be 1, got 0\.0"),
+    ("cameras", lambda entry: entry["intrinsics"][0].__setitem__(1, 5.0),
+     r"cameras\[0\]: intrinsics entry \(0, 1\) must be 0, got 5\.0"),
 ])
 def test_malformed_manifest_entry_named(tmp_path, section, edit, message):
     write_scene(generate_scene(SceneConfig(n_objects=1, channels=8), 2), tmp_path / "scene")
