@@ -28,7 +28,9 @@ __all__ = [
 
 @dataclass
 class FusionParams:
-    weight: Parameter  # (1, 1, 1, C, C)
+    # the model's own map is C -> C; composed after sweep fusion it maps the
+    # n*C un-fused sweep channels (``pipeline.forward_scene``)
+    weight: Parameter  # (1, 1, 1, C_in, C)
     bias: Parameter  # (C,)
 
     @staticmethod

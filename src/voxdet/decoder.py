@@ -222,30 +222,34 @@ def deformable_cross_attention(
 ) -> Tensor:
     """Sample the fused volume at learned offsets around each reference point.
 
-    ``volume`` holds the summed modality spaces: an (X, Y, Z, C) grid, or,
-    with ``lookup``, an (R, C) row table that ``numerics.trilinear_sample``
-    reads through it, byte-identical to sampling the placed grid.
-    ``fusion``'s per-voxel 1x1x1 map is composed into the value projection
-    (weight ``W_f @ value_w``, bias ``b_f @ value_w + value_b``), so the
-    fused volume is never built.
+    ``volume`` holds the summed modality spaces: an (X, Y, Z, C_in) grid,
+    or, with ``lookup``, an (R, C_in) row table that
+    ``numerics.trilinear_sample`` reads through it, byte-identical to
+    sampling the placed grid, whose empty cells read zeros.  ``fusion``'s
+    per-voxel 1x1x1 map from C_in to C channels is composed into the value
+    projection (weight ``W_f @ value_w``, bias ``b_f @ value_w + value_b``),
+    so the fused volume is never built; C_in is C, or n*C when the map
+    starts with the fusion of n un-fused sweeps.
     Offsets are predicted in normalized coordinates.  One weighted
     ``trilinear_sample`` of the volume mixes each head's K samples with
     their softmax weights and appends their weight-mixed trilinear mass;
     that head's slice of the composed projection, with the composed bias as
     its last row, is applied to the mix: sampling is linear, so this equals
     fusing and projecting every voxel first and sampling the result.  The
-    bias enters scaled by the mass, so samples at or beyond one cell outside
-    the grid contribute neither value, fusion bias nor value bias, as
-    sampling the zero-padded fused volume would give.  Heads are
-    concatenated and a final projection maps back to C channels.  Residual
-    and normalization are the caller's responsibility.
+    bias enters scaled by the mass, which counts every corner inside the
+    grid, empty cells too: an empty cell reads the fused bias, and samples
+    at or beyond one cell outside the grid contribute neither value, fusion
+    bias nor value bias, as sampling the zero-padded fused volume would
+    give.  Heads are concatenated and a final projection maps back to C
+    channels.  Residual and normalization are the caller's responsibility.
     """
     n, c = queries.shape
     heads, k = config.num_heads, config.num_points
     dh = config.head_dim
     counts, cv = (volume.shape[:3] if lookup is None else lookup.shape), volume.shape[-1]
-    if cv != c:
-        raise ValueError(f"volume channels {cv} != query channels {c}")
+    c_in = fusion.weight.shape[-2]
+    if cv != c_in:
+        raise ValueError(f"volume channels {cv} != fusion map input channels {c_in}")
 
     offsets = nm.reshape(nm.affine(queries, params.offset_w, params.offset_b),
                          (n, heads, k, 3))
@@ -257,11 +261,11 @@ def deformable_cross_attention(
     points = nm.reshape(grid_locations, (n * heads, k, 3))
 
     mixed = nm.reshape(nm.trilinear_sample(volume, points, weights, lookup=lookup),
-                       (n, heads, c + 1))
-    value_w = nm.matmul(nm.reshape(fusion.weight, (c, c)), params.value_w)
+                       (n, heads, c_in + 1))
+    value_w = nm.matmul(nm.reshape(fusion.weight, (c_in, c)), params.value_w)
     value_b = nm.affine(fusion.bias, params.value_w, params.value_b)
-    value = nm.concat([value_w, nm.reshape(value_b, (1, c))], axis=0)  # (C + 1, C)
-    w_heads = nm.transpose(nm.reshape(value, (c + 1, heads, dh)), (1, 0, 2))
+    value = nm.concat([value_w, nm.reshape(value_b, (1, c))], axis=0)  # (C_in + 1, C)
+    w_heads = nm.transpose(nm.reshape(value, (c_in + 1, heads, dh)), (1, 0, 2))
     projected = nm.matmul(nm.transpose(mixed, (1, 0, 2)), w_heads)  # (H, n, dh)
     merged = nm.reshape(nm.transpose(projected, (1, 0, 2)), (n, c))
     return nm.affine(merged, params.out_w, params.out_b)

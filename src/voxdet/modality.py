@@ -9,10 +9,11 @@ by its interpolated occupancy probability.  Given its footprint, a lift takes
 the (P, C) rows of the read pixels and returns only those (V, C) voxel rows;
 without one it takes the whole image and returns the dense grid, zero at
 every other voxel.  Sweeps are fused at the space level by
-one affine map with the time offsets folded into its bias, run on (V, C)
-tables of the rows some camera lifts; it returns the fused rows and the bias,
-and the pipeline places them into the grid, or keeps them as a row table
-with the bias as its last row when only the decoder reads the space.
+one affine map with the time offsets folded into its bias.  The pipeline
+runs it on (V, C) tables of the rows some camera lifts and places the fused
+rows and the bias into the grid, or, when only the decoder reads the space,
+keeps the un-fused lifted rows as a row table and hands the map on to the
+decoder, which composes it into its value projection.
 LiDAR branch: points are binned into the grid's cells as six hand-crafted
 per-cell statistics, and parallel strided heads map those six channels to the
 grid's C.  A small convolutional encoder then interacts neighboring voxels;
@@ -44,6 +45,7 @@ __all__ = [
     "lift_footprint",
     "predict_depth_distribution",
     "lift_image_to_voxels",
+    "sweep_fusion_map",
     "fuse_sweeps_image",
     "voxelize_points",
     "multi_scale_heads",
@@ -79,8 +81,9 @@ class VoxelGrid:
     """A feature volume tied to its metric grid specification.
 
     Dense, ``features`` is (X, Y, Z, C).  As a row table, ``features`` is
-    (R, C) and ``lookup`` the integer (X, Y, Z) array of each cell's row, so
-    the dense volume is ``features[lookup]``; only a sampler that maps cells
+    (R, C) and ``lookup`` the integer (X, Y, Z) array of each cell's row, or
+    -1 for an empty cell, which reads zeros: the dense volume is
+    ``concat([features, zeros])[lookup]``.  Only a sampler that maps cells
     through ``lookup`` reads it, and :meth:`dense` rejects it.
     """
 
@@ -106,8 +109,8 @@ class VoxelGrid:
                    else type(lookup).__name__)
             raise ValueError(f"lookup must be an integer array of shape {self.spec.counts}, "
                              f"got {got}")
-        if lookup.min() < 0 or lookup.max() >= n_rows:
-            raise ValueError(f"lookup rows must lie in [0, {n_rows})")
+        if lookup.min() < -1 or lookup.max() >= n_rows:
+            raise ValueError(f"lookup rows must lie in [0, {n_rows}), or be -1 for an empty cell")
 
     def dense(self, consumer: str) -> Tensor:
         """The (X, Y, Z, C) features for ``consumer``; a row table raises, naming ``lookup``."""
@@ -146,7 +149,7 @@ class SweepFusionParams:
     # A shared 1x1x1 merge of each sweep and its time offset, then a 1x1x1
     # fuse across sweeps.  With no nonlinearity between them they are stored
     # apart but applied as one composed linear map, with the offset rows
-    # folded into its bias (see ``fuse_sweeps_image``).
+    # folded into its bias (see ``sweep_fusion_map``).
     merge_weight: Parameter  # (1, 1, 1, C + 1, C), shared across sweeps
     merge_bias: Parameter  # (C,)
     fuse_weight: Parameter  # (1, 1, 1, n * C, C)
@@ -375,42 +378,26 @@ def lift_image_to_voxels(
     return nm.record_op(occupancy[:, None] * pixel_feat, (features, depth_dist), backward)
 
 
-def fuse_sweeps_image(
-    spaces: list[Tensor],
-    time_offsets: list[float],
-    params: SweepFusionParams,
-) -> tuple[Tensor, Tensor]:
-    """Space-level temporal fusion of per-sweep image voxel rows.
+def sweep_fusion_map(time_offsets: list[float], params: SweepFusionParams,
+                     channels: int) -> tuple[Tensor, Tensor]:
+    """The space-level temporal fusion of n sweeps as one affine map.
 
-    Each space is the (V, C) table of one sweep's rows for the same V voxels.
     Each sweep gets its scalar time offset as an extra channel, is merged
     back to C channels by a shared 1x1x1 map, and the merged sweeps are
     fused to C by a 1x1x1 map across sweeps.  Merge and fuse are linear, so
     they are composed into one map: sweep ``s`` gets the (C+1, C) weight
     ``W_s = merge @ fuse_s``.  The offset channel is constant, so its row
     folds into the bias, ``b' = fuse_bias + merge_bias @ sum_s fuse_s +
-    sum_s t_s * W_s[C]``, and the map is one ``affine`` of the sweeps' C
-    feature channels, side by side, through the n stacked ``W_s[:C]``.
-
-    Returns the fused (V, C) rows and ``b'``, the fused value of a voxel
-    that is zero in every sweep; placing the rows in a grid is the caller's.
+    sum_s t_s * W_s[C]``.  Returns the (n*C, C) weight, the n stacked
+    ``W_s[:C]`` that act on the sweeps' C channels side by side, and ``b'``,
+    the fused value of a voxel that is zero in every sweep.
     """
-    if not spaces:
-        raise ValueError("fuse_sweeps_image needs at least one sweep")
-    if len(spaces) != len(time_offsets):
-        raise ValueError("one time offset per sweep required")
     for i, offset in enumerate(time_offsets):
         if not math.isfinite(offset):
             raise ValueError(f"time_offsets[{i}] must be finite, got {offset}")
     if abs(time_offsets[0]) > 1e-12:
         raise ValueError(f"initial sweep offset must be 0, got {time_offsets[0]}")
-    shape = tuple(spaces[0].shape)
-    if len(shape) != 2:
-        raise ValueError(f"spaces[0] must be a (V, C) row table, got {shape}")
-    for i, s in enumerate(spaces[1:], start=1):
-        if tuple(s.shape) != shape:
-            raise ValueError(f"spaces[{i}] must be {shape} rows of the voxels, got {s.shape}")
-    n, c = len(spaces), shape[-1]
+    n, c = len(time_offsets), channels
     expected = {"merge_weight": (1, 1, 1, c + 1, c), "merge_bias": (c,),
                 "fuse_weight": (1, 1, 1, n * c, c), "fuse_bias": (c,)}
     for field, want in expected.items():
@@ -426,7 +413,32 @@ def fuse_sweeps_image(
     bias = nm.affine(Tensor(time_offsets),
                      nm.getitem(composed, (slice(None), c)),
                      nm.affine(params.merge_bias, nm.tsum(fuse, axis=0), params.fuse_bias))
-    rows = nm.affine(spaces[0] if n == 1 else nm.concat(spaces, axis=1), weight, bias)
+    return weight, bias
+
+
+def fuse_sweeps_image(
+    spaces: list[Tensor],
+    time_offsets: list[float],
+    params: SweepFusionParams,
+) -> tuple[Tensor, Tensor]:
+    """Apply :func:`sweep_fusion_map` to per-sweep image voxel rows.
+
+    Each space is the (V, C) table of one sweep's rows for the same V voxels;
+    the map is one ``affine`` of the sweeps' rows side by side.  Returns the
+    fused (V, C) rows and ``b'``; placing the rows in a grid is the caller's.
+    """
+    if not spaces:
+        raise ValueError("fuse_sweeps_image needs at least one sweep")
+    if len(spaces) != len(time_offsets):
+        raise ValueError("one time offset per sweep required")
+    shape = tuple(spaces[0].shape)
+    if len(shape) != 2:
+        raise ValueError(f"spaces[0] must be a (V, C) row table, got {shape}")
+    for i, s in enumerate(spaces[1:], start=1):
+        if tuple(s.shape) != shape:
+            raise ValueError(f"spaces[{i}] must be {shape} rows of the voxels, got {s.shape}")
+    weight, bias = sweep_fusion_map(time_offsets, params, shape[-1])
+    rows = nm.affine(spaces[0] if len(spaces) == 1 else nm.concat(spaces, axis=1), weight, bias)
     return rows, bias
 
 

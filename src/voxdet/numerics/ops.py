@@ -120,7 +120,8 @@ def relu(a) -> Tensor:
     def backward(g):
         accumulate_grad(a, g * mask)
 
-    return record_op(np.where(mask, a.data, 0.0), (a,), backward)
+    # every value is a copy of a checked input or +0.0
+    return record_op(np.where(mask, a.data, 0.0), (a,), backward, checked=True)
 
 
 def sigmoid(a) -> Tensor:
@@ -592,16 +593,18 @@ def interpolation_matrix(cells, weights, n_cells: int, transpose: bool = False):
     """Sparse interpolation matrix from per-corner ``(cell index, weight)`` arrays.
 
     ``cells`` and ``weights`` are (K, P): corner k of point p reads cell
-    ``cells[k, p]`` with weight ``weights[k, p]``.  Returns the (P, n_cells)
-    CSR matrix S, so that ``S @ values`` interpolates an (n_cells, C) array,
-    or with ``transpose`` the (n_cells, P) matrix S^T that scatters a (P, C)
-    gradient back onto the cells.
+    ``cells[k, p]`` with weight ``weights[k, p]``.  A corner whose cell is
+    negative is dead and gets no entry, so a row holds its point's live
+    corners only.  Returns the (P, n_cells) CSR matrix S, so that
+    ``S @ values`` interpolates an (n_cells, C) array, or with ``transpose``
+    the (n_cells, P) matrix S^T that scatters a (P, C) gradient back onto
+    the cells.
 
     No entry is merged or reordered beyond what the layout needs, and a
     sparse product adds a row's entries in stored order: each row of S keeps
     its point's corners in corner order, and each row of S^T keeps its cell's
     entries in (corner, point) order.  The sums therefore run in the order of
-    a corner-by-corner gather or scatter-add.
+    a corner-by-corner gather or scatter-add over the live corners.
     """
     weights = np.asarray(weights)
     k, p = weights.shape
@@ -609,14 +612,18 @@ def interpolation_matrix(cells, weights, n_cells: int, transpose: bool = False):
     index = np.int32 if max(n_cells, k * p) < 2**31 else np.int64
     cells = np.asarray(cells, dtype=index)
     if not transpose:
-        return sparse.csr_matrix((weights.T.ravel(), cells.T.ravel(),
-                                  np.arange(0, k * p + 1, k, dtype=index)),
-                                 shape=(p, n_cells))
-    order = np.argsort(cells.ravel(), kind="stable")
+        live = cells.T >= 0
+        indptr = np.zeros(p + 1, dtype=index)
+        np.cumsum(np.count_nonzero(live, axis=1), out=indptr[1:])
+        return sparse.csr_matrix((weights.T[live], cells.T[live], indptr), shape=(p, n_cells))
+    flat = cells.ravel()
+    # a stable sort puts the dead (negative) corners first, then each cell's
+    # entries in (corner, point) order
+    order = np.argsort(flat, kind="stable")[np.count_nonzero(flat < 0):]
     # row c starts after the entries of every cell below c; a repeat over the
     # sorted cells costs far less than a cumulative sum over all n_cells rows
-    indptr = np.repeat(np.arange(k * p + 1, dtype=index),
-                       np.diff(cells.ravel()[order], prepend=-1, append=n_cells))
+    indptr = np.repeat(np.arange(order.size + 1, dtype=index),
+                       np.diff(flat[order], prepend=-1, append=n_cells))
     points = np.tile(np.arange(p, dtype=index), k)
     return sparse.csr_matrix((weights.ravel()[order], points[order], indptr),
                              shape=(n_cells, p))
@@ -633,21 +640,26 @@ def trilinear_sample(volume, points, weights=None, lookup=None) -> Tensor:
     With ``weights`` (R, K), ``points`` is (R, K, 3) and the output is the
     (R, C + 1) weighted sum over K, ``sum_k weights[r, k] * sample(points[r, k])``,
     with no per-point sample kept.  The last column samples a ones channel
-    that is never built: the trilinear mass, the share inside the grid.
+    that is never built: the trilinear mass, the weighted share of corners
+    inside the grid.
 
     The eight corners of every point become one ``interpolation_matrix`` S
-    whose row r holds its K points' corners in (point, corner) order, each
-    corner weight times the point's weight (an outside corner reads cell 0
-    with weight 0): the output is ``S @ volume``, then ``S @ 1`` when
-    weighted, and the volume gradient ``S^T @ g``.  The point and weight
-    gradients gather each corner's values again instead of keeping them.
+    whose row r holds its K points' live corners in (point, corner) order,
+    each corner weight times the point's weight: the output is
+    ``S @ volume`` and the volume gradient ``S^T @ g``.  A corner is live
+    when it lies inside the grid and, with a ``lookup``, is not on an empty
+    cell; S holds live corners only.  The mass sums every inside corner's
+    weight.  The point and weight gradients gather each live corner's values
+    again instead of keeping them.
 
     With ``lookup``, an integer (X, Y, Z) array, ``volume`` is an (R, C) row
-    table and cell i holds row ``lookup[i]``.  Each corner's cell is mapped
-    through ``lookup`` before S is built, and every entry keeps its place and
-    weight, so the output equals sampling the placed grid ``volume[lookup]``
-    byte for byte.  The volume gradient is (R, C): a row that several cells
-    share gets their gradients summed, in S^T's entry order.
+    table and cell i holds row ``lookup[i]``, or is empty and reads zeros
+    when ``lookup[i]`` is -1.  Each corner's cell is mapped through
+    ``lookup`` before S is built, and every live entry keeps its place and
+    weight, so the output equals sampling the placed grid
+    ``concat([volume, zeros])[lookup]`` byte for byte, mass included.  The
+    volume gradient is (R, C): a row that several cells share gets their
+    gradients summed, in S^T's entry order.
     """
     volume = as_tensor(volume)
     points = as_tensor(points)
@@ -660,10 +672,11 @@ def trilinear_sample(volume, points, weights=None, lookup=None) -> Tensor:
         if volume.ndim != 2 or lookup.ndim != 3 or not np.issubdtype(lookup.dtype, np.integer):
             raise ValueError(f"a row-table volume must be (R, C) with an integer (X, Y, Z) "
                              f"lookup, got {volume.shape} and {lookup.dtype} {lookup.shape}")
-        if lookup.min() < 0 or lookup.max() >= volume.shape[0]:
-            raise ValueError(f"lookup rows must lie in [0, {volume.shape[0]})")
+        if lookup.min() < -1 or lookup.max() >= volume.shape[0]:
+            raise ValueError(f"lookup rows must lie in [0, {volume.shape[0]}), "
+                             f"or be -1 for an empty cell")
         (nx, ny, nz), c = lookup.shape, volume.shape[1]
-        cell_rows = lookup.reshape(-1)
+        cell_rows = np.append(lookup.reshape(-1), -1)  # a dead corner's -1 reads -1
     if points.shape[-1] != 3:
         raise ValueError(f"points must have a trailing axis of 3, got {points.shape}")
     if weights is None:
@@ -688,7 +701,7 @@ def trilinear_sample(volume, points, weights=None, lookup=None) -> Tensor:
     for dx, dy, dz in np.ndindex(2, 2, 2):
         ix, iy, iz = base[:, 0] + dx, base[:, 1] + dy, base[:, 2] + dz
         inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny) & (iz >= 0) & (iz < nz)
-        lin = np.where(inside, (ix * ny + iy) * nz + iz, 0)
+        lin = np.where(inside, (ix * ny + iy) * nz + iz, -1)  # -1: a dead corner
         if lookup is not None:
             lin = cell_rows[lin]
         wx, wy, wz = (f if d else 1.0 - f for f, d in zip(frac, (dx, dy, dz)))
@@ -703,11 +716,11 @@ def trilinear_sample(volume, points, weights=None, lookup=None) -> Tensor:
 
     cells, matrix_weights = entries([lin for lin, *_ in corners]), entries(scaled)
     out = interpolation_matrix(cells, matrix_weights, data_flat.shape[0]) @ data_flat
-    if weights is not None:  # the ones channel: the row sums of S
+    if weights is not None:  # the ones channel: every inside corner's weight
         out = np.concatenate([out, matrix_weights.sum(axis=0)[:, None]], axis=1)
 
     def backward(g):
-        g2, g_mass = g.reshape(rows, -1), 0.0
+        g2, g_mass = g.reshape(rows, -1), np.zeros((rows, 1))
         if weights is not None:
             g2, g_mass = g2[:, :c], g2[:, c:]
         if volume.requires_grad:
@@ -716,12 +729,17 @@ def trilinear_sample(volume, points, weights=None, lookup=None) -> Tensor:
             accumulate_grad(volume, (s_t @ g2).reshape(volume.shape))
         if not any(t.requires_grad for t in parents[1:]):  # points, weights
             return
+        # an inside corner's gradient is <value, g> + g_mass, an empty cell's
+        # value is zero and an outside corner's gradient is zero
+        point_mass = np.repeat(g_mass[:, 0], k)
         dp = np.zeros_like(p)
         dw = np.zeros(p.shape[0])
         for (lin, inside, wx, wy, wz, (sx, sy, sz)), w in zip(corners, corner_weights):
-            vals = np.take(data_flat, lin, axis=0).reshape(rows, k, c)
-            vals *= g2[:, None, :]
-            gv = np.where(inside, (vals.sum(axis=2) + g_mass).reshape(-1), 0.0)
+            live = np.flatnonzero(lin >= 0)
+            vals = np.take(data_flat, lin[live], axis=0)
+            vals *= g2[live // k]
+            gv = np.where(inside, point_mass, 0.0)
+            gv[live] = vals.sum(axis=1) + point_mass[live]
             dw += gv * w
             dp[:, 0] += gv * sx * wy * wz
             dp[:, 1] += gv * wx * sy * wz

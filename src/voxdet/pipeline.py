@@ -4,21 +4,23 @@ postprocess, for single-modality and fused settings.
 Model parameters are created from per-component child seeds, so a fused run
 and a LiDAR-only run with the same seed share bit-identical LiDAR, fusion,
 and decoder weights.  The camera branch stays on rows: each lift returns the
-rows of the voxels its camera sees, those rows are put onto the union of the
-cameras' voxels and summed per sweep, and sweep fusion runs on that union's
-rows; every other voxel of the camera space is the fusion bias.  When a
-conv encoder, the sum with the LiDAR space or knowledge transfer follows,
-``_camera_branch`` places the fused rows into the grid once.  When the
-decoder is the space's only reader, it keeps the space as a row table, the
-fused rows and then the bias, with a cell-to-row lookup that the decoder
-samples through.
+rows of the voxels its camera sees, and those rows are put onto the union of
+the cameras' voxels and summed per sweep.  When a conv encoder, the sum with
+the LiDAR space or knowledge transfer follows, sweep fusion runs on that
+union's rows and ``_camera_branch`` places the fused rows into the grid
+once, every other voxel holding the fusion bias.  When the decoder is the
+space's only reader, it keeps the space as a row table of the un-fused
+rows, the sweeps side by side, with a cell-to-row lookup in which every
+other voxel is an empty cell; sweep fusion is linear, so ``forward_scene``
+composes it with the per-voxel fusion map that the decoder applies to its
+samples.
 """
 
 from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .modality import (
     lift_image_to_voxels,
     multi_scale_heads,
     predict_depth_distribution,
+    sweep_fusion_map,
     voxel_encoder,
     voxelize_points,
 )
@@ -179,7 +182,10 @@ class ForwardResult:
     """One forward pass.  ``vu`` holds the summed modality spaces before the
     per-voxel fusion map, which the decoder applies to its samples.  In a
     camera-only run with encoder ``none`` and no knowledge transfer it is the
-    camera space as a row table: ``vu.features[vu.lookup]`` is the grid."""
+    camera space before sweep fusion as a row table: (V, n*C) rows of the V
+    lifted voxels, the n sweeps side by side, and a lookup in which every
+    other voxel is an empty cell (-1); the decoder applies sweep fusion and
+    the fusion map as one composed map."""
 
     vu: VoxelGrid
     decode: DecodeResult
@@ -217,10 +223,11 @@ def _lift_camera(cam, scene, config, params):
 
 
 def _camera_branch(scene, config, params):
+    """The camera space and its encoder tap, and the sweep-fusion map when the
+    space is a row table of un-fused rows (None when it is fused)."""
     lifted = [_lift_camera(cam, scene, config, params) for cam in scene.cameras]
     # every camera's rows go onto the union of the lifted voxels, unless they
-    # already cover it; sweep fusion runs on those rows and every other voxel
-    # holds its bias.  ``seen`` is sorted, as ``searchsorted`` needs.
+    # already cover it.  ``seen`` is sorted, as ``searchsorted`` needs.
     seen = np.unique(np.concatenate([voxels for _, voxels in lifted]))
     c = config.grid.channels
 
@@ -235,33 +242,52 @@ def _camera_branch(scene, config, params):
                                   if cam.time_offset == t])
         for t in offsets
     ]
-    rows, bias = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion)
     if config.use_lidar or config.kt_enabled or config.encoder_op != "none":
-        # a conv, the sum with the LiDAR space or KT reads the dense grid
+        # a conv, the sum with the LiDAR space or KT reads the dense grid:
+        # sweep fusion runs on the lifted rows and every other voxel is its bias
+        rows, bias = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion)
         grid = VoxelGrid(spec=config.grid,
                          features=nm.place_rows(rows, seen, bias, config.grid.counts + (c,)))
+        sweep_map = None
     else:
-        # only the decoder reads the space: the fused rows, then the bias as the
-        # row every unseen voxel looks up.  Off the tape nothing else holds the
-        # lift rows and sweep sums, so they go before the table is built.
+        # only the decoder reads the space: the lifted rows of the sweeps side
+        # by side, and every unseen voxel an empty cell.  Sweep fusion is
+        # linear, so the decoder applies it to its samples, its bias through
+        # the trilinear mass.  Off the tape nothing else holds the per-camera
+        # rows summed into the sweeps, so they go before the decoder runs.
+        sweep_map = sweep_fusion_map(offsets, params.sweep_fusion, c)
+        table = per_sweep[0] if len(per_sweep) == 1 else nm.concat(per_sweep, axis=1)
         del lifted, per_sweep
-        lookup = np.full(config.grid.counts, seen.size, dtype=np.int32)
+        lookup = np.full(config.grid.counts, -1, dtype=np.int32)
         lookup.reshape(-1)[seen] = np.arange(seen.size, dtype=np.int32)
-        grid = VoxelGrid(spec=config.grid, features=nm.concat([rows, nm.reshape(bias, (1, c))]),
+        grid = VoxelGrid(spec=replace(config.grid, channels=table.shape[1]), features=table,
                          lookup=lookup)
-    return voxel_encoder(grid, params.encoder_img)
+    return (*voxel_encoder(grid, params.encoder_img), sweep_map)
+
+
+def _after_sweep_fusion(sweep_map, fusion: FusionParams) -> FusionParams:
+    """The fusion map applied after the sweep-fusion map ``(W, b')``, as one
+    per-voxel map from the n*C un-fused channels: ``W @ W_f`` and
+    ``b' @ W_f + b_f``."""
+    weight, bias = sweep_map
+    c = fusion.bias.shape[0]
+    return FusionParams(weight=nm.matmul(weight, fusion.weight),  # (1, 1, 1, n*C, C)
+                        bias=nm.affine(bias, nm.reshape(fusion.weight, (c, c)), fusion.bias))
 
 
 def forward_scene(scene: Scene, config: PipelineConfig, params: ModelParams) -> ForwardResult:
     """Run lifting/voxelization, encoders, fusion, and the decoder."""
     vi = vp = None
     student = teacher = None
+    fusion = params.fusion
     if _needs_camera(config):
         if not scene.cameras:
             raise PipelineError("camera", ValueError("scene has no cameras"))
         with _stage("camera"):
-            vi, img_tap = _camera_branch(scene, config, params)
+            vi, img_tap, sweep_map = _camera_branch(scene, config, params)
             student = img_tap
+            if sweep_map is not None:
+                fusion = _after_sweep_fusion(sweep_map, params.fusion)
     if _needs_lidar(config):
         with _stage("lidar"):
             raw = voxelize_points(scene.cloud, config.grid)
@@ -278,7 +304,7 @@ def forward_scene(scene: Scene, config: PipelineConfig, params: ModelParams) -> 
         teacher = EncoderTap(features=nm.affine(
             vu.features.data, params.fusion.weight.data[0, 0, 0], params.fusion.bias.data))
     with _stage("decode"):
-        result = decode(params.decoder, vu, params.fusion)
+        result = decode(params.decoder, vu, fusion)
     expose_taps = teacher is not None and student is not None
     return ForwardResult(
         vu=vu,

@@ -309,4 +309,27 @@ def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS)
         worst_param = max(worst_param, _param_grad_check(decode_scalar, param, eps))
     results.append(GradCheckResult(name="decode.parameters", max_error=worst_param))
 
+    # a weighted sample of a row table: 9 of the 27 cells hold a row, the
+    # others are empty (-1); the points reach within one cell outside.  The
+    # input is the (9, 2) table, the (3, 2, 3) points and the (3, 2) weights.
+    table_rng = np.random.default_rng([seed, 19])
+    table_lookup = np.full(27, -1)
+    table_lookup[table_rng.choice(27, size=9, replace=False)] = np.arange(9)
+    table_lookup = table_lookup.reshape(3, 3, 3)
+    # (3, 2 + 1): the two channels and the trilinear mass
+    table_probe = Tensor(PROBE_SCALE * table_rng.choice([-1.0, 1.0], size=(3, 3)))
+
+    def table_fn(x):
+        table = nm.reshape(nm.getitem(x, slice(0, 18)), (9, 2))
+        pts = nm.reshape(nm.getitem(x, slice(18, 36)), (3, 2, 3))
+        weights = nm.reshape(nm.getitem(x, slice(36, 42)), (3, 2))
+        samples = nm.trilinear_sample(table, pts, weights, lookup=table_lookup)
+        return nm.tsum(nm.mul(samples, table_probe))
+
+    def table_point(r):
+        return np.concatenate([r.standard_normal(18), r.uniform(-0.6, 2.6, size=18),
+                               r.uniform(-0.5, 1.5, size=6)])
+
+    results.append(_run("trilinear.row_table", rng, table_point, table_fn, points, eps))
+
     return results

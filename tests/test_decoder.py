@@ -352,11 +352,13 @@ def test_decode_of_a_row_table_is_decoding_its_placed_grid():
     for blk in params.blocks:  # spread the samples over the grid and past its faces
         blk.cross.offset_w.data[...] = 0.5 * rng.standard_normal(blk.cross.offset_w.shape)
     fusion = random_fusion(8, rng)
-    lookup = rng.integers(0, 7, size=SPEC.counts).astype(np.int32)
+    # about one cell in eight is empty (-1) and reads zeros
+    lookup = rng.integers(-1, 7, size=SPEC.counts).astype(np.int32)
+    assert np.any(lookup == -1)
     table = VoxelGrid(spec=SPEC, features=Tensor(rng.standard_normal((7, 8))), lookup=lookup)
     got = decode(params, table, fusion)
-    want = decode(params, VoxelGrid(spec=SPEC, features=Tensor(table.features.data[lookup])),
-                  fusion)
+    placed = np.concatenate([table.features.data, np.zeros((1, 8))])[lookup]
+    want = decode(params, VoxelGrid(spec=SPEC, features=Tensor(placed)), fusion)
     for g, w in zip(got.blocks, want.blocks):
         for field in ("class_logits", "box_params", "reference_out"):
             assert np.array_equal(getattr(g, field).data, getattr(w, field).data)

@@ -9,7 +9,7 @@ from voxdet import numerics as nm
 from voxdet import pipeline
 from voxdet.augmentation import GlobalTransform, apply_to_voxel_grid
 from voxdet.cross_modality import modality_switch_fuse
-from voxdet.decoder import DecoderConfig
+from voxdet.decoder import DecoderConfig, decode
 from voxdet.geometry import CameraCalibration, VoxelGridSpec
 from voxdet.modality import (
     DepthHeadParams,
@@ -603,11 +603,19 @@ class TestRowTableGrid:
         (np.zeros((4, 4), dtype=np.int32), "lookup must be an integer array"),  # wrong shape
         ([[[0] * 2] * 4] * 4, "lookup must be an integer array"),  # not an array
         (np.full(TABLE_SPEC.counts, 5, dtype=np.int32), r"lookup rows must lie in \[0, 5\)"),
-        (np.full(TABLE_SPEC.counts, -1, dtype=np.int64), r"lookup rows must lie in \[0, 5\)"),
+        # -1 is an empty cell, -2 nothing
+        (np.full(TABLE_SPEC.counts, -2, dtype=np.int64), r"lookup rows must lie in \[0, 5\)"),
     ])
     def test_malformed_lookup_named(self, lookup, match):
         with pytest.raises(ValueError, match=match):
             VoxelGrid(spec=TABLE_SPEC, features=Tensor(np.zeros((5, 3))), lookup=lookup)
+
+    def test_empty_cells_are_minus_one(self):
+        lookup = np.full(TABLE_SPEC.counts, -1, dtype=np.int32)
+        lookup[0, 0, 0] = 4
+        grid = VoxelGrid(spec=TABLE_SPEC, features=Tensor(np.zeros((5, 3))), lookup=lookup)
+        assert grid.lookup is lookup
+        VoxelGrid(spec=TABLE_SPEC, features=Tensor(np.zeros((0, 3))), lookup=lookup * 0 - 1)
 
     def test_table_features_must_be_rows_of_the_channels(self):
         lookup = np.zeros(TABLE_SPEC.counts, dtype=np.int32)
@@ -650,16 +658,26 @@ def test_camera_only_scene_seeing_no_voxel_is_the_folded_bias():
     for cam in cameras:
         assert lift_footprint(cam.calibration, spec, config.depth, (16, 16)).voxels.size == 0
 
-    vi, _ = pipeline._camera_branch(scene, config, params)
-    # camera only with encoder none: a row table, here only the bias row
-    assert vi.features.shape == (1, c) and not vi.lookup.any()
+    vi, _, sweep_map = pipeline._camera_branch(scene, config, params)
+    bias = sweep_map[1]
+    # camera only with encoder none: a row table of the two sweeps' un-fused
+    # rows, here none, so every cell is empty and reads the map's bias
+    assert vi.features.shape == (0, 2 * c) and np.all(vi.lookup == -1)
     merge = fusion.merge_weight.data[0, 0, 0]
     fuse = fusion.fuse_weight.data[0, 0, 0].reshape(2, c, c)
     want = fusion.fuse_bias.data + fusion.merge_bias.data @ fuse.sum(axis=0)
     want = want + sum(t * (merge[c] @ f) for t, f in zip(OFFSETS[:2], fuse))
     assert np.abs(want).max() > 0
-    np.testing.assert_allclose(vi.features.data[vi.lookup],
-                               np.broadcast_to(want, spec.counts + (c,)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(bias.data, want, rtol=0, atol=1e-15)
+    # the decoder composes that bias after the fusion map: decoding the empty
+    # table is decoding the grid that holds it in every voxel
+    got = decode(params.decoder, vi, pipeline._after_sweep_fusion(sweep_map, params.fusion))
+    grid = VoxelGrid(spec=spec, features=Tensor(np.broadcast_to(want, spec.counts + (c,))))
+    expected = decode(params.decoder, grid, params.fusion)
+    for g, w in zip(got.blocks, expected.blocks):
+        for field in ("class_logits", "box_params", "reference_out"):
+            np.testing.assert_allclose(getattr(g, field).data, getattr(w, field).data,
+                                       rtol=0, atol=1e-15)
 
 
 def test_fusion_gradients_match_central_differences():

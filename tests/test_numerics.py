@@ -391,13 +391,19 @@ def test_weighted_trilinear_rejects_mismatched_weights():
         nm.trilinear_sample(vol, Tensor(np.zeros((3, 0, 3))), Tensor(np.ones((3, 0))))
 
 
+# seed s places N_SEEN[s] of the 60 cells as rows and leaves the rest empty:
+# most corners empty, some, most seen, none empty
+N_SEEN = (3, 23, 40, 60)
+
+
 def _row_table_inputs(weighted, seed):
-    """A (U + 1, C) table, its (X, Y, Z) lookup, the U cells holding their own
-    rows (in shuffled order) and (R, K, 3) points with their (R, K) weights."""
+    """A (U, C) table, its (X, Y, Z) lookup (-1 on the empty cells), the U
+    cells holding their own rows (in shuffled order) and (R, K, 3) points
+    with their (R, K) weights."""
     rng = np.random.default_rng([seed, 61])
-    counts, c, n_seen = np.array([4, 3, 5]), 6, 23
+    counts, c, n_seen = np.array([4, 3, 5]), 6, N_SEEN[seed]
     seen = np.sort(rng.choice(60, size=n_seen, replace=False))
-    lookup = np.full(60, n_seen, dtype=np.int32)  # every other cell reads the last row
+    lookup = np.full(60, -1, dtype=np.int32)
     lookup[seen] = rng.permutation(n_seen)
     rows, k = 12, 4
     pts = rng.uniform(0.0, counts - 1.0, size=(rows, k, 3))
@@ -409,37 +415,84 @@ def _row_table_inputs(weighted, seed):
     pts[6:10] = np.where(rng.uniform(size=(4, k, 3)) < 0.5, -beyond, counts - 1.0 + beyond)
     weights = rng.uniform(-0.5, 1.5, size=(rows, k)) if weighted else None
     probe = rng.standard_normal((rows, c + 1) if weighted else (rows, k, c))
-    return (rng.standard_normal((n_seen + 1, c)), lookup.reshape(tuple(counts)), seen,
+    return (rng.standard_normal((n_seen, c)), lookup.reshape(tuple(counts)), seen,
             pts, weights, probe)
+
+
+def _corner_cells(pts, counts):
+    """The flat cell of each of the 8 corners of every point, -1 outside the grid."""
+    p = pts.reshape(-1, 3)
+    base = np.floor(p).astype(np.int64)
+    cells = []
+    for corner in np.ndindex(2, 2, 2):
+        idx = base + corner
+        inside = np.all((idx >= 0) & (idx < counts), axis=1)
+        cells.append(np.where(inside, np.ravel_multi_index(idx.T, counts, mode="clip"), -1))
+    return np.stack(cells)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("seed", range(4))
 def test_row_table_trilinear_is_sampling_the_placed_grid(weighted, seed):
-    # the oracle samples the grid the table places: cell i holds row lookup[i]
+    # the oracle samples the grid the table places: cell i holds row
+    # lookup[i], and an empty cell (-1) holds zeros
     table, lookup, seen, pts, weights, probe = _row_table_inputs(weighted, seed)
     rest = (pts,) if weights is None else (pts, weights)
     got = _values_and_grads(lambda v, *a: nm.trilinear_sample(v, *a, lookup=lookup),
                             (table, *rest), probe)
-    want = _values_and_grads(nm.trilinear_sample, (table[lookup], *rest), probe)
-    # forward, point and weight gradients
+    placed = np.concatenate([table, np.zeros((1, table.shape[1]))])[lookup]
+    want = _values_and_grads(nm.trilinear_sample, (placed, *rest), probe)
+    # forward (mass included), point and weight gradients
     for g, w in zip(got[:1] + got[2:], want[:1] + want[2:]):
         assert np.array_equal(g, w)
+    # every row is one cell's, so its gradient is that cell's
     table_grad, grid_grad = got[1], want[1].reshape(-1, table.shape[1])
+    assert table_grad.shape == table.shape
     assert np.array_equal(table_grad[lookup.reshape(-1)[seen]], grid_grad[seen])
-    # the fill row sums the unseen cells' products in S^T's entry order, not
-    # cell by cell: the same terms, so only rounding may differ
-    unseen = np.setdiff1d(np.arange(lookup.size), seen)
-    fill = grid_grad[unseen].sum(axis=0)
-    assert np.abs(fill).max() > 0
-    np.testing.assert_allclose(table_grad[-1], fill, rtol=0, atol=1e-12)
+    cells = _corner_cells(pts, lookup.shape)
+    in_grid = cells[cells >= 0]
+    empty = np.count_nonzero(lookup.reshape(-1)[in_grid] < 0)
+    if seed == 0:  # most inside corners read an empty cell
+        assert empty > in_grid.size / 2
+    if seed == 3:
+        assert empty == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_table_sample_holds_live_corners_only(monkeypatch, seed):
+    # S has one entry per corner inside the grid whose cell is not empty, and
+    # the volume gradient's S^T the same entries
+    table, lookup, _, pts, weights, _ = _row_table_inputs(True, seed)
+    build = ops.interpolation_matrix
+    nnz = []
+
+    def recording(*args, **kwargs):
+        s = build(*args, **kwargs)
+        nnz.append(s.nnz)
+        return s
+
+    monkeypatch.setattr(ops, "interpolation_matrix", recording)
+
+    def sample(volume, lookup=None):
+        with Tape() as tape:
+            loss = nm.tsum(nm.trilinear_sample(Tensor(volume, requires_grad=True), Tensor(pts),
+                                               Tensor(weights), lookup=lookup))
+        backward(tape, loss)
+
+    cells = _corner_cells(pts, lookup.shape)
+    sample(table, lookup)
+    live = np.count_nonzero(lookup.reshape(-1)[cells[cells >= 0]] >= 0)
+    assert nnz == [live, live]
+    # a dense grid's S holds the corners inside it
+    sample(np.ones(lookup.shape + (2,)))
+    assert nnz[2:] == [np.count_nonzero(cells >= 0)] * 2
 
 
 @pytest.mark.parametrize("lookup, match", [
     (np.zeros((2, 2, 2)), "integer"),  # float
     (np.zeros((2, 4), dtype=np.int32), "integer"),  # not (X, Y, Z)
     (np.full((2, 2, 2), 3, dtype=np.int32), r"lie in \[0, 3\)"),
-    (np.full((2, 2, 2), -1, dtype=np.int64), r"lie in \[0, 3\)"),
+    (np.full((2, 2, 2), -2, dtype=np.int64), r"lie in \[0, 3\)"),  # -1 is an empty cell
 ])
 def test_row_table_trilinear_rejects_malformed_lookup(lookup, match):
     with pytest.raises(ValueError, match=match):
@@ -540,6 +593,20 @@ def test_interpolation_matrix_keeps_entry_order():
     assert s_t.shape == (3, 2) and s_t.nnz == 6
     assert np.array_equal(s_t @ np.ones(2), [5.0, 1.0, 5.0])
     assert np.array_equal(s_t @ np.ones((2, 2)), [[5.0, 5.0], [1.0, 1.0], [5.0, 5.0]])
+
+
+def test_interpolation_matrix_drops_dead_corners():
+    # a negative cell is a dead corner: no entry, so rows hold different counts
+    cells = np.array([[1, -1, 2], [-1, -1, 0], [0, -1, 2]])  # (corner, point)
+    weights = np.array([[1e16, 7.0, 2.0], [5.0, 7.0, 3.0], [1.0, 7.0, 4.0]])
+    s = nm.interpolation_matrix(cells, weights, 3)
+    assert s.shape == (3, 3) and np.array_equal(s.indptr, [0, 2, 2, 5])
+    assert np.array_equal(s.toarray(), [[1.0, 1e16, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 6.0]])
+    s_t = nm.interpolation_matrix(cells, weights, 3, transpose=True)
+    assert s_t.nnz == 5 and np.array_equal(s_t.toarray(), s.toarray().T)
+    # every corner dead
+    none = nm.interpolation_matrix(np.full((2, 2), -1), np.ones((2, 2)), 4, transpose=True)
+    assert none.shape == (4, 2) and none.nnz == 0
 
 
 class TestAffine:

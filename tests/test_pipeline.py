@@ -8,11 +8,10 @@ import pytest
 from helpers import closure_arrays
 from voxdet import numerics as nm
 from voxdet import pipeline
-from voxdet.decoder import DecoderConfig, decode_boxes
+from voxdet.decoder import DecoderConfig, decode, decode_boxes
 from voxdet.geometry import VoxelGridSpec
 from voxdet.modality import (
     DepthSpec,
-    fuse_sweeps_image,
     lift_footprint,
     lift_image_to_voxels,
     predict_depth_distribution,
@@ -32,6 +31,10 @@ from voxdet.scene.types import PointCloud, Scene
 
 def small_scene(seed=11, n_objects=2):
     return generate_scene(SceneConfig(n_objects=n_objects, channels=32), seed)
+
+
+# decode outputs of a row table of un-fused sweeps against its dense grid
+DECODE_ATOL = 1e-15
 
 
 def detections_equal(a, b):
@@ -159,47 +162,55 @@ def _depth_head_rows(monkeypatch, params):
     return rows
 
 
-def test_sweep_fusion_tape_runs_one_affine_on_the_lifted_voxels(monkeypatch):
+def test_sweep_fusion_tape_keeps_the_lifted_rows_unfused(monkeypatch):
     # the whole camera branch of a 2-sweep, 2-camera desk-scale forward: the
-    # lifts, the placements onto the union of their voxels, the sweep sums
-    # and sweep fusion stay on rows; with no LiDAR and encoder none only the
-    # decoder reads the space, so it stays a row table: the fused rows, then
-    # the bias
+    # lifts, the placements onto the union of their voxels and the sweep
+    # sums stay on rows; with no LiDAR and encoder none only the decoder
+    # reads the space, so it stays a row table of the un-fused rows, the
+    # sweeps side by side, and sweep fusion runs on no voxel
     scene = generate_scene(SceneConfig(n_objects=1, n_cameras=2, channels=32,
                                        n_camera_sweeps=2), 13)
     config = PipelineConfig(use_lidar=False, encoder_op="none", seed=5)
     params = build_model(config, n_camera_sweeps=2)
-    calls = []
-
-    def traced(spaces, offsets, fusion_params):
-        calls.append(spaces[0].shape[0])
-        return fuse_sweeps_image(spaces, offsets, fusion_params)
-
-    monkeypatch.setattr(pipeline, "fuse_sweeps_image", traced)
     heads = _depth_head_rows(monkeypatch, params)
     with Tape() as tape:
-        vi, _ = pipeline._camera_branch(scene, config, params)
-    [n_lifted] = calls
-    out = vi.features.data
+        vi, _, (weight, bias) = pipeline._camera_branch(scene, config, params)
     n_voxels, c = math.prod(config.grid.counts), config.grid.channels
-    assert 0 < n_lifted < n_voxels and out.shape == (n_lifted + 1, c)
+    n_lifted = vi.features.shape[0]
+    assert 0 < n_lifted < n_voxels and vi.features.shape == (n_lifted, 2 * c)
+    assert np.count_nonzero(vi.lookup == -1) == n_voxels - n_lifted
+    assert weight.shape == (2 * c, c) and bias.shape == (c,)
     ops = [node._backward.__qualname__.split(".")[0] for node in tape._nodes]
     assert "conv" not in ops
     # each camera's rows onto the union; nothing places the grid
     assert ops.count("place_rows") == len(scene.cameras)
-    # the depth heads on each camera's read pixels, then sweep fusion on the lifted voxels
+    # the depth heads on each camera's read pixels are the only row affines:
+    # no (n_lifted, C) sweep fusion
     assert len(heads) == len(scene.cameras) == 4
     assert [node.shape for node, op in zip(tape._nodes, ops)
-            if op == "affine" and node.ndim == 2] == \
-        [(n, config.depth.bins) for n in heads] + [(n_lifted, c)]
+            if op == "affine" and node.ndim == 2] == [(n, config.depth.bins) for n in heads]
+    # the only concat puts the two sweeps side by side: no bias row
+    assert [node.shape for node, op in zip(tape._nodes, ops) if op == "concat"] == \
+        [(n_lifted, 2 * c)]
     # no grid-shaped values (one row per voxel)
     for node in tape._nodes:
         arrays = [node.data] + closure_arrays(node._backward)
         assert not [a.shape for a in arrays if a.dtype == np.float64
                     and (a.shape[:3] == config.grid.counts or a.shape[:1] == (n_voxels,))]
-    # the placed table is the grid that a dense reader gets placed
-    grid, _ = pipeline._camera_branch(scene, dataclasses.replace(config, use_lidar=True), params)
-    assert np.array_equal(out[vi.lookup], grid.features.data)
+    # the map on the table, placed on its bias, is the grid that a dense reader gets
+    dense_config = dataclasses.replace(config, use_lidar=True)
+    grid, _, no_map = pipeline._camera_branch(scene, dense_config, params)
+    assert no_map is None
+    fused = np.concatenate([nm.affine(vi.features, weight, bias).data, bias.data[None]])
+    assert np.array_equal(fused[vi.lookup], grid.features.data)
+    # decoding the table through the composed map is decoding that grid; the
+    # sums run in another order, so the last bits may differ
+    got = decode(params.decoder, vi, pipeline._after_sweep_fusion((weight, bias), params.fusion))
+    want = decode(params.decoder, grid, params.fusion)
+    for g, w in zip(got.blocks, want.blocks):
+        for field in ("class_logits", "box_params", "reference_out"):
+            np.testing.assert_allclose(getattr(g, field).data, getattr(w, field).data,
+                                       rtol=0, atol=DECODE_ATOL)
 
 
 def test_camera_only_forward_tape_holds_no_voxel_grid():
@@ -276,7 +287,7 @@ class TestReadSetLift:
     def _branch(self, scene, config):
         params = build_model(config, n_camera_sweeps=2)
         with Tape() as tape:
-            vi, _ = pipeline._camera_branch(scene, config, params)
+            vi, _, _ = pipeline._camera_branch(scene, config, params)
             probe = np.random.default_rng(0).standard_normal(vi.features.shape)
             loss = nm.tsum(nm.mul(vi.features, Tensor(probe)))
         nm.backward(tape, loss)
