@@ -3,8 +3,9 @@
 Knowledge transfer samples the teacher and student encoder taps at object
 query positions and penalizes their partial L2 distance; only the student
 receives gradients.  Modality fusion sums the processed spaces; the
-per-voxel 1x1x1 fusion map (:class:`FusionParams`) acts on the decoder's
-samples of that sum, so the fused volume is never built densely.
+per-voxel fusion map (:class:`FusionParams`), an ``affine`` on each voxel's
+channels, acts on the decoder's samples of that sum, so the fused volume is
+never built densely.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ __all__ = [
 @dataclass
 class FusionParams:
     # the model's own map is C -> C; composed after sweep fusion it maps the
-    # n*C un-fused sweep channels (``pipeline.forward_scene``)
-    weight: Parameter  # (1, 1, 1, C_in, C)
+    # n*C un-fused sweep channels (``pipeline._camera_branch``)
+    weight: Parameter  # (C_in, C)
     bias: Parameter  # (C,)
 
     @staticmethod
     def create(rng: np.random.Generator, channels: int):
-        w = 0.02 * rng.standard_normal((1, 1, 1, channels, channels))
-        w[0, 0, 0] += np.eye(channels)
+        w = 0.02 * rng.standard_normal((channels, channels))
+        w += np.eye(channels)
         return FusionParams(
             weight=Parameter("fusion.weight", w),
             bias=Parameter("fusion.bias", np.zeros(channels)),

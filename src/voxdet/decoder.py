@@ -176,9 +176,6 @@ class DecoderParams:
         return DecoderParams(config=config, query_embed=query_embed,
                              ref_w=ref_w, ref_b=ref_b, blocks=blocks, head=head)
 
-    def parameters(self) -> list[Parameter]:
-        return nm.parameters_of(self)
-
 
 # ---------------------------------------------------------------------------
 # forward pieces
@@ -226,8 +223,9 @@ def deformable_cross_attention(
     or, with ``lookup``, an (R, C_in) row table that
     ``numerics.trilinear_sample`` reads through it, byte-identical to
     sampling the placed grid, whose empty cells read zeros.  ``fusion``'s
-    per-voxel 1x1x1 map from C_in to C channels is composed into the value
-    projection (weight ``W_f @ value_w``, bias ``b_f @ value_w + value_b``),
+    per-voxel map from C_in to C channels, an ``affine`` on its (C_in, C)
+    weight, is composed into the value projection (weight
+    ``W_f @ value_w``, bias ``b_f @ value_w + value_b``),
     so the fused volume is never built; C_in is C, or n*C when the map
     starts with the fusion of n un-fused sweeps.
     Offsets are predicted in normalized coordinates.  One weighted
@@ -247,7 +245,7 @@ def deformable_cross_attention(
     heads, k = config.num_heads, config.num_points
     dh = config.head_dim
     counts, cv = (volume.shape[:3] if lookup is None else lookup.shape), volume.shape[-1]
-    c_in = fusion.weight.shape[-2]
+    c_in = fusion.weight.shape[0]
     if cv != c_in:
         raise ValueError(f"volume channels {cv} != fusion map input channels {c_in}")
 
@@ -262,7 +260,7 @@ def deformable_cross_attention(
 
     mixed = nm.reshape(nm.trilinear_sample(volume, points, weights, lookup=lookup),
                        (n, heads, c_in + 1))
-    value_w = nm.matmul(nm.reshape(fusion.weight, (c_in, c)), params.value_w)
+    value_w = nm.matmul(fusion.weight, params.value_w)
     value_b = nm.affine(fusion.bias, params.value_w, params.value_b)
     value = nm.concat([value_w, nm.reshape(value_b, (1, c))], axis=0)  # (C_in + 1, C)
     w_heads = nm.transpose(nm.reshape(value, (c_in + 1, heads, dh)), (1, 0, 2))

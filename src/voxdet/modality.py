@@ -132,42 +132,40 @@ class EncoderTap:
 
 @dataclass
 class DepthHeadParams:
-    weight: Parameter  # (1, 1, 1, C, D)
+    weight: Parameter  # (C, D)
     bias: Parameter  # (D,)
 
     @staticmethod
     def create(rng: np.random.Generator, channels: int, bins: int):
         return DepthHeadParams(
-            weight=Parameter("depth.weight",
-                             0.02 * rng.standard_normal((1, 1, 1, channels, bins))),
+            weight=Parameter("depth.weight", 0.02 * rng.standard_normal((channels, bins))),
             bias=Parameter("depth.bias", np.zeros(bins)),
         )
 
 
 @dataclass
 class SweepFusionParams:
-    # A shared 1x1x1 merge of each sweep and its time offset, then a 1x1x1
-    # fuse across sweeps.  With no nonlinearity between them they are stored
-    # apart but applied as one composed linear map, with the offset rows
-    # folded into its bias (see ``sweep_fusion_map``).
-    merge_weight: Parameter  # (1, 1, 1, C + 1, C), shared across sweeps
+    # A shared per-voxel merge of each sweep and its time offset, then a
+    # per-voxel fuse across sweeps.  With no nonlinearity between them they
+    # are stored apart but applied as one composed linear map, with the
+    # offset rows folded into its bias (see ``sweep_fusion_map``).
+    merge_weight: Parameter  # (C + 1, C), shared across sweeps
     merge_bias: Parameter  # (C,)
-    fuse_weight: Parameter  # (1, 1, 1, n * C, C)
+    fuse_weight: Parameter  # (n * C, C), row block s reads sweep s
     fuse_bias: Parameter  # (C,)
 
     @staticmethod
     def create(rng: np.random.Generator, channels: int, sweeps: int):
         # Identity-on-features start: merging leaves features intact and the
         # fusion averages the sweeps, so a fresh model is sweep-count sane.
-        merge = np.zeros((1, 1, 1, channels + 1, channels))
-        merge[0, 0, 0, :channels] = np.eye(channels)
-        merge[0, 0, 0, channels] = 0.02 * rng.standard_normal(channels)
+        merge = np.zeros((channels + 1, channels))
+        merge[:channels] = np.eye(channels)
+        merge[channels] = 0.02 * rng.standard_normal(channels)
         fuse = np.concatenate([np.eye(channels) / sweeps] * sweeps, axis=0)
         return SweepFusionParams(
             merge_weight=Parameter("sweeps.merge_weight", merge),
             merge_bias=Parameter("sweeps.merge_bias", np.zeros(channels)),
-            fuse_weight=Parameter("sweeps.fuse_weight",
-                                  fuse.reshape(1, 1, 1, sweeps * channels, channels)),
+            fuse_weight=Parameter("sweeps.fuse_weight", fuse),
             fuse_bias=Parameter("sweeps.fuse_bias", np.zeros(channels)),
         )
 
@@ -383,10 +381,11 @@ def sweep_fusion_map(time_offsets: list[float], params: SweepFusionParams,
     """The space-level temporal fusion of n sweeps as one affine map.
 
     Each sweep gets its scalar time offset as an extra channel, is merged
-    back to C channels by a shared 1x1x1 map, and the merged sweeps are
-    fused to C by a 1x1x1 map across sweeps.  Merge and fuse are linear, so
-    they are composed into one map: sweep ``s`` gets the (C+1, C) weight
-    ``W_s = merge @ fuse_s``.  The offset channel is constant, so its row
+    back to C channels by a shared per-voxel map, and the merged sweeps are
+    fused to C by a per-voxel map across sweeps.  Merge and fuse are linear,
+    so they are composed into one map: sweep ``s`` gets the (C+1, C) weight
+    ``W_s = merge @ fuse_s``, ``fuse_s`` the s-th (C, C) row block of the
+    fuse weight.  The offset channel is constant, so its row
     folds into the bias, ``b' = fuse_bias + merge_bias @ sum_s fuse_s +
     sum_s t_s * W_s[C]``.  Returns the (n*C, C) weight, the n stacked
     ``W_s[:C]`` that act on the sweeps' C channels side by side, and ``b'``,
@@ -398,17 +397,16 @@ def sweep_fusion_map(time_offsets: list[float], params: SweepFusionParams,
     if abs(time_offsets[0]) > 1e-12:
         raise ValueError(f"initial sweep offset must be 0, got {time_offsets[0]}")
     n, c = len(time_offsets), channels
-    expected = {"merge_weight": (1, 1, 1, c + 1, c), "merge_bias": (c,),
-                "fuse_weight": (1, 1, 1, n * c, c), "fuse_bias": (c,)}
+    expected = {"merge_weight": (c + 1, c), "merge_bias": (c,),
+                "fuse_weight": (n * c, c), "fuse_bias": (c,)}
     for field, want in expected.items():
         got = tuple(getattr(params, field).shape)
         if got != want:
             raise ValueError(f"SweepFusionParams.{field} must be {want} for {n} sweep(s) "
                              f"of {c} channels, got {got}")
 
-    fuse = nm.reshape(params.fuse_weight, (n, c, c))
-    # (1, 1, 1, C+1, C) @ (n, C, C) broadcasts to one composed weight per sweep
-    composed = nm.reshape(nm.matmul(params.merge_weight, fuse), (n, c + 1, c))
+    fuse = nm.reshape(params.fuse_weight, (n, c, c))  # the sweeps' row blocks fuse_s
+    composed = nm.matmul(params.merge_weight, fuse)  # (n, C+1, C): W_s per sweep
     weight = nm.reshape(nm.getitem(composed, (slice(None), slice(c))), (n * c, c))
     bias = nm.affine(Tensor(time_offsets),
                      nm.getitem(composed, (slice(None), c)),

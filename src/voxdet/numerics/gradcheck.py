@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autograd import Tape, Tensor, backward
+from .autograd import Parameter, Tape, Tensor, backward
 
 __all__ = ["grad_check", "central_difference", "max_relative_error"]
 
@@ -14,24 +14,29 @@ __all__ = ["grad_check", "central_difference", "max_relative_error"]
 def grad_check(function: Callable[[Tensor], Tensor], point, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``function`` must map a tensor to a scalar tensor and be re-evaluable.
-    The relative error per coordinate uses an absolute floor of 1e-8 in the
-    denominator so near-zero gradients compare on an absolute scale.
+    ``function`` must map a tensor to a scalar tensor and be re-evaluable;
+    it gets one tensor, whose storage the central differences perturb in
+    place.  A :class:`Parameter` ``point`` is that tensor, its gradient reset
+    first, so a function may also reach it through a model it closes over;
+    any other point is copied into a fresh tensor.  The relative error per
+    coordinate uses an absolute floor of 1e-8 in the denominator so
+    near-zero gradients compare on an absolute scale.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    base = np.array(point.data if isinstance(point, Tensor) else point, dtype=np.float64)
-
-    x = Tensor(base.copy(), requires_grad=True)
+    if isinstance(point, Parameter):
+        point.reset_gradient()
+        x = point
+    else:
+        data = point.data if isinstance(point, Tensor) else point
+        x = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
     with Tape() as tape:
         out = function(x)
     if out.data.size != 1:
         raise ValueError("grad_check needs a scalar-valued function")
     backward(tape, out)
-    analytic = np.zeros_like(base) if x.grad is None else x.grad.copy()
-    numeric = central_difference(
-        base.reshape(-1), lambda: function(Tensor(base.copy())).item(), eps
-    )
+    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+    numeric = central_difference(x.data.reshape(-1), lambda: function(x).item(), eps)
     return max_relative_error(analytic.reshape(-1), numeric)
 
 

@@ -11,9 +11,9 @@ union's rows and ``_camera_branch`` places the fused rows into the grid
 once, every other voxel holding the fusion bias.  When the decoder is the
 space's only reader, it keeps the space as a row table of the un-fused
 rows, the sweeps side by side, with a cell-to-row lookup in which every
-other voxel is an empty cell; sweep fusion is linear, so ``forward_scene``
-composes it with the per-voxel fusion map that the decoder applies to its
-samples.
+other voxel is an empty cell; sweep fusion is linear, so ``_camera_branch``
+composes it with the per-voxel fusion map and hands the decoder that one
+map to apply to its samples.
 """
 
 from __future__ import annotations
@@ -223,8 +223,9 @@ def _lift_camera(cam, scene, config, params):
 
 
 def _camera_branch(scene, config, params):
-    """The camera space and its encoder tap, and the sweep-fusion map when the
-    space is a row table of un-fused rows (None when it is fused)."""
+    """The camera space, its encoder tap and the per-voxel map the decoder
+    applies to it: ``params.fusion``, or, when the space is a row table of
+    un-fused rows, the fusion map composed after sweep fusion."""
     lifted = [_lift_camera(cam, scene, config, params) for cam in scene.cameras]
     # every camera's rows go onto the union of the lifted voxels, unless they
     # already cover it.  ``seen`` is sorted, as ``searchsorted`` needs.
@@ -248,31 +249,25 @@ def _camera_branch(scene, config, params):
         rows, bias = fuse_sweeps_image(per_sweep, offsets, params.sweep_fusion)
         grid = VoxelGrid(spec=config.grid,
                          features=nm.place_rows(rows, seen, bias, config.grid.counts + (c,)))
-        sweep_map = None
+        fusion = params.fusion
     else:
         # only the decoder reads the space: the lifted rows of the sweeps side
         # by side, and every unseen voxel an empty cell.  Sweep fusion is
         # linear, so the decoder applies it to its samples, its bias through
-        # the trilinear mass.  Off the tape nothing else holds the per-camera
-        # rows summed into the sweeps, so they go before the decoder runs.
-        sweep_map = sweep_fusion_map(offsets, params.sweep_fusion, c)
+        # the trilinear mass, as one map with the fusion map after it: the
+        # (n*C, C) weight ``W @ W_f`` and the bias ``b' @ W_f + b_f``.  Off
+        # the tape nothing else holds the per-camera rows summed into the
+        # sweeps, so they go before the decoder runs.
+        weight, bias = sweep_fusion_map(offsets, params.sweep_fusion, c)
+        fusion = FusionParams(weight=nm.matmul(weight, params.fusion.weight),
+                              bias=nm.affine(bias, params.fusion.weight, params.fusion.bias))
         table = per_sweep[0] if len(per_sweep) == 1 else nm.concat(per_sweep, axis=1)
         del lifted, per_sweep
         lookup = np.full(config.grid.counts, -1, dtype=np.int32)
         lookup.reshape(-1)[seen] = np.arange(seen.size, dtype=np.int32)
         grid = VoxelGrid(spec=replace(config.grid, channels=table.shape[1]), features=table,
                          lookup=lookup)
-    return (*voxel_encoder(grid, params.encoder_img), sweep_map)
-
-
-def _after_sweep_fusion(sweep_map, fusion: FusionParams) -> FusionParams:
-    """The fusion map applied after the sweep-fusion map ``(W, b')``, as one
-    per-voxel map from the n*C un-fused channels: ``W @ W_f`` and
-    ``b' @ W_f + b_f``."""
-    weight, bias = sweep_map
-    c = fusion.bias.shape[0]
-    return FusionParams(weight=nm.matmul(weight, fusion.weight),  # (1, 1, 1, n*C, C)
-                        bias=nm.affine(bias, nm.reshape(fusion.weight, (c, c)), fusion.bias))
+    return (*voxel_encoder(grid, params.encoder_img), fusion)
 
 
 def forward_scene(scene: Scene, config: PipelineConfig, params: ModelParams) -> ForwardResult:
@@ -284,10 +279,7 @@ def forward_scene(scene: Scene, config: PipelineConfig, params: ModelParams) -> 
         if not scene.cameras:
             raise PipelineError("camera", ValueError("scene has no cameras"))
         with _stage("camera"):
-            vi, img_tap, sweep_map = _camera_branch(scene, config, params)
-            student = img_tap
-            if sweep_map is not None:
-                fusion = _after_sweep_fusion(sweep_map, params.fusion)
+            vi, student, fusion = _camera_branch(scene, config, params)
     if _needs_lidar(config):
         with _stage("lidar"):
             raw = voxelize_points(scene.cloud, config.grid)
@@ -302,7 +294,7 @@ def forward_scene(scene: Scene, config: PipelineConfig, params: ModelParams) -> 
     if config.kt_enabled and config.kt_teacher == "fused":
         # KT reads the teacher as data, so the dense fused volume stays off the tape
         teacher = EncoderTap(features=nm.affine(
-            vu.features.data, params.fusion.weight.data[0, 0, 0], params.fusion.bias.data))
+            vu.features.data, params.fusion.weight.data, params.fusion.bias.data))
     with _stage("decode"):
         result = decode(params.decoder, vu, fusion)
     expose_taps = teacher is not None and student is not None

@@ -151,7 +151,7 @@ def read_scene(path) -> Scene:
     for i, p in enumerate(manifest.ego_poses):
         with _entry(f"ego_poses[{i}]"):
             poses.append(EgoPose(matrix=np.array(p.matrix), timestamp=p.time_offset))
-    return Scene(
+    scene = Scene(
         scene_id=manifest.scene_id,
         seed=manifest.seed,
         cameras=cameras,
@@ -159,3 +159,12 @@ def read_scene(path) -> Scene:
         ego_poses=poses,
         boxes=manifest.boxes,
     )
+    if poses:  # each camera is aligned from the pose at its offset to the one at 0
+        needed = [("ego_poses", 0.0)] + [(f"cameras[{i}].time_offset", cam.time_offset)
+                                         for i, cam in enumerate(cameras)]
+        for name, offset in needed:
+            try:
+                scene.pose_at(offset)
+            except KeyError as exc:
+                raise SceneIOError(f"{name}: {exc.args[0]}") from exc
+    return scene

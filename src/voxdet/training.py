@@ -57,7 +57,6 @@ class Assignment:
     """One-to-one pairing of prediction and ground-truth indices."""
 
     pairs: tuple[tuple[int, int], ...]
-    unmatched_predictions: tuple[int, ...]
 
 
 def hungarian_match(cost) -> Assignment:
@@ -73,9 +72,7 @@ def hungarian_match(cost) -> Assignment:
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
     rows, cols = linear_sum_assignment(cost)
-    unmatched = np.setdiff1d(np.arange(cost.shape[0]), rows)
-    return Assignment(pairs=tuple(zip(rows.tolist(), cols.tolist())),
-                      unmatched_predictions=tuple(unmatched.tolist()))
+    return Assignment(pairs=tuple(zip(rows.tolist(), cols.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,14 @@
 """Gradient verification suite covering every differentiable operation.
 
 Each entry draws seeded random evaluation points and compares the analytic
-gradient against central differences.  Function-shaped checks go through
-:func:`numerics.grad_check`; parameter leaves are checked by perturbing the
-parameter storage directly.  The CLI ``gradcheck`` command and the
-acceptance tests both run this suite.
+gradient against central differences through :func:`numerics.grad_check`,
+which checks a parameter leaf in place.  The CLI ``gradcheck`` command and
+the acceptance tests both run this suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,8 +23,7 @@ from .decoder import (
 )
 from .geometry import CameraCalibration, VoxelGridSpec
 from .modality import DepthSpec, VoxelGrid, lift_image_to_voxels
-from .numerics import Parameter, Tape, Tensor, backward, grad_check
-from .numerics.gradcheck import central_difference, max_relative_error
+from .numerics import Tensor, grad_check
 from .scene.types import Box3D
 from .training import Assignment, detection_loss
 
@@ -52,16 +49,6 @@ def _run(name, rng, make_point, fn, points, eps) -> GradCheckResult:
         point = make_point(rng)
         worst = max(worst, grad_check(fn, Tensor(point), eps=eps))
     return GradCheckResult(name=name, max_error=worst)
-
-
-def _param_grad_check(scalar_fn: Callable[[], Tensor], param: Parameter, eps: float) -> float:
-    """Central-difference check for a Parameter leaf inside a closure."""
-    param.reset_gradient()
-    with Tape() as tape:
-        out = scalar_fn()
-    backward(tape, out)
-    numeric = central_difference(param.data.reshape(-1), lambda: scalar_fn().item(), eps)
-    return max_relative_error(param.grad.reshape(-1), numeric)
 
 
 # Readout probes for deep composites are small so central differences stay
@@ -101,7 +88,7 @@ def _loss_fixture():
         Box3D(center=(-2.0, 2.0, -0.2), size=(0.8, 0.6, 1.1), yaw=-1.0,
               velocity=(0.0, 0.2), class_id=1),
     ]
-    assignment = Assignment(pairs=((0, 0), (2, 1)), unmatched_predictions=(1, 3))
+    assignment = Assignment(pairs=((0, 0), (2, 1)))
     return spec, gts, assignment
 
 
@@ -292,7 +279,7 @@ def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS)
             total = term if total is None else nm.add(total, term)
         return total
 
-    def decode_scalar():
+    def decode_params_fn(_param):  # reads the parameter through ``dparams`` and ``fusion``
         grid = VoxelGrid(spec=spec, features=Tensor(volume))
         return _decode_readout(decode(dparams, grid, fusion))
 
@@ -304,9 +291,8 @@ def gradient_suite(seed: int = 0, points: int = N_POINTS, eps: float = GRAD_EPS)
                         lambda r: 0.5 * r.standard_normal(int(np.prod(spec.counts)) * 8),
                         decode_volume_fn, points, eps))
 
-    worst_param = 0.0
-    for param in dparams.parameters() + nm.parameters_of(fusion):
-        worst_param = max(worst_param, _param_grad_check(decode_scalar, param, eps))
+    worst_param = max(grad_check(decode_params_fn, param, eps=eps)
+                      for param in nm.parameters_of([dparams, fusion]))
     results.append(GradCheckResult(name="decode.parameters", max_error=worst_param))
 
     # a weighted sample of a row table: 9 of the 27 cells hold a row, the

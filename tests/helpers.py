@@ -357,10 +357,16 @@ def conv_tap_oracle(x, w, b, stride, padding, g=None):
     return out, dpad[crop], dw, g.sum(axis=(0, 1, 2))
 
 
+def pointwise_kernel(weight) -> Tensor:
+    """A pointwise map's (C_in, C_out) matrix as the kernel of a 1x1x1 conv."""
+    return nm.reshape(weight, (1, 1, 1) + tuple(weight.shape[-2:]))
+
+
 def depth_distribution_conv_oracle(features: Tensor, params, depth) -> Tensor:
     """The depth head as a 1x1x1 conv over the pixels, then softmax: (D, H, W) or (D, P)."""
     *lead, c = features.shape
-    logits = nm.conv(nm.reshape(features, (1, -1, 1, c)), params.weight, params.bias)
+    logits = nm.conv(nm.reshape(features, (1, -1, 1, c)), pointwise_kernel(params.weight),
+                     params.bias)
     dist = nm.transpose(nm.softmax(nm.reshape(logits, (-1, depth.bins)), axis=-1), (1, 0))
     return nm.reshape(dist, (depth.bins, *lead))
 
@@ -395,7 +401,7 @@ def fused_cross_attention_oracle(queries, references, volume, params, config,
                                  fusion) -> Tensor:
     """Cross-attention over the densely fused volume: the 1x1x1 fusion conv over
     every voxel, then the project-every-voxel oracle above."""
-    fused = nm.conv(volume, fusion.weight, fusion.bias)
+    fused = nm.conv(volume, pointwise_kernel(fusion.weight), fusion.bias)
     return deformable_cross_attention_oracle(queries, references, fused, params, config)
 
 
@@ -408,9 +414,7 @@ def random_fusion(c, rng):
 
 
 def identity_fusion(c):
-    w = np.zeros((1, 1, 1, c, c))
-    w[0, 0, 0] = np.eye(c)
-    return FusionParams(weight=Parameter("w", w), bias=Parameter("b", np.zeros(c)))
+    return FusionParams(weight=Parameter("w", np.eye(c)), bias=Parameter("b", np.zeros(c)))
 
 
 def fuse_sweeps_image_oracle(spaces, time_offsets, params) -> Tensor:
@@ -421,8 +425,9 @@ def fuse_sweeps_image_oracle(spaces, time_offsets, params) -> Tensor:
     for space, offset in zip(spaces, time_offsets):
         channel = Tensor(np.full(shape[:3] + (1,), float(offset)))
         stacked = nm.concat([space, channel], axis=3)
-        merged.append(nm.conv(stacked, params.merge_weight, params.merge_bias))
-    return nm.conv(nm.concat(merged, axis=3), params.fuse_weight, params.fuse_bias)
+        merged.append(nm.conv(stacked, pointwise_kernel(params.merge_weight), params.merge_bias))
+    return nm.conv(nm.concat(merged, axis=3), pointwise_kernel(params.fuse_weight),
+                   params.fuse_bias)
 
 
 def padded_heads_oracle(cloud: PointCloud, spec: VoxelGridSpec, rng, strides=(1, 2)):

@@ -155,7 +155,7 @@ class TestLiftSynchronization:
         scene = synthetic_camera_scene(seed=7)
         rng = np.random.default_rng(11)
         params = DepthHeadParams(
-            weight=Parameter("w", 0.1 * rng.standard_normal((1, 1, 1, 3, 16))),
+            weight=Parameter("w", 0.1 * rng.standard_normal((3, 16))),
             bias=Parameter("b", np.zeros(16)))
 
         lifted = lift_scene_cameras(scene, spec, depth, params)

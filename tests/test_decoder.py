@@ -25,6 +25,7 @@ from helpers import (
     deformable_cross_attention_oracle,
     fused_cross_attention_oracle,
     identity_fusion,
+    pointwise_kernel,
     random_fusion,
 )
 
@@ -333,7 +334,7 @@ def test_decode_matches_decoding_densely_fused_volume(monkeypatch):
     volume = small_volume(5)
     got = decode(params, volume, fusion)
 
-    dense = nm.conv(volume.features, fusion.weight, fusion.bias)
+    dense = nm.conv(volume.features, pointwise_kernel(fusion.weight), fusion.bias)
     monkeypatch.setattr(decoder, "deformable_cross_attention",
                         lambda q, r, v, p, cfg, _fusion, _lookup:
                         deformable_cross_attention_oracle(q, r, v, p, cfg))

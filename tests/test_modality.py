@@ -23,6 +23,7 @@ from voxdet.modality import (
     lift_image_to_voxels,
     multi_scale_heads,
     predict_depth_distribution,
+    sweep_fusion_map,
     voxel_encoder,
     voxelize_points,
 )
@@ -56,7 +57,7 @@ def test_depth_spec_rejects_a_non_finite_limit(limit):
 
 class TestDepthDistribution:
     def _params(self, c, d, weight=None, bias=None):
-        w = np.zeros((1, 1, 1, c, d)) if weight is None else weight
+        w = np.zeros((c, d)) if weight is None else weight
         b = np.zeros(d) if bias is None else bias
         return DepthHeadParams(weight=Parameter("w", w), bias=Parameter("b", b))
 
@@ -69,7 +70,7 @@ class TestDepthDistribution:
     def test_columns_normalized(self):
         rng = np.random.default_rng(1)
         feats = Tensor(rng.standard_normal((4, 4, 3)))
-        params = self._params(3, 16, weight=rng.standard_normal((1, 1, 1, 3, 16)))
+        params = self._params(3, 16, weight=rng.standard_normal((3, 16)))
         dist = predict_depth_distribution(feats, params, DepthSpec(16, 32.0))
         np.testing.assert_allclose(dist.data.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
@@ -87,7 +88,7 @@ class TestDepthDistribution:
         # the head is an affine on the pixel rows; the 1x1x1 conv it replaced is the oracle
         rng = np.random.default_rng(3)
         x = rng.standard_normal(shape)
-        w, b = rng.standard_normal((1, 1, 1, 3, 8)), rng.standard_normal(8)
+        w, b = rng.standard_normal((3, 8)), rng.standard_normal(8)
         probe = rng.standard_normal((8, *shape[:-1]))
         results = []
         for head in (predict_depth_distribution, depth_distribution_conv_oracle):
@@ -423,11 +424,11 @@ class TestFootprintCache:
 
 class TestSweepFusion:
     def _identity_params(self, c, n):
-        merge = np.zeros((1, 1, 1, c + 1, c))
-        merge[0, 0, 0, :c] = np.eye(c)
-        fuse = np.zeros((1, 1, 1, n * c, c))
+        merge = np.zeros((c + 1, c))
+        merge[:c] = np.eye(c)
+        fuse = np.zeros((n * c, c))
         for s in range(n):
-            fuse[0, 0, 0, s * c : (s + 1) * c] = np.eye(c) / n
+            fuse[s * c : (s + 1) * c] = np.eye(c) / n
         return SweepFusionParams(
             merge_weight=Parameter("m", merge), merge_bias=Parameter("mb", np.zeros(c)),
             fuse_weight=Parameter("f", fuse), fuse_bias=Parameter("fb", np.zeros(c)),
@@ -441,7 +442,7 @@ class TestSweepFusion:
     def test_two_identical_sweeps_average(self):
         x = Tensor(np.random.default_rng(7).standard_normal((18, 4)))
         params = self._identity_params(4, 2)
-        params.merge_weight.data[0, 0, 0, 4] = 0.0  # ignore the offset channel
+        params.merge_weight.data[4] = 0.0  # ignore the offset channel
         out, _ = fuse_sweeps_image([x, x], [0.0, -0.5], params)
         np.testing.assert_allclose(out.data, x.data, rtol=0, atol=1e-12)
 
@@ -470,12 +471,13 @@ class TestSweepFusion:
             fuse_sweeps_image([x, x], [0.0, -0.5], self._identity_params(3, 2))
 
     @pytest.mark.parametrize("field, shape", [
-        ("merge_weight", (1, 1, 1, 3, 3)),
-        ("merge_weight", (1, 1, 1, 4, 4)),
-        ("fuse_weight", (1, 1, 1, 7, 3)),
-        ("fuse_weight", (1, 1, 1, 3, 3)),
+        ("merge_weight", (3, 3)),
+        ("merge_weight", (4, 4)),
+        ("fuse_weight", (7, 3)),
+        ("fuse_weight", (3, 3)),
         ("merge_bias", (4,)),
         ("fuse_bias", (1, 3)),
+        ("merge_weight", (1, 1, 1, 4, 3)),  # a 1x1x1 kernel is not the matrix
     ])
     def test_malformed_params_name_the_field(self, field, shape):
         params = self._identity_params(3, 2)
@@ -505,9 +507,9 @@ OFFSETS = (0.0, -0.5, -1.0)
 
 def _random_fusion_params(c, n, rng):
     return SweepFusionParams(
-        merge_weight=Parameter("m", 0.5 * rng.standard_normal((1, 1, 1, c + 1, c))),
+        merge_weight=Parameter("m", 0.5 * rng.standard_normal((c + 1, c))),
         merge_bias=Parameter("mb", rng.standard_normal(c)),
-        fuse_weight=Parameter("f", 0.5 * rng.standard_normal((1, 1, 1, n * c, c))),
+        fuse_weight=Parameter("f", 0.5 * rng.standard_normal((n * c, c))),
         fuse_bias=Parameter("fb", rng.standard_normal(c)),
     )
 
@@ -658,20 +660,20 @@ def test_camera_only_scene_seeing_no_voxel_is_the_folded_bias():
     for cam in cameras:
         assert lift_footprint(cam.calibration, spec, config.depth, (16, 16)).voxels.size == 0
 
-    vi, _, sweep_map = pipeline._camera_branch(scene, config, params)
-    bias = sweep_map[1]
+    vi, _, composed = pipeline._camera_branch(scene, config, params)
+    bias = sweep_fusion_map(list(OFFSETS[:2]), fusion, c)[1]
     # camera only with encoder none: a row table of the two sweeps' un-fused
     # rows, here none, so every cell is empty and reads the map's bias
     assert vi.features.shape == (0, 2 * c) and np.all(vi.lookup == -1)
-    merge = fusion.merge_weight.data[0, 0, 0]
-    fuse = fusion.fuse_weight.data[0, 0, 0].reshape(2, c, c)
+    merge = fusion.merge_weight.data
+    fuse = fusion.fuse_weight.data.reshape(2, c, c)
     want = fusion.fuse_bias.data + fusion.merge_bias.data @ fuse.sum(axis=0)
     want = want + sum(t * (merge[c] @ f) for t, f in zip(OFFSETS[:2], fuse))
     assert np.abs(want).max() > 0
     np.testing.assert_allclose(bias.data, want, rtol=0, atol=1e-15)
     # the decoder composes that bias after the fusion map: decoding the empty
     # table is decoding the grid that holds it in every voxel
-    got = decode(params.decoder, vi, pipeline._after_sweep_fusion(sweep_map, params.fusion))
+    got = decode(params.decoder, vi, composed)
     grid = VoxelGrid(spec=spec, features=Tensor(np.broadcast_to(want, spec.counts + (c,))))
     expected = decode(params.decoder, grid, params.fusion)
     for g, w in zip(got.blocks, expected.blocks):

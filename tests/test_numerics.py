@@ -844,6 +844,30 @@ class TestGradCheck:
         err = grad_check(f, Tensor([0.2, -1.0, 0.5, 2.0]), eps=1e-5)
         assert err < 1e-6
 
+    def test_parameter_checked_in_place(self):
+        # the function reaches the parameter through a closure, not its argument;
+        # a stale gradient is reset first and the storage is restored afterwards
+        w = Parameter("w", np.array([[0.5, -1.0], [2.0, 0.25]]))
+        x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.75]]))
+        w.grad[...] = 7.0
+        before = w.data.copy()
+
+        def f(_param):
+            return nm.tsum(nm.square(nm.matmul(x, w)))
+
+        assert grad_check(f, w, eps=1e-5) < 1e-8
+        np.testing.assert_array_equal(w.grad, 2.0 * x.data.T @ (x.data @ before))
+        np.testing.assert_array_equal(w.data, before)
+
+    def test_wrong_parameter_gradient_fails(self):
+        w = Parameter("w", np.array([1.0, -2.0]))
+
+        def f(param):  # the backward of mul reaches ``w``; the tsum of a constant does not
+            return nm.add(nm.tsum(nm.mul(param, Tensor(np.array([3.0, 4.0])))),
+                          nm.tsum(nm.square(Tensor(w.data.copy()))))
+
+        assert grad_check(f, w) > 0.5
+
 
 class TestFiniteness:
     def test_nan_input_rejected(self):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import closure_arrays
+from helpers import closure_arrays, pointwise_kernel
 from voxdet import numerics as nm
 from voxdet import pipeline
 from voxdet.decoder import DecoderConfig, decode, decode_boxes
@@ -15,6 +15,7 @@ from voxdet.modality import (
     lift_footprint,
     lift_image_to_voxels,
     predict_depth_distribution,
+    sweep_fusion_map,
 )
 from voxdet.numerics import Tape, Tensor
 from voxdet.pipeline import (
@@ -117,9 +118,9 @@ class TestSweepEquivalence:
         params = build_model(config, n_camera_sweeps=2)
         # ignore the time-offset channel and average sweeps, second sweep zeroed
         c = 32
-        params.sweep_fusion.merge_weight.data[0, 0, 0, c] = 0.0
-        fuse = np.zeros((1, 1, 1, 2 * c, c))
-        fuse[0, 0, 0, :c] = np.eye(c)
+        params.sweep_fusion.merge_weight.data[c] = 0.0
+        fuse = np.zeros((2 * c, c))
+        fuse[:c] = np.eye(c)
         params.sweep_fusion.fuse_weight.data[...] = fuse
 
         zeroed = Scene(
@@ -140,8 +141,7 @@ class TestSweepEquivalence:
         params_single = build_model(config, n_camera_sweeps=1)
         params_single.sweep_fusion.merge_weight.data[...] = \
             params.sweep_fusion.merge_weight.data
-        params_single.sweep_fusion.fuse_weight.data[...] = \
-            np.eye(c).reshape(1, 1, 1, c, c)
+        params_single.sweep_fusion.fuse_weight.data[...] = np.eye(c)
         single = forward_scene(single_scene, config, params_single)
         np.testing.assert_allclose(multi.vu.features.data,
                                    single.vu.features.data, rtol=0, atol=1e-12)
@@ -174,12 +174,12 @@ def test_sweep_fusion_tape_keeps_the_lifted_rows_unfused(monkeypatch):
     params = build_model(config, n_camera_sweeps=2)
     heads = _depth_head_rows(monkeypatch, params)
     with Tape() as tape:
-        vi, _, (weight, bias) = pipeline._camera_branch(scene, config, params)
+        vi, _, composed = pipeline._camera_branch(scene, config, params)
     n_voxels, c = math.prod(config.grid.counts), config.grid.channels
     n_lifted = vi.features.shape[0]
     assert 0 < n_lifted < n_voxels and vi.features.shape == (n_lifted, 2 * c)
     assert np.count_nonzero(vi.lookup == -1) == n_voxels - n_lifted
-    assert weight.shape == (2 * c, c) and bias.shape == (c,)
+    assert composed.weight.shape == (2 * c, c) and composed.bias.shape == (c,)
     ops = [node._backward.__qualname__.split(".")[0] for node in tape._nodes]
     assert "conv" not in ops
     # each camera's rows onto the union; nothing places the grid
@@ -199,13 +199,14 @@ def test_sweep_fusion_tape_keeps_the_lifted_rows_unfused(monkeypatch):
                     and (a.shape[:3] == config.grid.counts or a.shape[:1] == (n_voxels,))]
     # the map on the table, placed on its bias, is the grid that a dense reader gets
     dense_config = dataclasses.replace(config, use_lidar=True)
-    grid, _, no_map = pipeline._camera_branch(scene, dense_config, params)
-    assert no_map is None
+    grid, _, fusion = pipeline._camera_branch(scene, dense_config, params)
+    assert fusion is params.fusion
+    weight, bias = sweep_fusion_map(scene.sweep_offsets, params.sweep_fusion, c)
     fused = np.concatenate([nm.affine(vi.features, weight, bias).data, bias.data[None]])
     assert np.array_equal(fused[vi.lookup], grid.features.data)
     # decoding the table through the composed map is decoding that grid; the
     # sums run in another order, so the last bits may differ
-    got = decode(params.decoder, vi, pipeline._after_sweep_fusion((weight, bias), params.fusion))
+    got = decode(params.decoder, vi, composed)
     want = decode(params.decoder, grid, params.fusion)
     for g, w in zip(got.blocks, want.blocks):
         for field in ("class_logits", "box_params", "reference_out"):
@@ -383,7 +384,8 @@ def test_fused_kt_teacher_is_dense_fusion_off_the_tape():
     with Tape() as tape:
         fw = forward_scene(scene, config, params)
     teacher = fw.teacher_tap.features
-    want = nm.conv(fw.vu.features.data, params.fusion.weight.data, params.fusion.bias.data)
+    want = nm.conv(fw.vu.features.data, pointwise_kernel(params.fusion.weight.data),
+                   params.fusion.bias.data)
     np.testing.assert_array_equal(teacher.data, want.data)
     assert not teacher.requires_grad
     assert not [node for node in tape._nodes
@@ -434,7 +436,7 @@ class TestErrors:
         scene = small_scene(23)
         config = PipelineConfig(use_lidar=False)
         params = build_model(config)
-        params.sweep_fusion.fuse_weight.data[0, 0, 0, 1, 2] = np.nan
+        params.sweep_fusion.fuse_weight.data[1, 2] = np.nan
         with pytest.raises(PipelineError) as err:
             forward_scene(scene, config, params)
         assert err.value.stage == "camera"
@@ -509,6 +511,34 @@ class TestParameterWalk:
                    if p.name.split(".")[0] in ("depth", "sweeps", "encoder_img")]
         assert len(student) == 12
         assert list(map(id, params.student_parameters())) == list(map(id, student))
-        decoder = params.decoder.parameters()
+        decoder = nm.parameters_of(params.decoder)
         assert len(decoder) == 63
         assert list(map(id, trainable[-63:])) == list(map(id, decoder))
+
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    @pytest.mark.parametrize("teacher", ["lidar", "fused"])
+    @pytest.mark.parametrize("encoder", ["none", "conv2d", "conv3d"])
+    def test_pointwise_maps_are_matrices(self, encoder, teacher, sweeps):
+        # a 5-D parameter is a real 3-D kernel; every per-voxel map is the
+        # (C_in, C_out) matrix that ``affine`` reads
+        config = PipelineConfig(encoder_op=encoder, kt_enabled=True, kt_teacher=teacher)
+        params = build_model(config, n_camera_sweeps=sweeps)
+        c, bins = config.grid.channels, config.depth.bins
+        encoders = [f"encoder_{m}.block{b}.{kind}" for m in ("img", "pts") if encoder != "none"
+                    for kind in ("weight", "bias") for b in range(3)]
+        want = (["depth.weight", "depth.bias", "sweeps.merge_weight", "sweeps.merge_bias",
+                 "sweeps.fuse_weight", "sweeps.fuse_bias",
+                 "heads.s1.weight", "heads.s2.weight", "heads.s1.bias", "heads.s2.bias",
+                 *encoders, "fusion.weight", "fusion.bias"]
+                + [p.name for p in nm.parameters_of(params.decoder)])
+        trainable = params.trainable()
+        assert [p.name for p in trainable] == want
+        assert len(trainable) == (75 if encoder == "none" else 87)
+        for p in trainable:
+            assert p.ndim in (1, 2) or (p.ndim == 5 and max(p.shape[:3]) > 1), \
+                (p.name, p.shape)
+        shapes = {p.name: p.shape for p in trainable}
+        assert shapes["depth.weight"] == (c, bins)
+        assert shapes["sweeps.merge_weight"] == (c + 1, c)
+        assert shapes["sweeps.fuse_weight"] == (sweeps * c, c)
+        assert shapes["fusion.weight"] == (c, c)

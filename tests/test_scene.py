@@ -378,6 +378,12 @@ def _drop(key):
      r"cameras\[0\]: intrinsics entry \(2, 2\) must be 1, got 0\.0"),
     ("cameras", lambda entry: entry["intrinsics"][0].__setitem__(1, 5.0),
      r"cameras\[0\]: intrinsics entry \(0, 1\) must be 0, got 5\.0"),
+    ("cameras", lambda entry: entry.update(time_offset=0.5),
+     r"cameras\[0\]\.time_offset: no ego pose recorded at offset 0\.5"),
+    ("cameras", lambda entry: entry.update(time_offset=-0.5),
+     r"cameras\[0\]\.time_offset: no ego pose recorded at offset -0\.5"),
+    ("ego_poses", lambda entry: entry.update(time_offset=-0.5),
+     r"ego_poses: no ego pose recorded at offset 0\.0"),
 ])
 def test_malformed_manifest_entry_named(tmp_path, section, edit, message):
     write_scene(generate_scene(SceneConfig(n_objects=1, channels=8), 2), tmp_path / "scene")

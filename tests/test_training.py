@@ -44,7 +44,6 @@ class TestHungarian:
     def test_zero_matrix_tie_break(self):
         assign = hungarian_match(np.zeros((3, 3)))
         assert assign.pairs == ((0, 0), (1, 1), (2, 2))
-        assert assign.unmatched_predictions == ()
 
     def test_matches_brute_force_small(self):
         rng = np.random.default_rng(0)
@@ -61,7 +60,6 @@ class TestHungarian:
         cost = np.array([[5.0], [0.0], [9.0]])
         assign = hungarian_match(cost)
         assert assign.pairs == ((1, 0),)
-        assert assign.unmatched_predictions == (0, 2)
 
     def test_scaling_preserves_pairs(self):
         rng = np.random.default_rng(1)
@@ -78,7 +76,6 @@ class TestHungarian:
     def test_empty(self):
         assign = hungarian_match(np.zeros((3, 0)))
         assert assign.pairs == ()
-        assert assign.unmatched_predictions == (0, 1, 2)
 
 
 SHAPES = st.one_of(
@@ -120,7 +117,6 @@ def check_optimal_one_to_one(cost):
     cols = [j for _, j in assign.pairs]
     assert len(assign.pairs) == min(n, m)
     assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
-    assert assign.unmatched_predictions == tuple(i for i in range(n) if i not in rows)
     if n <= 7 and m <= 7:  # well below the 1e-9 steps of the near-optimal alternatives
         total = float(cost[rows, cols].sum())
         assert total == pytest.approx(brute_force_assignment_total(cost), abs=1e-12)
@@ -206,7 +202,7 @@ def make_block(logits, box, refs=None):
 class TestDetectionLoss:
     def test_no_gt_saturated_background(self):
         block = make_block(np.full((4, 3), -50.0), np.zeros((4, 10)))
-        assign = Assignment(pairs=(), unmatched_predictions=(0, 1, 2, 3))
+        assign = Assignment(pairs=())
         loss, cls, box = detection_loss([block], [], [assign], SPEC)
         assert loss.item() < 1e-20
         assert box == 0.0
@@ -219,7 +215,7 @@ class TestDetectionLoss:
         refs = np.full((2, 3), 0.5)
         refs[0] = target[:3]
         block = make_block(np.zeros((2, 3)), box, refs)
-        assign = Assignment(pairs=((0, 0),), unmatched_predictions=(1,))
+        assign = Assignment(pairs=((0, 0),))
         _, _, box_part = detection_loss([block], [gt], [assign], SPEC)
         assert box_part == pytest.approx(0.0, abs=1e-12)
 
@@ -227,7 +223,7 @@ class TestDetectionLoss:
         rng = np.random.default_rng(2)
         gt = Box3D(center=(1.0, 1.0, 0.0), size=(1.0, 2.0, 1.0), yaw=0.3, class_id=1)
         block = make_block(rng.standard_normal((3, 3)), rng.standard_normal((3, 10)))
-        assign = Assignment(pairs=((1, 0),), unmatched_predictions=(0, 2))
+        assign = Assignment(pairs=((1, 0),))
         single, _, _ = detection_loss([block], [gt], [assign], SPEC)
         double, _, _ = detection_loss([block, block], [gt], [assign, assign], SPEC)
         assert double.item() == pytest.approx(single.item(), rel=1e-12)
@@ -243,7 +239,7 @@ class TestDetectionLoss:
         refs = np.full((2, 3), 0.5)
         refs[0] = target[:3]
         block = make_block(logits, box, refs)
-        assign = Assignment(pairs=((0, 0),), unmatched_predictions=(1,))
+        assign = Assignment(pairs=((0, 0),))
         loss, _, _ = detection_loss([block], [gt], [assign], SPEC)
         assert loss.item() >= 0.0
         assert loss.item() < 1e-12
@@ -253,7 +249,7 @@ class TestDetectionLoss:
         gt = Box3D(center=(0.0, 0.0, 0.0), size=(1, 1, 1), yaw=0.0, class_id=0)
         for _ in range(20):
             block = make_block(rng.standard_normal((3, 3)), rng.standard_normal((3, 10)))
-            assign = Assignment(pairs=((0, 0),), unmatched_predictions=(1, 2))
+            assign = Assignment(pairs=((0, 0),))
             loss, _, _ = detection_loss([block], [gt], [assign], SPEC)
             assert loss.item() >= 0.0
 
@@ -386,6 +382,6 @@ class TestCostMatrix:
 def test_detection_loss_rejects_out_of_range_class(class_id):
     gt = Box3D(center=(0.0, 0.0, 0.0), size=(1, 1, 1), yaw=0.0, class_id=class_id)
     block = make_block(np.zeros((2, 3)), np.zeros((2, 10)))
-    assign = Assignment(pairs=((0, 0),), unmatched_predictions=(1,))
+    assign = Assignment(pairs=((0, 0),))
     with pytest.raises(ValueError, match=f"class id {class_id} "):
         detection_loss([block], [gt], [assign], SPEC)
